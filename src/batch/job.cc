@@ -32,7 +32,6 @@ jobClassName(JobClass cls)
       case JobClass::Crash:       return "crash";
       case JobClass::Spawn:       return "spawn";
       case JobClass::Resource:    return "resource";
-      case JobClass::Canceled:    return "canceled";
     }
     return "?";
 }
@@ -51,7 +50,6 @@ jobClassFromName(const std::string &name)
         {"crash", JobClass::Crash},
         {"spawn", JobClass::Spawn},
         {"resource", JobClass::Resource},
-        {"canceled", JobClass::Canceled},
     };
     for (const auto &[n, cls] : kTable) {
         if (name == n)
@@ -64,7 +62,7 @@ bool
 jobClassRetryable(JobClass cls)
 {
     // Resource is the typed "the host ran out of something" verdict
-    // (ENOSPC journal/cache writes, fork EAGAIN): backoff gives the
+    // (ENOSPC journal writes, fork EAGAIN): backoff gives the
     // host a chance to recover, unlike the deterministic classes.
     return cls == JobClass::Timeout || cls == JobClass::Stalled ||
            cls == JobClass::Crash || cls == JobClass::Resource;

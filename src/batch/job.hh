@@ -50,7 +50,6 @@ enum class JobClass
     Crash,        ///< died on a signal (or an unknown exit code)
     Spawn,        ///< fork/exec failed (exit 127 or pipe error)
     Resource,     ///< transient host exhaustion (ENOSPC/EAGAIN/...)
-    Canceled,     ///< canceled via the service before completion
 };
 
 const char *jobClassName(JobClass cls);
@@ -134,8 +133,7 @@ struct JobUsage
  * Per-child host perf counters, parsed from the child's `perf.total`
  * object when the sweep runs with --perf and the counters were
  * available in the child. Multiplex-scaled doubles (see
- * prof/perf_counters.hh); never served from the result cache, since
- * host counters are a property of the machine, not the spec.
+ * prof/perf_counters.hh).
  */
 struct JobPerf
 {
@@ -183,15 +181,6 @@ struct JobRecord
     std::string note;          ///< first stderr line of a failure
     std::string heartbeatPath; ///< live-telemetry file ("" if off)
     bool replayed = false;     ///< restored from a journal on resume
-    /// Served from the result cache instead of simulated; `seconds`
-    /// is then the hit latency, not a simulation time.
-    bool cached = false;
-    /// @{ Service-mode scheduling attributes (see src/svc): higher
-    ///    priority launches first; within a priority class, tenants
-    ///    share worker slots round-robin.
-    std::string tenant;
-    int priority = 0;
-    /// @}
 };
 
 /**

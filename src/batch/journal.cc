@@ -10,8 +10,8 @@ namespace xbs
 void
 writeJobMetricsFields(JsonWriter &jw, const JobMetrics &m)
 {
-    // Full precision: these values are read back (resume, cache
-    // hits) and must stay bit-identical to the simulated originals
+    // Full precision: these values are read back on resume and
+    // must stay bit-identical to the simulated originals
     // all the way into report.json.
     jw.fieldFull("bandwidth", m.bandwidth);
     jw.fieldFull("missRate", m.missRate);
@@ -81,11 +81,9 @@ const char *
 journalEventKindName(JournalEvent::Kind kind)
 {
     switch (kind) {
-      case JournalEvent::Kind::Submit: return "submit";
       case JournalEvent::Kind::Launch: return "launch";
       case JournalEvent::Kind::Result: return "result";
       case JournalEvent::Kind::Final:  return "final";
-      case JournalEvent::Kind::Cancel: return "cancel";
     }
     return "?";
 }
@@ -222,7 +220,7 @@ SweepJournal::open(const std::string &dir)
 }
 
 Status
-SweepJournal::append(JournalEvent &event, bool durable)
+SweepJournal::append(JournalEvent &event)
 {
     event.seq = ++seq_;
     std::ostringstream os;
@@ -233,22 +231,11 @@ SweepJournal::append(JournalEvent &event, bool durable)
         jw.field("event", journalEventKindName(event.kind));
         jw.field("job", (int64_t)event.job);
         jw.field("attempt", (int64_t)event.attempt);
-        if (event.kind == JournalEvent::Kind::Submit) {
-            jw.beginArray("spec");
-            for (const std::string &flag : event.spec)
-                jw.field("", flag);
-            jw.endArray();
-            if (!event.tenant.empty())
-                jw.field("tenant", event.tenant);
-            if (event.priority != 0)
-                jw.field("priority", (int64_t)event.priority);
-        } else if (event.kind != JournalEvent::Kind::Launch) {
+        if (event.kind != JournalEvent::Kind::Launch) {
             jw.field("class", jobClassName(event.cls));
             jw.field("exit", (int64_t)event.exitCode);
             jw.field("signal", (int64_t)event.termSignal);
             jw.fieldFull("seconds", event.seconds);
-            if (event.cached)
-                jw.field("cached", true);
             if (event.hasMetrics)
                 writeJobMetricsFields(jw, event.metrics);
             if (event.hasUsage) {
@@ -279,13 +266,7 @@ SweepJournal::append(JournalEvent &event, bool durable)
         }
         jw.endObject();
     }
-    return log_.append(os.str(), durable);
-}
-
-Status
-SweepJournal::sync()
-{
-    return log_.sync();
+    return log_.append(os.str());
 }
 
 Expected<std::vector<JournalEvent>>
@@ -311,38 +292,33 @@ SweepJournal::replay(const std::string &dir)
             continue;
         JsonValue v;
         std::string err;
+        auto corrupt = [&](const std::string &why) {
+            return Status::error(StatusCode::Corrupt,
+                                 "journal line " +
+                                     std::to_string(lineno) + ": " +
+                                     why).withFile(path);
+        };
         if (!parseJson(line, &v, &err) || !v.isObject()) {
             if (at_tail)
                 break;
-            return Status::error("malformed journal line " +
-                                 std::to_string(lineno) + ": " + err)
-                .withFile(path);
+            return corrupt("malformed journal record: " + err);
         }
         JournalEvent ev;
         const JsonValue *kind = v.find("event");
         if (!kind) {
             if (at_tail)
                 break;
-            return Status::error("journal line " +
-                                 std::to_string(lineno) +
-                                 " has no event field").withFile(path);
+            return corrupt("no event field");
         }
         const std::string &k = kind->asString();
-        if (k == "submit") {
-            ev.kind = JournalEvent::Kind::Submit;
-        } else if (k == "launch") {
+        if (k == "launch") {
             ev.kind = JournalEvent::Kind::Launch;
         } else if (k == "result") {
             ev.kind = JournalEvent::Kind::Result;
         } else if (k == "final") {
             ev.kind = JournalEvent::Kind::Final;
-        } else if (k == "cancel") {
-            ev.kind = JournalEvent::Kind::Cancel;
         } else {
-            return Status::error("journal line " +
-                                 std::to_string(lineno) +
-                                 ": unknown event '" + k + "'")
-                .withFile(path);
+            return corrupt("unknown event '" + k + "'");
         }
         if (const JsonValue *f = v.find("seq"))
             ev.seq = f->asUint();
@@ -352,10 +328,8 @@ SweepJournal::replay(const std::string &dir)
             ev.attempt = (int)f->asNumber();
         if (const JsonValue *f = v.find("class")) {
             Expected<JobClass> cls = jobClassFromName(f->asString());
-            if (!cls.ok()) {
-                Status st = cls.status();
-                return st.withFile(path);
-            }
+            if (!cls.ok())
+                return corrupt(cls.status().toString());
             ev.cls = cls.value();
         }
         if (const JsonValue *f = v.find("exit"))
@@ -364,16 +338,6 @@ SweepJournal::replay(const std::string &dir)
             ev.termSignal = (int)f->asNumber();
         if (const JsonValue *f = v.find("seconds"))
             ev.seconds = f->asNumber();
-        if (const JsonValue *f = v.find("cached"))
-            ev.cached = f->isBool() && f->boolValue;
-        if (const JsonValue *f = v.find("spec")) {
-            for (const JsonValue &flag : f->items)
-                ev.spec.push_back(flag.asString());
-        }
-        if (const JsonValue *f = v.find("tenant"))
-            ev.tenant = f->asString();
-        if (const JsonValue *f = v.find("priority"))
-            ev.priority = (int)f->asNumber();
         if (v.find("bandwidth") || v.find("cycles")) {
             ev.hasMetrics = true;
             ev.metrics = readJobMetricsFields(v);

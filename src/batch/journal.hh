@@ -76,16 +76,9 @@ struct JournalEvent
 {
     enum class Kind
     {
-        /// Service-mode admission: the spec arrived over the socket
-        /// (xbatchd has no static manifest; replaying the Submit
-        /// events reconstructs the matrix). Carries spec/tenant/
-        /// priority.
-        Submit,
         Launch,
         Result,
         Final,
-        /// Service-mode cancellation of a not-yet-final job.
-        Cancel,
     };
 
     Kind kind = Kind::Launch;
@@ -103,19 +96,11 @@ struct JournalEvent
     bool hasPerf = false;
     JobPerf perf;              ///< child host perf counters (--perf)
     std::string note;
-    /// Final only: the result came from the cache, not a simulation
-    /// (`seconds` is then the hit latency).
-    bool cached = false;
-    /// @{ Submit only.
-    std::vector<std::string> spec;  ///< RunSpec argv round trip
-    std::string tenant;
-    int priority = 0;
-    /// @}
 };
 
-/** Shared (journal + result cache) metrics serialization; doubles
- *  are written at full precision so a replayed or cached metric is
- *  bit-identical to the simulated one. */
+/** Journal metrics serialization; doubles are written at full
+ *  precision so a replayed metric is bit-identical to the simulated
+ *  one. */
 void writeJobMetricsFields(JsonWriter &jw, const JobMetrics &m);
 JobMetrics readJobMetricsFields(const JsonValue &v);
 
@@ -133,21 +118,15 @@ class SweepJournal
     /** Open (append) the journal in @p dir; creates it if missing. */
     Status open(const std::string &dir);
 
-    /**
-     * Append one event; stamps event.seq. With @p durable false the
-     * record is written but not fsync'd — call sync() before
-     * acknowledging it to anyone (group commit for the service's
-     * cached-completion bursts).
-     */
-    Status append(JournalEvent &event, bool durable = true);
-
-    /** Group-commit barrier for batched appends. */
-    Status sync();
+    /** Append one event, fsync'd before returning; stamps
+     *  event.seq. */
+    Status append(JournalEvent &event);
 
     /**
      * Read back every complete event in @p dir's journal. A torn or
      * malformed *final* line is ignored (crash mid-append); a
-     * malformed line in the middle is a data error.
+     * malformed line in the middle, an unknown event, or an unknown
+     * class is Corrupt.
      */
     static Expected<std::vector<JournalEvent>> replay(
         const std::string &dir);

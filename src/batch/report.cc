@@ -31,8 +31,6 @@ summarizeSweep(const std::vector<JobRecord> &records, bool interrupted,
             ++s.ok;
         else
             ++s.failed;
-        if (rec.cached)
-            ++s.cacheHits;
         ++by_class[jobClassName(rec.cls)];
     }
     s.classCounts.assign(by_class.begin(), by_class.end());
@@ -60,7 +58,6 @@ renderSweepReport(const std::vector<JobRecord> &records,
         jw.field("ok", (uint64_t)summary.ok);
         jw.field("failed", (uint64_t)summary.failed);
         jw.field("notRun", (uint64_t)summary.notRun);
-        jw.field("cacheHits", (uint64_t)summary.cacheHits);
         jw.field("retries", (uint64_t)summary.retries);
         jw.beginObject("classes");
         for (const auto &cc : summary.classCounts)
@@ -93,8 +90,6 @@ renderSweepReport(const std::vector<JobRecord> &records,
             jw.field("exit", (int64_t)rec.exitCode);
             jw.field("signal", (int64_t)rec.termSignal);
             jw.field("replayed", rec.replayed);
-            if (rec.cached)
-                jw.field("cached", true);
             jw.field("seconds", rec.seconds);
             if (rec.hasMetrics) {
                 jw.beginObject("metrics");
@@ -180,12 +175,11 @@ printSweepSummary(std::ostream &os,
         } else if (rec.cls == JobClass::Ok && rec.hasMetrics) {
             std::snprintf(line, sizeof(line),
                           "  %-28s ok       bw=%6.3f miss=%5.3f "
-                          "(%d attempt%s%s%s)",
+                          "(%d attempt%s%s)",
                           rec.spec.run.label().c_str(),
                           rec.metrics.bandwidth, rec.metrics.missRate,
                           rec.attempts, rec.attempts == 1 ? "" : "s",
-                          rec.replayed ? ", replayed" : "",
-                          rec.cached ? ", cached" : "");
+                          rec.replayed ? ", replayed" : "");
         } else {
             std::snprintf(line, sizeof(line),
                           "  %-28s %-8s (%d attempt%s%s)%s%s",
@@ -203,8 +197,6 @@ printSweepSummary(std::ostream &os,
         os << ", " << summary.failed << " failed";
     if (summary.notRun > 0)
         os << ", " << summary.notRun << " not run";
-    if (summary.cacheHits > 0)
-        os << ", " << summary.cacheHits << " cached";
     if (summary.retries > 0)
         os << ", " << summary.retries << " retr"
            << (summary.retries == 1 ? "y" : "ies");

@@ -27,7 +27,6 @@ struct SweepSummary
     std::size_t ok = 0;
     std::size_t failed = 0;    ///< final but not Ok
     std::size_t notRun = 0;    ///< never finalized (drained sweep)
-    std::size_t cacheHits = 0; ///< Ok jobs served from the cache
     unsigned retries = 0;
     bool interrupted = false;
     double wallSeconds = 0.0;

@@ -6,7 +6,6 @@
 #include <signal.h>
 #include <sys/wait.h>
 
-#include "batch/result_cache.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/heartbeat.hh"
@@ -126,10 +125,8 @@ SweepScheduler::SweepScheduler(SchedulerOptions opts,
         records_.push_back(std::move(rec));
     }
     eligibleAt_.assign(records_.size(), Clock::time_point::min());
-    for (std::size_t i = 0; i < records_.size(); ++i) {
+    for (std::size_t i = 0; i < records_.size(); ++i)
         pending_.push_back(i);
-        nextId_ = std::max(nextId_, records_[i].spec.id + 1);
-    }
     slotBusy_.assign(std::max(opts_.workers, 1u), 0);
 }
 
@@ -143,33 +140,10 @@ SweepScheduler::restore(const std::vector<JournalEvent> &events)
                                [&](const JobRecord &r) {
                                    return r.spec.id == ev.job;
                                });
-        if (ev.kind == JournalEvent::Kind::Submit) {
-            // Service mode has no manifest: the Submit events ARE the
-            // matrix, so an unknown id creates the record.
-            nextId_ = std::max(nextId_, ev.job + 1);
-            if (it != records_.end() || ev.spec.empty())
-                continue;
-            Expected<RunSpec> run = RunSpec::fromArgv(ev.spec);
-            if (!run.ok()) {
-                xbs_warn("journal submit %d has a bad spec: %s",
-                         ev.job, run.status().toString().c_str());
-                continue;
-            }
-            JobRecord rec;
-            rec.spec.id = ev.job;
-            rec.spec.run = run.take();
-            rec.tenant = ev.tenant;
-            rec.priority = ev.priority;
-            records_.push_back(std::move(rec));
-            eligibleAt_.push_back(Clock::time_point::min());
-            continue;
-        }
         if (it == records_.end())
             continue;  // journal mentions a job not in the manifest
         JobRecord &rec = *it;
         switch (ev.kind) {
-          case JournalEvent::Kind::Submit:
-            break;  // handled above
           case JournalEvent::Kind::Launch:
             break;  // a launch without a result consumed nothing
           case JournalEvent::Kind::Result:
@@ -202,17 +176,6 @@ SweepScheduler::restore(const std::vector<JournalEvent> &events)
             rec.hasPerf = ev.hasPerf;
             rec.perf = ev.perf;
             rec.note = ev.note;
-            rec.cached = ev.cached;
-            break;
-          case JournalEvent::Kind::Cancel:
-            // The cancel reached the journal; whether or not its
-            // Final did, the job must not run again.
-            if (!rec.done) {
-                rec.done = true;
-                rec.replayed = true;
-                rec.cls = JobClass::Canceled;
-                rec.note = ev.note;
-            }
             break;
         }
     }
@@ -226,11 +189,11 @@ SweepScheduler::restore(const std::vector<JournalEvent> &events)
 }
 
 void
-SweepScheduler::journalAppend(JournalEvent &event, bool durable)
+SweepScheduler::journalAppend(JournalEvent &event)
 {
     if (!journal_)
         return;
-    if (Status st = journal_->append(event, durable); !st.isOk()) {
+    if (Status st = journal_->append(event); !st.isOk()) {
         // A dying journal must not kill the sweep; the results in
         // memory still produce a report. Resume fidelity degrades,
         // which the warning makes visible.
@@ -239,184 +202,9 @@ SweepScheduler::journalAppend(JournalEvent &event, bool durable)
     }
 }
 
-Expected<int>
-SweepScheduler::submit(const RunSpec &run, const std::string &tenant,
-                       int priority, bool durable)
-{
-    const int id = nextId_++;
-    ++submits_;
-
-    // Journal first: the Submit event is the only persistent record
-    // of a service-mode job's existence, so it must be on disk (or
-    // covered by the caller's journalSync barrier) before anyone is
-    // told the job was accepted.
-    if (journal_) {
-        JournalEvent ev;
-        ev.kind = JournalEvent::Kind::Submit;
-        ev.job = id;
-        ev.spec = run.toArgv();
-        ev.tenant = tenant;
-        ev.priority = priority;
-        if (Status st = journal_->append(ev, durable); !st.isOk()) {
-            --nextId_;
-            return st;
-        }
-    }
-
-    JobRecord rec;
-    rec.spec.id = id;
-    rec.spec.run = run;
-    rec.tenant = tenant;
-    rec.priority = priority;
-    records_.push_back(std::move(rec));
-    eligibleAt_.push_back(Clock::time_point::min());
-    pending_.push_back(records_.size() - 1);
-    return id;
-}
-
-Status
-SweepScheduler::cancel(int job_id)
-{
-    auto it = std::find_if(records_.begin(), records_.end(),
-                           [&](const JobRecord &r) {
-                               return r.spec.id == job_id;
-                           });
-    if (it == records_.end()) {
-        return Status::error(StatusCode::NotFound,
-                             "unknown job " + std::to_string(job_id));
-    }
-    const std::size_t idx = (std::size_t)(it - records_.begin());
-    JobRecord &rec = *it;
-    if (rec.done) {
-        return Status::error("job " + std::to_string(job_id) +
-                             " is already final (" +
-                             jobClassName(rec.cls) + ")");
-    }
-
-    JournalEvent ev;
-    ev.kind = JournalEvent::Kind::Cancel;
-    ev.job = job_id;
-    ev.attempt = rec.attempts;
-    ev.cls = JobClass::Canceled;
-    journalAppend(ev);
-    ++cancels_;
-
-    auto pend = std::find(pending_.begin(), pending_.end(), idx);
-    if (pend != pending_.end()) {
-        pending_.erase(pend);
-        rec.note = "canceled while pending";
-        finalize(idx, JobClass::Canceled, false, JobMetrics{});
-        return Status::ok();
-    }
-    for (Running &run : running_) {
-        if (run.idx != idx || run.canceled)
-            continue;
-        // Same TERM-then-KILL escalation as the watchdog; the reap
-        // path sees run.canceled and finalizes as Canceled.
-        run.canceled = true;
-        run.termSent = true;
-        run.killAt = Clock::now() +
-                     std::chrono::microseconds(
-                         (int64_t)(opts_.graceSec * 1e6));
-        signalChild(run.child, SIGTERM);
-        return Status::ok();
-    }
-    // Not pending, not running, not done: only reachable mid-step;
-    // treat as pending-style cancellation.
-    rec.note = "canceled";
-    finalize(idx, JobClass::Canceled, false, JobMetrics{});
-    return Status::ok();
-}
-
-Status
-SweepScheduler::journalSync()
-{
-    return journal_ ? journal_->sync() : Status::ok();
-}
-
-/**
- * Launch-time cache probe: a first-attempt job whose key hits is
- * finalized as `cached` right here — no fork, no worker slot. The
- * Final journal line is written without its own fsync; step() issues
- * one group-commit sync after the launch loop, so a burst of hits
- * costs one fsync total (the >100 cached completions/sec budget).
- */
-bool
-SweepScheduler::tryServeFromCache(std::size_t idx,
-                                  std::string *key_hex)
-{
-    key_hex->clear();
-    if (!opts_.cache || !opts_.cache->isOpen())
-        return false;
-    JobRecord &rec = records_[idx];
-    if (rec.attempts != 0)
-        return false;  // a failed simulation outranks a stale entry
-
-    const auto t0 = Clock::now();
-    Expected<CacheKey> key = makeCacheKey(rec.spec.run);
-    if (!key.ok())
-        return false;
-    *key_hex = key.value().hex;
-    Expected<CacheEntry> hit = opts_.cache->lookup(key.value());
-    if (!hit.ok()) {
-        ++cacheMisses_;
-        return false;  // miss or corrupt entry: simulate
-    }
-
-    rec.exitCode = kExitOk;
-    rec.termSignal = 0;
-    rec.attempts = 1;
-    rec.cached = true;
-    rec.seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    ++cacheHits_;
-    ++unsyncedFinals_;
-    finalize(idx, JobClass::Ok, true, hit.value().metrics,
-             /*durable=*/false);
-    return true;
-}
-
-void
-SweepScheduler::storeToCache(const JobRecord &rec)
-{
-    if (!opts_.cache || !opts_.cache->isOpen())
-        return;
-    Expected<CacheKey> key = makeCacheKey(rec.spec.run);
-    if (!key.ok())
-        return;
-    CacheEntry entry;
-    entry.label = rec.spec.run.label();
-    entry.seconds = rec.seconds;
-    entry.metrics = rec.metrics;
-    if (Status st = opts_.cache->store(key.value(), entry);
-        !st.isOk()) {
-        // The cache is an accelerator, never a correctness
-        // dependency: a failed store only costs a future hit.
-        xbs_warn("cache store failed: %s", st.toString().c_str());
-    }
-}
-
 void
 SweepScheduler::launch(std::size_t idx)
 {
-    std::string key_hex;
-    if (tryServeFromCache(idx, &key_hex))
-        return;
-    if (!key_hex.empty()) {
-        auto twin = inflightByKey_.find(key_hex);
-        if (twin != inflightByKey_.end() && twin->second != idx) {
-            // The same cell is simulating right now: defer instead
-            // of paying for it twice. When the twin stores its
-            // entry, the next launch attempt here is a cache hit;
-            // if the twin fails, the entry never appears and this
-            // job runs for real.
-            eligibleAt_[idx] =
-                Clock::now() + std::chrono::milliseconds(50);
-            pending_.push_back(idx);
-            return;
-        }
-    }
-
     JobRecord &rec = records_[idx];
     const int attempt = rec.attempts + 1;
 
@@ -480,10 +268,6 @@ SweepScheduler::launch(std::size_t idx)
     run.child.heartbeatPath = hb_path;
     run.idx = idx;
     run.attempt = attempt;
-    if (!key_hex.empty()) {
-        run.cacheKeyHex = key_hex;
-        inflightByKey_[key_hex] = idx;
-    }
     run.start = now;
     run.deadline =
         now + std::chrono::microseconds(
@@ -544,7 +328,6 @@ SweepScheduler::pollHeartbeat(Running &run, Clock::time_point now)
         // Alive but not advancing: kill as stalled (retryable) with
         // the same TERM-then-KILL escalation as a timeout.
         run.stalled = true;
-        ++stalls_;
         run.termSent = true;
         run.killAt =
             now + std::chrono::microseconds(
@@ -555,21 +338,13 @@ SweepScheduler::pollHeartbeat(Running &run, Clock::time_point now)
 
 void
 SweepScheduler::finalize(std::size_t idx, JobClass cls,
-                         bool has_metrics, const JobMetrics &metrics,
-                         bool durable)
+                         bool has_metrics, const JobMetrics &metrics)
 {
     JobRecord &rec = records_[idx];
     rec.done = true;
     rec.cls = cls;
     rec.hasMetrics = has_metrics;
     rec.metrics = metrics;
-
-    // Populate the cache before journaling Final: if we die between
-    // the store and the append, restart replays the job and hits the
-    // just-stored entry; the reverse order would just cost a miss.
-    // Either way nothing is lost or double-counted.
-    if (cls == JobClass::Ok && has_metrics && !rec.cached)
-        storeToCache(rec);
 
     JournalEvent ev;
     ev.kind = JournalEvent::Kind::Final;
@@ -586,8 +361,7 @@ SweepScheduler::finalize(std::size_t idx, JobClass cls,
     ev.hasPerf = rec.hasPerf;
     ev.perf = rec.perf;
     ev.note = rec.note;
-    ev.cached = rec.cached;
-    journalAppend(ev, durable);
+    journalAppend(ev);
 
     if (opts_.onFinal)
         opts_.onFinal(rec);
@@ -596,8 +370,6 @@ SweepScheduler::finalize(std::size_t idx, JobClass cls,
 void
 SweepScheduler::handleExit(Running &run, int raw_status)
 {
-    if (!run.cacheKeyHex.empty())
-        inflightByKey_.erase(run.cacheKeyHex);
     JobRecord &rec = records_[run.idx];
     const bool exited = WIFEXITED(raw_status);
     const int exit_code = exited ? WEXITSTATUS(raw_status) : -1;
@@ -612,16 +384,11 @@ SweepScheduler::handleExit(Running &run, int raw_status)
 
     JobClass cls = classifyOutcome(run.timedOut, run.stalled, exited,
                                    exit_code, term_signal);
-    // A cancel kill outranks everything the dying child reported:
-    // whatever it managed on the way down, the user asked for it to
-    // stop, and Canceled is terminal (never retried).
-    if (run.canceled)
-        cls = JobClass::Canceled;
     // A drain (supervisor shutdown) turns the kill-induced outcomes
     // into Interrupted: the attempt is free and --resume re-runs the
     // job. A child that still finished with a deterministic verdict
     // keeps it.
-    if (!run.canceled && draining_ && !run.timedOut && !run.stalled &&
+    if (draining_ && !run.timedOut && !run.stalled &&
         (cls == JobClass::Crash || cls == JobClass::Interrupted)) {
         cls = JobClass::Interrupted;
     }
@@ -643,8 +410,7 @@ SweepScheduler::handleExit(Running &run, int raw_status)
         rec.usage.outBlock = run.child.outBlock;
     }
     // Host perf counters ride the same stdout document as the paper
-    // metrics; only a live Ok simulation carries them (cache hits
-    // deliberately do not — they are host facts, not spec facts).
+    // metrics; only an Ok simulation carries them.
     rec.hasPerf =
         cls == JobClass::Ok && parseChildPerf(run.child.out, &rec.perf);
     if (cls != JobClass::Ok)
@@ -730,48 +496,20 @@ SweepScheduler::handleExit(Running &run, int raw_status)
     finalize(run.idx, cls, has_metrics, metrics);
 }
 
-/**
- * Pick the next pending job to launch, or records_.size() if nothing
- * is eligible: highest priority first; within a priority class the
- * least-served tenant (round-robin fairness, so one tenant's 1000
- * submissions cannot starve another's one); matrix/FIFO order last.
- */
+/** Pop the first pending job whose backoff has elapsed (matrix/FIFO
+ *  order), or return records_.size() if none is eligible. */
 std::size_t
 SweepScheduler::pickPending(Clock::time_point now)
 {
-    auto best = pending_.end();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (eligibleAt_[*it] > now)
-            continue;
-        if (best == pending_.end()) {
-            best = it;
-            continue;
-        }
-        const JobRecord &a = records_[*it];
-        const JobRecord &b = records_[*best];
-        if (a.priority != b.priority) {
-            if (a.priority > b.priority)
-                best = it;
-            continue;
-        }
-        if (tenantServed_[a.tenant] < tenantServed_[b.tenant])
-            best = it;
-    }
-    if (best == pending_.end())
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [&](std::size_t idx) {
+                               return eligibleAt_[idx] <= now;
+                           });
+    if (it == pending_.end())
         return records_.size();
-    const std::size_t idx = *best;
-    pending_.erase(best);
-    ++tenantServed_[records_[idx].tenant];
+    const std::size_t idx = *it;
+    pending_.erase(it);
     return idx;
-}
-
-std::map<std::string, uint64_t>
-SweepScheduler::pendingByTenant() const
-{
-    std::map<std::string, uint64_t> depth;
-    for (std::size_t idx : pending_)
-        ++depth[records_[idx].tenant];
-    return depth;
 }
 
 void
@@ -791,8 +529,7 @@ SweepScheduler::step()
         }
     }
 
-    // Launch into free slots. Cache hits never take a slot, so one
-    // step drains an arbitrarily long run of duplicate submissions.
+    // Launch into free slots.
     if (!draining_) {
         while (running_.size() < opts_.workers) {
             const std::size_t idx = pickPending(now);
@@ -800,13 +537,6 @@ SweepScheduler::step()
                 break;
             launch(idx);
         }
-    }
-    if (unsyncedFinals_ > 0) {
-        // Group commit for the batch of cache-hit finals journaled
-        // above: one fsync covers them all.
-        if (Status st = journalSync(); !st.isOk())
-            xbs_warn("journal sync failed: %s", st.toString().c_str());
-        unsyncedFinals_ = 0;
     }
 
     // Poll workers: pump pipes, reap exits, enforce deadlines.

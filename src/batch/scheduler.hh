@@ -38,7 +38,6 @@
 #include <chrono>
 #include <csignal>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "batch/job.hh"
@@ -48,8 +47,6 @@
 
 namespace xbs
 {
-
-class ResultCache;
 
 struct SchedulerOptions
 {
@@ -86,16 +83,6 @@ struct SchedulerOptions
      *  retries can write distinct files); nullptr/empty disables. */
     std::function<std::vector<std::string>(const JobSpec &,
                                            int attempt)> extraArgs;
-
-    /**
-     * Content-addressed result cache (batch/result_cache.hh);
-     * nullptr disables. With a cache, a job whose key hits is
-     * finalized as `cached` at launch time without occupying a
-     * worker slot (its Final journal lines are group-committed once
-     * per step), and every Ok simulation stores its entry on the way
-     * to Final.
-     */
-    ResultCache *cache = nullptr;
 };
 
 class SweepScheduler
@@ -117,54 +104,11 @@ class SweepScheduler
     /**
      * Run the sweep to completion or until drained by the stop flag.
      * Always returns (graceful degradation): individual failures are
-     * recorded, never propagated. Implemented as a loop over step().
+     * recorded, never propagated.
      *
      * @return false when the sweep was interrupted mid-flight
      */
     bool run();
-
-    /**
-     * One supervisor iteration: honor the stop flag, launch eligible
-     * pending jobs into free slots (serving cache hits inline,
-     * without a slot), pump/reap/watchdog the running children, and
-     * group-commit any batched cache-hit finals. The service daemon
-     * (src/svc) pumps this between socket polls; run() is this in a
-     * sleep loop.
-     */
-    void step();
-
-    /**
-     * Service mode: admit one job after construction. Journals a
-     * durable Submit event *before* the job exists in memory — the
-     * daemon only acks a submission once this returns, and replaying
-     * the Submit events reconstructs the matrix on restart. With
-     * @p durable false the caller owns the sync barrier (group
-     * commit across a burst of submissions) via journalSync().
-     *
-     * @return the assigned job id
-     */
-    Expected<int> submit(const RunSpec &run,
-                         const std::string &tenant = "",
-                         int priority = 0, bool durable = true);
-
-    /**
-     * Service mode: cancel a job by id. A pending job is finalized
-     * as Canceled immediately; a running one gets the TERM-then-KILL
-     * escalation and finalizes as Canceled when reaped. Fails with
-     * NotFound for unknown ids and with a plain error for jobs
-     * already final.
-     */
-    Status cancel(int job_id);
-
-    /** Group-commit barrier for durable=false submissions. */
-    Status journalSync();
-
-    /** No running children and nothing pending (the service idles;
-     *  a batch run is finished). */
-    bool idle() const { return running_.empty() && pending_.empty(); }
-
-    std::size_t runningCount() const { return running_.size(); }
-    std::size_t pendingCount() const { return pending_.size(); }
 
     const std::vector<JobRecord> &records() const { return records_; }
 
@@ -176,18 +120,6 @@ class SweepScheduler
 
     /** Transient retries performed by this supervisor instance. */
     unsigned totalRetries() const { return retries_; }
-
-    /** Jobs served from the result cache by this instance. */
-    uint64_t cacheHits() const { return cacheHits_; }
-
-    /// @{ Cumulative service counters (xbatchd `metrics` verb).
-    uint64_t submits() const { return submits_; }
-    uint64_t cacheMisses() const { return cacheMisses_; }
-    uint64_t stallKills() const { return stalls_; }
-    uint64_t cancelCount() const { return cancels_; }
-    /** Pending-queue depth per tenant (keys present tenants only). */
-    std::map<std::string, uint64_t> pendingByTenant() const;
-    /// @}
 
     bool interrupted() const { return interrupted_; }
 
@@ -213,24 +145,20 @@ class SweepScheduler
         Clock::time_point lastProgress;
         Clock::time_point nextHbPoll;
         bool stalled = false;      ///< stall kill initiated
-        bool canceled = false;     ///< cancel kill initiated
         /// @}
-
-        /// Cache key hex while this attempt is in flight (empty if
-        /// the cache is off): twins with the same key defer instead
-        /// of simulating the same cell twice.
-        std::string cacheKeyHex;
     };
 
+    /** One supervisor iteration: honor the stop flag, launch
+     *  eligible pending jobs into free slots, and pump/reap/watchdog
+     *  the running children. run() is this in a sleep loop. */
+    void step();
     void launch(std::size_t idx);
-    bool tryServeFromCache(std::size_t idx, std::string *key_hex);
-    void storeToCache(const JobRecord &rec);
     std::size_t pickPending(Clock::time_point now);
     void pollHeartbeat(Running &run, Clock::time_point now);
     void handleExit(Running &run, int raw_status);
     void finalize(std::size_t idx, JobClass cls, bool has_metrics,
-                  const JobMetrics &metrics, bool durable = true);
-    void journalAppend(JournalEvent &event, bool durable = true);
+                  const JobMetrics &metrics);
+    void journalAppend(JournalEvent &event);
     bool stopRequested() const
     {
         return opts_.stopFlag && *opts_.stopFlag != 0;
@@ -244,25 +172,7 @@ class SweepScheduler
     std::vector<Clock::time_point> eligibleAt_;  ///< backoff gates
     std::vector<Running> running_;
     std::vector<char> slotBusy_;        ///< worker-slot occupancy
-    /// Fair-share bookkeeping: launches granted per tenant, so the
-    /// pending scan can favor the least-served tenant within a
-    /// priority class.
-    std::map<std::string, uint64_t> tenantServed_;
-    /// Duplicate coalescing: cache-key hex -> records_ index of the
-    /// job currently simulating that cell. A duplicate submission
-    /// whose key is here is re-queued with a short delay instead of
-    /// launching; when the primary stores its entry the duplicate's
-    /// next launch is a cache hit. Crash-safe by construction: the
-    /// deferred job is just pending, and replay re-queues it.
-    std::map<std::string, std::size_t> inflightByKey_;
-    int nextId_ = 0;                    ///< next submit() job id
     unsigned retries_ = 0;
-    uint64_t cacheHits_ = 0;
-    uint64_t cacheMisses_ = 0;
-    uint64_t submits_ = 0;
-    uint64_t stalls_ = 0;
-    uint64_t cancels_ = 0;
-    unsigned unsyncedFinals_ = 0;       ///< batched cache-hit finals
     bool draining_ = false;
     bool interrupted_ = false;
 };

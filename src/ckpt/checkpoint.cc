@@ -176,7 +176,6 @@ Expected<CheckpointFile>
 parseCheckpoint(const std::string &bytes)
 {
     CheckpointFile file;
-    file.digest_ = sha256Hex(bytes);
 
     std::size_t pos = 0;
     if (bytes.size() < sizeof(kCkptMagic) + 4)
@@ -267,18 +266,6 @@ readCheckpointFile(const std::string &path)
         return st;
     }
     return file;
-}
-
-Expected<std::string>
-checkpointFileDigest(const std::string &path)
-{
-    Expected<std::string> bytes = readFileToString(path);
-    if (!bytes.ok()) {
-        Status st = bytes.status();
-        st.withFile(path);
-        return st;
-    }
-    return sha256Hex(bytes.take());
 }
 
 namespace

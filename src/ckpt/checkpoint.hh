@@ -137,16 +137,11 @@ class CheckpointFile
         return sections_;
     }
 
-    /** sha256 hex of the raw file bytes; keys restored jobs in the
-     *  result cache so a warm run never aliases a cold one. */
-    const std::string &fileDigest() const { return digest_; }
-
   private:
     friend Expected<CheckpointFile>
     parseCheckpoint(const std::string &bytes);
 
     std::vector<std::pair<std::string, std::string>> sections_;
-    std::string digest_;
 };
 
 /** Parse container bytes; every defect is Corrupt with a cause and
@@ -156,10 +151,6 @@ Expected<CheckpointFile> parseCheckpoint(const std::string &bytes);
 /** Read + parse a checkpoint file. A missing file is NotFound (the
  *  scheduler demotes it to a cold start); everything else Corrupt. */
 Expected<CheckpointFile> readCheckpointFile(const std::string &path);
-
-/** sha256 hex of a checkpoint file's raw bytes (for cache keying);
- *  NotFound/Corrupt on unreadable files. */
-Expected<std::string> checkpointFileDigest(const std::string &path);
 
 /// @{ Generic stat-tree serialization. The walk is deterministic
 ///    (registration order) and self-describing: each stat's name and

@@ -90,9 +90,9 @@ crashPointArmed()
 const std::vector<std::string> &
 crashPointSites()
 {
-    // Keep in sync with the crashPoint() calls in common/fs.cc and
-    // batch/result_cache.cc; the crash matrix fails if a listed site
-    // never fires, so drift is caught by CI, not review.
+    // Keep in sync with the crashPoint() calls in common/fs.cc; the
+    // crash matrix fails if a listed site never fires, so drift is
+    // caught by the test suite, not review.
     static const std::vector<std::string> sites = {
         "atomic.tmp_written",   // tmp file written, not yet fsync'd
         "atomic.tmp_synced",    // tmp fsync'd, not yet renamed
@@ -102,8 +102,6 @@ crashPointSites()
         "append.pre_write",     // record not yet written
         "append.written",       // record written, not yet fsync'd
         "append.synced",        // record durable
-        "cache.pre_store",      // result computed, entry not written
-        "cache.stored",         // entry durable
     };
     return sites;
 }

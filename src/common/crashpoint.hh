@@ -1,9 +1,9 @@
 /**
  * @file
  * Crash-point injection: deterministic process death at named
- * durability-critical instructions, for the chaos harness.
+ * durability-critical instructions, for the crash-point matrix.
  *
- * Every fsync/rename/append site in the fs/journal/cache code calls
+ * Every fsync/rename/append site in common/fs calls
  * crashPoint("site.name"). When the environment selects that site —
  * XBATCH_CRASH_AT=<site>:<n> — the n-th execution of the site kills
  * the process on the spot with _exit(), modeling a SIGKILL (or power

@@ -201,7 +201,6 @@ AppendLog::open(const std::string &path)
     size_ = (uint64_t)st.st_size;
     path_ = path;
     torn_ = false;
-    dirty_ = false;
     if (!existed) {
         // A log created just now only durably *exists* once its
         // directory entry is synced; otherwise a crash could drop
@@ -218,7 +217,7 @@ AppendLog::open(const std::string &path)
 }
 
 Status
-AppendLog::append(const std::string &line, bool durable)
+AppendLog::append(const std::string &line)
 {
     if (fd_ < 0)
         return Status::error("append log is not open");
@@ -269,39 +268,15 @@ AppendLog::append(const std::string &line, bool durable)
         return failure;
     }
     crashPoint("append.written");
-    if (durable) {
-        if (::fsync(fd_) != 0) {
-            // The record is written but not durable; the caller must
-            // not acknowledge it. The file is still well-formed, so
-            // later appends may proceed.
-            size_ += rec.size();
-            dirty_ = true;
-            return Status::error(errnoStatusCode(errno),
-                                 "journal fsync failed: " +
-                                 errnoString()).withFile(path_);
-        }
-        dirty_ = false;
-        crashPoint("append.synced");
-    } else {
-        dirty_ = true;
-    }
+    // The record is fully written, so the file stays well-formed and
+    // later appends may proceed even if the fsync fails; the caller
+    // then must not acknowledge this record.
     size_ += rec.size();
-    return Status::ok();
-}
-
-Status
-AppendLog::sync()
-{
-    if (fd_ < 0)
-        return Status::error("append log is not open");
-    if (!dirty_)
-        return Status::ok();
     if (::fsync(fd_) != 0) {
         return Status::error(errnoStatusCode(errno),
                              "journal fsync failed: " +
                              errnoString()).withFile(path_);
     }
-    dirty_ = false;
     crashPoint("append.synced");
     return Status::ok();
 }
@@ -315,7 +290,6 @@ AppendLog::close()
     }
     path_.clear();
     size_ = 0;
-    dirty_ = false;
     torn_ = false;
 }
 

@@ -6,7 +6,7 @@
  * instruction, so every durable write here follows one of two
  * disciplines:
  *
- *  - whole files (manifest.json, report.json, cache entries): write
+ *  - whole files (manifest.json, report.json, checkpoints): write
  *    to "<path>.tmp.<pid>", fsync the file, rename() over the
  *    target, fsync the directory. Readers see either the old or the
  *    new complete file, never a torn one.
@@ -18,8 +18,8 @@
  *    which replay tolerates.
  *
  * Every fsync/rename/append site carries a crashPoint() hook (see
- * common/crashpoint.hh) so the chaos harness can kill the process at
- * each of them and prove the discipline actually holds.
+ * common/crashpoint.hh) so the crash-point matrix can kill the
+ * process at each of them and prove the discipline actually holds.
  */
 
 #ifndef XBS_COMMON_FS_HH
@@ -54,9 +54,8 @@ bool pathExists(const std::string &path);
 
 /**
  * A durable append-only line log. append() writes the full line (a
- * trailing '\n' is added) with a single write() and by default
- * fsyncs before returning, so an acknowledged record survives power
- * loss.
+ * trailing '\n' is added) with a single write() and fsyncs before
+ * returning, so an acknowledged record survives power loss.
  *
  * Failure semantics: a short write or I/O error mid-record would
  * leave a torn line that corrupts the *next* record too (the log
@@ -66,11 +65,6 @@ bool pathExists(const std::string &path);
  * the kernel stopped early); if even the rollback fails the log is
  * marked torn and refuses further appends rather than silently
  * interleaving garbage.
- *
- * Group commit: append(line, false) writes without the fsync;
- * sync() makes everything written so far durable with one fsync.
- * Callers must not acknowledge batched records before sync()
- * returns ok.
  */
 class AppendLog
 {
@@ -87,10 +81,7 @@ class AppendLog
     Status open(const std::string &path);
 
     /** Append one record; @p line must not contain '\n'. */
-    Status append(const std::string &line, bool durable = true);
-
-    /** fsync everything appended so far (group commit barrier). */
-    Status sync();
+    Status append(const std::string &line);
 
     bool isOpen() const { return fd_ >= 0; }
 
@@ -104,7 +95,6 @@ class AppendLog
     int fd_ = -1;
     std::string path_;
     uint64_t size_ = 0;   ///< committed record-boundary offset
-    bool dirty_ = false;  ///< unsynced appends outstanding
     bool torn_ = false;
 };
 

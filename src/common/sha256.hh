@@ -1,13 +1,10 @@
 /**
  * @file
- * SHA-256 (FIPS 180-4), dependency-free, for content addressing.
+ * SHA-256 (FIPS 180-4), dependency-free, for integrity guards.
  *
- * The result cache keys jobs by (canonical RunSpec x workload
- * content x build provenance) and guards stored entries against
- * torn or bit-rotted files, so the hash must be collision-resistant
- * across millions of near-identical specs — a 64-bit mixing hash
- * (like the FNV the workload catalog uses for seeds) is not enough
- * for "serve this result instead of re-simulating".
+ * Checkpoints carry a SHA-256 trailer over the whole container and a
+ * digest of the canonical run spec they were cut from, so a torn,
+ * bit-rotted or mismatched file is rejected instead of restored.
  */
 
 #ifndef XBS_COMMON_SHA256_HH

@@ -56,9 +56,7 @@ enum ExitCode : int
  * cause string. Generic covers everything that predates the typing;
  * the specific codes exist where a *caller's policy* depends on what
  * went wrong: the scheduler retries Resource failures (disk full,
- * fork limits — the host may recover) but not Corrupt ones, and the
- * result cache treats Corrupt and NotFound entries as misses instead
- * of errors.
+ * fork limits — the host may recover) but not Corrupt ones.
  */
 enum class StatusCode
 {

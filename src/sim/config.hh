@@ -88,10 +88,9 @@ struct RunSpec
      * Warm-state checkpoint to restore before simulating (empty =
      * cold start). Identity-wise a restored run is the *same*
      * simulation cell as its cold twin — the checkpoint only skips
-     * warmup — so label() ignores it; the result cache keys on the
-     * checkpoint file's digest separately, and the scheduler demotes
-     * a job to a cold start (clearing this) when the file is
-     * missing or corrupt.
+     * warmup — so label() ignores it, and the scheduler demotes a
+     * job to a cold start (clearing this) when the file is missing
+     * or corrupt.
      */
     std::string restoreFrom;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -10,41 +11,16 @@
 #include <unistd.h>
 
 #include "batch/journal.hh"
-#include "batch/result_cache.hh"
+#include "batch/report.hh"
 #include "batch/subprocess.hh"
 #include "common/crashpoint.hh"
 #include "common/fs.hh"
-#include "common/sha256.hh"
 
 namespace xbs
 {
 
 namespace
 {
-
-/**
- * The cache key the victim stores and the verifier re-derives.
- * Fabricated (not via makeCacheKey) so the harness does not depend
- * on the workload catalog; the store/lookup path treats it exactly
- * like a real key.
- */
-CacheKey
-victimKey()
-{
-    CacheKey key;
-    key.spec = "--workload=crash-victim\n--frontend=xbc\n"
-               "--capacity=1024\n";
-    key.workloadHash = sha256Hex("crash-victim-workload");
-    key.buildHash = buildInfoHash();
-    Sha256 h;
-    h.update(key.spec);
-    h.update("\0", 1);
-    h.update(key.workloadHash);
-    h.update("\0", 1);
-    h.update(key.buildHash);
-    key.hex = h.hexDigest();
-    return key;
-}
 
 JobMetrics
 victimMetrics(int job)
@@ -58,12 +34,79 @@ victimMetrics(int job)
     return m;
 }
 
+/** The matrix the victim records in its manifest. */
+SweepManifest
+victimManifest()
+{
+    SweepManifest m;
+    m.xbsim = "xbsim";
+    m.jobs = buildJobMatrix({"crash-victim"},
+                            {"ic", "dc", "tc", "bbtc", "xbc"}, {1024},
+                            1000);
+    return m;
+}
+
+/** Every victim job finished Ok: what its report describes. */
+std::vector<JobRecord>
+victimRecords()
+{
+    std::vector<JobRecord> records;
+    for (JobSpec &spec : victimManifest().jobs) {
+        JobRecord rec;
+        rec.done = true;
+        rec.attempts = 1;
+        rec.exitCode = 0;
+        rec.seconds = 0.25;
+        rec.hasMetrics = true;
+        rec.metrics = victimMetrics(spec.id);
+        rec.spec = std::move(spec);
+        records.push_back(std::move(rec));
+    }
+    return records;
+}
+
+/** The report an uncrashed victim leaves behind. */
+Status
+writeVictimReport(const std::string &dir)
+{
+    const std::vector<JobRecord> records = victimRecords();
+    return writeSweepReport(dir, records,
+                            summarizeSweep(records, false, 0, 1.0));
+}
+
 /** write(2) so the ack reaches the pipe before any planted _exit. */
 void
 ackLine(const std::string &line)
 {
     std::string out = line + "\n";
     (void)!::write(STDOUT_FILENO, out.data(), out.size());
+}
+
+/**
+ * Recovery check for one atomically written file: what the victim
+ * left must be absent (the old content) or byte-equal to a fresh
+ * write of the new content, never torn, and an acked file must
+ * exist. @p rewrite writes the new content over whatever is there,
+ * which also proves a leftover temp file does not wedge the writer.
+ * Returns the failure, or "".
+ */
+std::string
+checkWholeFile(const std::string &path, bool acked,
+               const std::function<Status()> &rewrite)
+{
+    Expected<std::string> before = readFileToString(path);
+    if (!before.ok() && before.status().code() != StatusCode::NotFound)
+        return path + ": " + before.status().toString();
+    if (!before.ok() && acked)
+        return path + ": acked file lost";
+    if (Status st = rewrite(); !st.isOk())
+        return path + ": post-crash rewrite: " + st.toString();
+    Expected<std::string> after = readFileToString(path);
+    if (!after.ok())
+        return path + ": " + after.status().toString();
+    if (before.ok() && before.value() != after.value())
+        return path + ": torn content";
+    return "";
 }
 
 } // anonymous namespace
@@ -74,83 +117,57 @@ crashVictimMain(const std::string &dir)
     if (Status st = ensureDir(dir); !st.isOk())
         return 1;
 
-    // Journal leg: five jobs through the full event sequence. The
-    // first three are per-record durable; the last two exercise the
-    // group-commit path (unsynced appends + one sync). An id is
-    // acked only after the barrier that makes its Final durable.
+    // The order of an xbatch run: the manifest first, then the
+    // journal, then the report. Each step is acked only once durable.
+    if (Status st = SweepJournal::writeManifest(dir, victimManifest());
+        !st.isOk()) {
+        return 1;
+    }
+    ackLine("manifest");
+
+    // Journal leg: every job through the full event sequence. An id
+    // is acked only after its Final is durable.
     SweepJournal journal;
     if (Status st = journal.open(dir); !st.isOk())
         return 1;
-    for (int job = 0; job < 5; ++job) {
-        const bool durable = job < 3;
-        JournalEvent submit;
-        submit.kind = JournalEvent::Kind::Submit;
-        submit.job = job;
-        submit.spec = {"--workload=crash-victim", "--frontend=xbc",
-                       "--capacity=1024"};
-        if (Status st = journal.append(submit, durable); !st.isOk())
-            return 1;
+    for (const JobRecord &rec : victimRecords()) {
         JournalEvent launch;
         launch.kind = JournalEvent::Kind::Launch;
-        launch.job = job;
+        launch.job = rec.spec.id;
         launch.attempt = 1;
-        if (Status st = journal.append(launch, durable); !st.isOk())
+        if (Status st = journal.append(launch); !st.isOk())
             return 1;
-        JournalEvent result;
-        result.kind = JournalEvent::Kind::Result;
-        result.job = job;
-        result.attempt = 1;
-        result.cls = JobClass::Ok;
-        result.exitCode = 0;
-        result.seconds = 0.25;
-        result.hasMetrics = true;
-        result.metrics = victimMetrics(job);
-        if (Status st = journal.append(result, durable); !st.isOk())
-            return 1;
-        JournalEvent fin;
-        fin.kind = JournalEvent::Kind::Final;
-        fin.job = job;
-        fin.attempt = 1;
-        fin.cls = JobClass::Ok;
-        fin.exitCode = 0;
-        fin.seconds = 0.25;
-        fin.hasMetrics = true;
-        fin.metrics = victimMetrics(job);
-        if (Status st = journal.append(fin, durable); !st.isOk())
-            return 1;
-        if (durable)
-            ackLine("acked " + std::to_string(job));
+        for (JournalEvent::Kind kind : {JournalEvent::Kind::Result,
+                                        JournalEvent::Kind::Final}) {
+            JournalEvent ev;
+            ev.kind = kind;
+            ev.job = rec.spec.id;
+            ev.attempt = rec.attempts;
+            ev.cls = rec.cls;
+            ev.exitCode = rec.exitCode;
+            ev.seconds = rec.seconds;
+            ev.hasMetrics = rec.hasMetrics;
+            ev.metrics = rec.metrics;
+            if (Status st = journal.append(ev); !st.isOk())
+                return 1;
+        }
+        ackLine("acked " + std::to_string(rec.spec.id));
     }
-    if (Status st = journal.sync(); !st.isOk())
-        return 1;
-    ackLine("acked 3");
-    ackLine("acked 4");
 
-    // Cache leg: one store (tmp+fsync+rename+dirsync inside) and a
-    // read-back.
-    ResultCache cache;
-    if (Status st = cache.open(dir + "/cache"); !st.isOk())
+    if (Status st = writeVictimReport(dir); !st.isOk())
         return 1;
-    CacheEntry entry;
-    entry.label = "crash-victim";
-    entry.seconds = 0.25;
-    entry.metrics = victimMetrics(0);
-    if (Status st = cache.store(victimKey(), entry); !st.isOk())
-        return 1;
-    ackLine("stored");
-    if (!cache.lookup(victimKey()).ok())
-        return 1;
-    ackLine("read-back");
+    ackLine("report");
     return 0;
 }
 
 CrashSiteResult
-runCrashSite(const std::string &site,
+runCrashSite(const std::string &site, unsigned visit,
              const std::vector<std::string> &victim_argv,
              const std::string &dir)
 {
     CrashSiteResult res;
     res.site = site;
+    res.visit = visit;
     auto fail = [&](const std::string &why) {
         res.detail = why;
         return res;
@@ -161,10 +178,11 @@ runCrashSite(const std::string &site,
 
     // env(1) plants the crash point in the child only; this process
     // keeps running unarmed. "{DIR}" in the victim argv becomes the
-    // per-site scratch dir so victim and verifier agree on it.
+    // per-visit scratch dir so victim and verifier agree on it.
     std::vector<std::string> argv;
     argv.push_back("env");
-    argv.push_back("XBATCH_CRASH_AT=" + site + ":1");
+    argv.push_back("XBATCH_CRASH_AT=" + site + ":" +
+                   std::to_string(visit));
     for (std::string arg : victim_argv) {
         for (std::size_t at; (at = arg.find("{DIR}")) !=
                              std::string::npos;) {
@@ -192,6 +210,11 @@ runCrashSite(const std::string &site,
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    if (WIFEXITED(raw) && WEXITSTATUS(raw) == 0) {
+        res.finished = true;
+        return fail("victim ran to completion before visit " +
+                    std::to_string(visit));
+    }
     if (!WIFEXITED(raw) || WEXITSTATUS(raw) != kCrashPointExit) {
         std::ostringstream os;
         os << "victim did not die at the plant (raw status " << raw
@@ -203,6 +226,7 @@ runCrashSite(const std::string &site,
     // Acks the victim got out before dying: results that MUST have
     // survived.
     std::vector<int> acked;
+    bool manifest_acked = false, report_acked = false;
     {
         std::istringstream is(child.out);
         std::string word;
@@ -212,10 +236,14 @@ runCrashSite(const std::string &site,
                 if (is >> id)
                     acked.push_back(id);
             }
+            manifest_acked = manifest_acked || word == "manifest";
+            report_acked = report_acked || word == "report";
         }
     }
+    res.ackedFinals = acked.size();
+    res.reportFound = pathExists(dir + "/report.json");
 
-    // --- Recovery, exactly as a restarted daemon would do it. ---
+    // --- Recovery, exactly as xbatch --resume would do it. ---
 
     // 1. Replay accepts the journal (at most a torn tail).
     std::vector<JournalEvent> events;
@@ -266,29 +294,22 @@ runCrashSite(const std::string &site,
             return fail("post-crash append: " + st.toString());
     }
 
-    // 4. The cache entry is a hit or a (possibly corruption-demoted)
-    //    miss — never a wedged store — and a fresh store round-trips.
-    {
-        ResultCache cache;
-        if (Status st = cache.open(dir + "/cache"); !st.isOk())
-            return fail("cache re-open: " + st.toString());
-        Expected<CacheEntry> hit = cache.lookup(victimKey());
-        if (!hit.ok() && hit.status().code() != StatusCode::NotFound &&
-            hit.status().code() != StatusCode::Corrupt) {
-            return fail("cache lookup: " + hit.status().toString());
-        }
-        CacheEntry entry;
-        entry.label = "probe";
-        entry.seconds = 1.0;
-        entry.metrics = victimMetrics(1);
-        if (Status st = cache.store(victimKey(), entry); !st.isOk())
-            return fail("post-crash store: " + st.toString());
-        Expected<CacheEntry> back = cache.lookup(victimKey());
-        if (!back.ok())
-            return fail("post-crash read-back: " +
-                        back.status().toString());
-        if (back.value().label != "probe")
-            return fail("post-crash read-back returned stale data");
+    // 4. The manifest and the report read back as either the old
+    //    (absent) or the new content, never torn.
+    if (std::string why = checkWholeFile(
+            SweepJournal::manifestPath(dir), manifest_acked,
+            [&] {
+                return SweepJournal::writeManifest(dir,
+                                                   victimManifest());
+            });
+        !why.empty()) {
+        return fail(why);
+    }
+    if (std::string why =
+            checkWholeFile(dir + "/report.json", report_acked,
+                           [&] { return writeVictimReport(dir); });
+        !why.empty()) {
+        return fail(why);
     }
 
     res.recovered = true;
@@ -301,12 +322,21 @@ runCrashMatrix(const std::vector<std::string> &victim_argv,
 {
     std::vector<CrashSiteResult> results;
     for (const std::string &site : crashPointSites()) {
-        std::string dir = scratch + "/" + site;
-        for (char &c : dir) {
-            if (c == '.')
-                c = '_';
+        std::string name = site;
+        std::replace(name.begin(), name.end(), '.', '_');
+        // Each crash proves the site had this visit, so the loop ends
+        // once the victim outlives the site's last one.
+        for (unsigned visit = 1;; ++visit) {
+            CrashSiteResult res = runCrashSite(
+                site, visit, victim_argv,
+                scratch + "/" + name + "_" + std::to_string(visit));
+            if (res.finished && visit > 1)
+                break;
+            const bool ok = res.crashed && res.recovered;
+            results.push_back(std::move(res));
+            if (!ok)
+                break;
         }
-        results.push_back(runCrashSite(site, victim_argv, dir));
     }
     return results;
 }

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the fault-tolerant sweep engine: exit-code taxonomy,
- * journal round-trip and torn-tail tolerance, timeout classification
- * against a genuinely hung child, retry/backoff accounting, and
- * resume semantics (no completed job re-executed, no pending job
- * lost).
+ * typed resource-exhaustion errors, journal round-trip and torn-tail
+ * tolerance, timeout classification against a genuinely hung child,
+ * retry/backoff accounting, resume semantics (no completed job
+ * re-executed, no pending job lost), and the crash-point recovery
+ * matrix (this test binary doubles as the victim process).
  *
  * Children are tiny /bin/sh scripts the tests write themselves, so
  * each failure mode (hang, crash, deterministic exit code) is exact
@@ -13,8 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -24,7 +29,9 @@
 #include "batch/report.hh"
 #include "batch/scheduler.hh"
 #include "batch/subprocess.hh"
+#include "common/crashpoint.hh"
 #include "common/fs.hh"
+#include "verify/crash_matrix.hh"
 
 using namespace xbs;
 
@@ -85,6 +92,16 @@ fastOptions(const std::string &xbsim)
 const char *kOkJson =
     "echo '{\"bandwidth\": 2.5, \"missRate\": 0.125, "
     "\"overallIpc\": 2.0, \"cycles\": 100, \"totalUops\": 250}'\n";
+
+std::string
+selfExe()
+{
+    char buf[4096];
+    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+    EXPECT_GT(n, 0);
+    buf[n > 0 ? n : 0] = '\0';
+    return buf;
+}
 
 } // anonymous namespace
 
@@ -175,6 +192,41 @@ TEST(JobClassify, SanitizeNoteBoundsLength)
               std::string(160, 'y'));
 }
 
+// ---------------------------------------------------------------
+// Typed resource exhaustion: ENOSPC is transient
+// ---------------------------------------------------------------
+
+TEST(TypedErrors, EnospcAppendIsTransientResource)
+{
+    // /dev/full gives a deterministic ENOSPC on write.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full not available";
+    AppendLog log;
+    Status st = log.open("/dev/full");
+    if (!st.isOk())
+        GTEST_SKIP() << "cannot open /dev/full: " << st.toString();
+    Status append = log.append("{}");
+    ASSERT_FALSE(append.isOk());
+    EXPECT_EQ(append.code(), StatusCode::Resource);
+    EXPECT_TRUE(append.transient());
+}
+
+TEST(TypedErrors, ErrnoMapping)
+{
+    EXPECT_EQ(errnoStatusCode(ENOSPC), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(EDQUOT), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(EAGAIN), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(ENOMEM), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(ENOENT), StatusCode::NotFound);
+    EXPECT_EQ(errnoStatusCode(EIO), StatusCode::Generic);
+}
+
+TEST(TypedErrors, ResourceRetries)
+{
+    EXPECT_TRUE(jobClassRetryable(JobClass::Resource));
+    EXPECT_STREQ(jobClassName(JobClass::Resource), "resource");
+}
+
 TEST(JobMatrix, DeterministicWorkloadOuterOrder)
 {
     std::vector<JobSpec> jobs =
@@ -247,9 +299,11 @@ TEST(Journal, EventsRoundTrip)
     final_ev.attempt = 2;
     final_ev.cls = JobClass::Ok;
     final_ev.exitCode = 0;
-    final_ev.seconds = 1.5;
+    // Precision-hostile doubles: replay must reproduce them exactly,
+    // or a resumed report would differ from an uninterrupted one.
+    final_ev.seconds = 0.000123456789012345;
     final_ev.hasMetrics = true;
-    final_ev.metrics.bandwidth = 3.25;
+    final_ev.metrics.bandwidth = 7.8116300000000001;
     final_ev.metrics.cycles = 77;
     final_ev.note = "fine";
     ASSERT_TRUE(journal.append(final_ev).isOk());
@@ -267,7 +321,8 @@ TEST(Journal, EventsRoundTrip)
     EXPECT_EQ(f.attempt, 2);
     EXPECT_EQ(f.cls, JobClass::Ok);
     EXPECT_TRUE(f.hasMetrics);
-    EXPECT_DOUBLE_EQ(f.metrics.bandwidth, 3.25);
+    EXPECT_EQ(f.seconds, final_ev.seconds);
+    EXPECT_EQ(f.metrics.bandwidth, final_ev.metrics.bandwidth);
     EXPECT_EQ(f.metrics.cycles, 77u);
     EXPECT_EQ(f.note, "fine");
 }
@@ -354,27 +409,44 @@ TEST(Journal, TornTailLineIsTolerated)
 
 TEST(Journal, CorruptionMidFileIsAnError)
 {
-    const std::string dir = makeTempDir();
-    SweepJournal journal;
-    ASSERT_TRUE(journal.open(dir).isOk());
-    JournalEvent ev;
-    ev.kind = JournalEvent::Kind::Launch;
-    ev.job = 0;
-    ev.attempt = 1;
-    ASSERT_TRUE(journal.append(ev).isOk());
+    // Garbage, and records the journal format does not have
+    // (submit and cancel events, the canceled class): a journal
+    // holding any of them mid-file is Corrupt, never silently
+    // skipped.
+    for (const char *bad :
+         {"garbage not json",
+          "{\"seq\":2,\"event\":\"submit\",\"job\":1,"
+          "\"attempt\":0,\"spec\":[\"--workload=gcc\"]}",
+          "{\"seq\":2,\"event\":\"cancel\",\"job\":0,"
+          "\"attempt\":1,\"class\":\"canceled\",\"exit\":-1,"
+          "\"signal\":0,\"seconds\":0}",
+          "{\"seq\":2,\"event\":\"final\",\"job\":0,"
+          "\"attempt\":1,\"class\":\"canceled\",\"exit\":-1,"
+          "\"signal\":0,\"seconds\":0}"}) {
+        const std::string dir = makeTempDir();
+        SweepJournal journal;
+        ASSERT_TRUE(journal.open(dir).isOk());
+        JournalEvent ev;
+        ev.kind = JournalEvent::Kind::Launch;
+        ev.job = 0;
+        ev.attempt = 1;
+        ASSERT_TRUE(journal.append(ev).isOk());
 
-    {
-        std::ofstream os(SweepJournal::journalPath(dir),
-                         std::ios::app);
-        os << "garbage not json\n";
+        {
+            std::ofstream os(SweepJournal::journalPath(dir),
+                             std::ios::app);
+            os << bad << "\n";
+        }
+        ASSERT_TRUE(journal.append(ev).isOk());
+
+        Expected<std::vector<JournalEvent>> back =
+            SweepJournal::replay(dir);
+        ASSERT_FALSE(back.ok()) << bad;
+        EXPECT_EQ(back.status().code(), StatusCode::Corrupt) << bad;
+        EXPECT_NE(back.status().toString().find("journal line 2"),
+                  std::string::npos)
+            << back.status().toString();
     }
-    ASSERT_TRUE(journal.append(ev).isOk());
-
-    Expected<std::vector<JournalEvent>> back =
-        SweepJournal::replay(dir);
-    ASSERT_FALSE(back.ok());
-    EXPECT_NE(back.status().toString().find("malformed journal"),
-              std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -932,4 +1004,94 @@ TEST(Subprocess, SignalKillsWholeProcessGroup)
         pumpChild(c);
     ASSERT_TRUE(WIFSIGNALED(raw));
     EXPECT_EQ(WTERMSIG(raw), SIGKILL);
+}
+
+// ---------------------------------------------------------------
+// Crash-point matrix (this binary is the victim host)
+// ---------------------------------------------------------------
+
+// When XBS_CRASH_VICTIM_DIR is set this test IS the victim process:
+// it runs the durability exercise body and exits, dying mid-flight
+// at whatever crash point the environment armed.
+TEST(CrashVictimHost, RunBody)
+{
+    const char *dir = std::getenv("XBS_CRASH_VICTIM_DIR");
+    if (!dir)
+        GTEST_SKIP() << "victim mode only (XBS_CRASH_VICTIM_DIR)";
+    ::_exit(crashVictimMain(dir));
+}
+
+TEST(CrashMatrix, EverySiteCrashesAndRecovers)
+{
+    const std::string scratch = makeTempDir();
+    const std::vector<std::string> victim = {
+        "env", "XBS_CRASH_VICTIM_DIR={DIR}", selfExe(),
+        "--gtest_filter=CrashVictimHost.RunBody"};
+    std::vector<CrashSiteResult> results =
+        runCrashMatrix(victim, scratch);
+    std::map<std::string, CrashSiteResult> last;
+    for (const CrashSiteResult &res : results) {
+        EXPECT_TRUE(res.crashed)
+            << res.site << " visit " << res.visit
+            << ": victim did not die at the plant: " << res.detail;
+        EXPECT_TRUE(res.recovered)
+            << res.site << " visit " << res.visit << ": " << res.detail;
+        const unsigned prev = last.count(res.site)
+                                  ? last[res.site].visit : 0;
+        EXPECT_EQ(res.visit, prev + 1) << res.site;
+        last[res.site] = res;
+    }
+    EXPECT_TRUE(crashMatrixPassed(results));
+
+    // Every site is crashed at each of its visits: the victim writes
+    // two whole files (manifest, then report), opens the journal once
+    // and appends Launch/Result/Final for each of its 5 jobs.
+    const std::map<std::string, unsigned> visits = {
+        {"atomic.tmp_written", 2}, {"atomic.tmp_synced", 2},
+        {"atomic.renamed", 2},     {"atomic.dir_synced", 2},
+        {"append.opened", 1},      {"append.pre_write", 15},
+        {"append.written", 15},    {"append.synced", 15},
+    };
+    ASSERT_EQ(crashPointSites().size(), visits.size());
+    for (const std::string &site : crashPointSites()) {
+        ASSERT_EQ(visits.count(site), 1u) << site;
+        ASSERT_EQ(last.count(site), 1u) << site << " never crashed";
+        EXPECT_EQ(last[site].visit, visits.at(site)) << site;
+    }
+    // The report is written after every final is acked, and from the
+    // rename on it is on disk when the victim dies.
+    for (const char *site : {"atomic.tmp_written", "atomic.tmp_synced",
+                             "atomic.renamed", "atomic.dir_synced"}) {
+        EXPECT_EQ(last[site].ackedFinals, 5u) << site;
+    }
+    EXPECT_FALSE(last["atomic.tmp_synced"].reportFound);
+    EXPECT_TRUE(last["atomic.renamed"].reportFound);
+    EXPECT_TRUE(last["atomic.dir_synced"].reportFound);
+    // The last append is job 4's Final: jobs 0-3 are acked by then.
+    for (const char *site :
+         {"append.pre_write", "append.written", "append.synced"}) {
+        EXPECT_EQ(last[site].ackedFinals, 4u) << site;
+    }
+}
+
+TEST(CrashMatrix, UnarmedVictimRunsToCompletion)
+{
+    const std::string dir = makeTempDir() + "/v";
+    EXPECT_EQ(crashVictimMain(dir), 0);
+    // And everything it wrote is consistent.
+    Expected<SweepManifest> manifest = SweepJournal::readManifest(dir);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().toString();
+    EXPECT_EQ(manifest.value().jobs.size(), 5u);
+    Expected<std::vector<JournalEvent>> events =
+        SweepJournal::replay(dir);
+    ASSERT_TRUE(events.ok());
+    std::size_t finals = 0;
+    for (const JournalEvent &ev : events.value()) {
+        if (ev.kind == JournalEvent::Kind::Final)
+            ++finals;
+    }
+    EXPECT_EQ(finals, 5u);
+    Expected<std::string> report = readFileToString(dir + "/report.json");
+    ASSERT_TRUE(report.ok());
+    EXPECT_NE(report.value().find("\"ok\": 5"), std::string::npos);
 }

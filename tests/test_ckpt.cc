@@ -3,17 +3,14 @@
  * Warm-state checkpoint/restore tests: container integrity (every
  * single-bit flip detected), the corrupt-file corpus, per-frontend
  * bit-exact restore via the divergence oracle, identity and build
- * gating, ckpt-flip fault injection, and result-cache keying.
+ * gating, and ckpt-flip fault injection.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
-#include "batch/result_cache.hh"
 #include "ckpt/checkpoint.hh"
-#include "common/fs.hh"
 #include "prof/build_info.hh"
 #include "sim/ckpt_io.hh"
 #include "sim/config.hh"
@@ -79,7 +76,6 @@ TEST(CkptContainer, Roundtrip)
     EXPECT_EQ(*file.value().section("alpha"),
               "first-section-payload");
     EXPECT_EQ(file.value().section("gamma"), nullptr);
-    EXPECT_EQ(file.value().fileDigest().size(), 64u);
     EXPECT_EQ(file.value().sections().size(), 2u);
 }
 
@@ -328,69 +324,6 @@ TEST(CkptIdentity, WrongTraceRejected)
                                   specFor("xbc"), other);
     ASSERT_FALSE(st.isOk());
     EXPECT_EQ(st.code(), StatusCode::Corrupt);
-}
-
-// The result cache must never alias a warm run with a cold one (or
-// with a restore from different checkpoint content), while the
-// user-facing label treats them as the same cell.
-TEST(CkptCache, WarmKeyNeverAliasesCold)
-{
-    const Trace trace = makeCatalogTrace("gcc", 30000);
-    FrontendCase fc{"xbc", SimConfig::xbcBaseline(8192, 2)};
-    RunSpec cold = specFor("xbc");
-    const std::string bytes =
-        captureCheckpoint(fc, trace, cold);
-
-    const std::string dir =
-        ::testing::TempDir() + "/xbs_ckpt_cache_test";
-    ASSERT_TRUE(ensureDir(dir).isOk());
-    const std::string path_a = dir + "/warm_a.xbckpt";
-    const std::string path_b = dir + "/warm_b.xbckpt";
-    ASSERT_TRUE(writeFileAtomic(path_a, bytes).isOk());
-    ASSERT_TRUE(writeFileAtomic(path_b, bytes).isOk());
-
-    RunSpec warm_a = cold;
-    warm_a.restoreFrom = path_a;
-    RunSpec warm_b = cold;
-    warm_b.restoreFrom = path_b;
-
-    // Same simulation cell in every identity-facing way...
-    EXPECT_EQ(warm_a.label(), cold.label());
-
-    Expected<CacheKey> key_cold = makeCacheKey(cold);
-    Expected<CacheKey> key_a = makeCacheKey(warm_a);
-    Expected<CacheKey> key_b = makeCacheKey(warm_b);
-    ASSERT_TRUE(key_cold.ok()) << key_cold.status().toString();
-    ASSERT_TRUE(key_a.ok()) << key_a.status().toString();
-    ASSERT_TRUE(key_b.ok()) << key_b.status().toString();
-
-    // ...but the warm key folds in the checkpoint content: distinct
-    // from cold, stable across paths with identical bytes.
-    EXPECT_NE(key_a.value().hex, key_cold.value().hex);
-    EXPECT_EQ(key_a.value().hex, key_b.value().hex);
-    EXPECT_EQ(key_a.value().ckptDigest, key_b.value().ckptDigest);
-    EXPECT_TRUE(key_cold.value().ckptDigest.empty());
-
-    // A rewritten (different-content) checkpoint moves the key.
-    std::string other = bytes;
-    {
-        CheckpointWriter w;
-        w.addSection("meta", "different");
-        other = w.encode();
-    }
-    ASSERT_TRUE(writeFileAtomic(path_a, other).isOk());
-    Expected<CacheKey> key_a2 = makeCacheKey(warm_a);
-    ASSERT_TRUE(key_a2.ok());
-    EXPECT_NE(key_a2.value().hex, key_a.value().hex);
-
-    // Missing checkpoint: no key at all (callers fall through to a
-    // real simulation, which then reports the defect).
-    RunSpec gone = cold;
-    gone.restoreFrom = dir + "/never_written.xbckpt";
-    EXPECT_FALSE(makeCacheKey(gone).ok());
-
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
 }
 
 // Restoring build-incompatible state fails through the full

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utility library: bit operations, the
- * deterministic RNG, statistics, histograms, and table formatting.
+ * deterministic RNG, statistics, histograms, table formatting, and
+ * SHA-256.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "common/histogram.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/sha256.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
@@ -388,6 +390,44 @@ TEST(Table, Formatting)
 {
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(TextTable::pct(0.295, 1), "29.5%");
+}
+
+// The hand-rolled SHA-256 guards checkpoints; pin it to the FIPS
+// 180-4 vectors.
+TEST(Sha256, KnownVectors)
+{
+    EXPECT_EQ(sha256Hex(""),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca4959"
+              "91b7852b855");
+    EXPECT_EQ(sha256Hex("abc"),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410f"
+              "f61f20015ad");
+    EXPECT_EQ(sha256Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklm"
+                        "nlmnomnopnopq"),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd"
+              "419db06c1");
+}
+
+TEST(Sha256, IncrementalMatchesOneShot)
+{
+    const std::string text =
+        "a checkpoint is restored only if its guard hash matches";
+    Sha256 h;
+    for (char c : text)
+        h.update(&c, 1);
+    EXPECT_EQ(h.hexDigest(), sha256Hex(text));
+}
+
+TEST(Sha256, LengthBoundaryBlocks)
+{
+    // 55/56/64 bytes straddle the padding boundary cases.
+    for (std::size_t len : {55u, 56u, 63u, 64u, 65u}) {
+        std::string a(len, 'x');
+        Sha256 h;
+        h.update(a.substr(0, len / 2));
+        h.update(a.substr(len / 2));
+        EXPECT_EQ(h.hexDigest(), sha256Hex(a)) << "len " << len;
+    }
 }
 
 } // anonymous namespace

@@ -22,7 +22,6 @@
 #include "batch/job.hh"
 #include "batch/journal.hh"
 #include "batch/report.hh"
-#include "batch/result_cache.hh"
 #include "batch/scheduler.hh"
 #include "common/args.hh"
 #include "common/fs.hh"
@@ -95,7 +94,6 @@ main(int argc, char **argv)
     std::string out_dir = "xbatch-out";
     std::string resume_dir;
     std::string xbsim_path;
-    std::string cache_dir;
     bool perf = false;
     bool print_table = true;
 
@@ -138,11 +136,6 @@ main(int argc, char **argv)
                    "resume an interrupted sweep from its directory");
     args.addString("xbsim", &xbsim_path,
                    "xbsim binary (default: next to xbatch)");
-    args.addString("cache-dir", &cache_dir,
-                   "content-addressed result cache: jobs whose "
-                   "(spec, workload content, build) key hits are "
-                   "served as `cached` without simulating; Ok runs "
-                   "store their entries (empty = off)");
     args.addBool("perf", &perf,
                  "run children with --perf: host microarchitecture "
                  "counters (IPC, cache/branch MPKI) captured per job "
@@ -249,13 +242,6 @@ main(int argc, char **argv)
     if (Status st = journal.open(dir); !st.isOk())
         return fail(st);
 
-    ResultCache cache;
-    const bool caching = !cache_dir.empty();
-    if (caching) {
-        if (Status st = cache.open(cache_dir); !st.isOk())
-            return fail(st);
-    }
-
     installStopHandlers(&g_stop);
 
     SchedulerOptions opts;
@@ -266,8 +252,6 @@ main(int argc, char **argv)
     opts.backoffMs = manifest.backoffMs;
     opts.graceSec = grace;
     opts.stopFlag = &g_stop;
-    if (caching)
-        opts.cache = &cache;
     if (manifest.heartbeatSec > 0.0) {
         opts.heartbeatDir = dir + "/heartbeats";
         opts.heartbeatSec = manifest.heartbeatSec;
@@ -280,8 +264,8 @@ main(int argc, char **argv)
         !trace_out.empty()) {
         const uint64_t window = manifest.intervalCycles;
         const bool events = !trace_out.empty();
-        // --perf rides on extraArgs, not RunSpec, so cache keys stay
-        // stable: host counters never change the simulated result.
+        // --perf rides on extraArgs, not RunSpec: host counters
+        // never change the simulated result.
         const bool child_perf = manifest.perf;
         opts.extraArgs = [dir, window, events,
                           child_perf](const JobSpec &spec,

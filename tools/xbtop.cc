@@ -32,7 +32,6 @@
 #include "batch/report.hh"
 #include "batch/scheduler.hh"
 #include "common/args.hh"
-#include "common/fs.hh"
 #include "common/json.hh"
 #include "common/signals.hh"
 #include "common/table.hh"
@@ -73,11 +72,10 @@ struct JobView
 struct Snapshot
 {
     SweepManifest manifest;
-    bool hasManifest = true;  ///< false: xbatchd service dir
     std::vector<JobRecord> records;
     std::vector<JobView> jobs;
     unsigned retries = 0;
-    std::size_t done = 0, ok = 0, failed = 0, cachedJobs = 0;
+    std::size_t done = 0, ok = 0, failed = 0;
     std::size_t running = 0, stalledJobs = 0, pendingJobs = 0;
     uint64_t progressUops = 0;
     uint64_t estTotalUops = 0;
@@ -102,21 +100,10 @@ Expected<Snapshot>
 takeSnapshot(const std::string &dir)
 {
     Snapshot snap;
-    if (pathExists(SweepJournal::manifestPath(dir))) {
-        Expected<SweepManifest> m = SweepJournal::readManifest(dir);
-        if (!m.ok())
-            return m.status();
-        snap.manifest = m.take();
-    } else if (pathExists(SweepJournal::journalPath(dir))) {
-        // A service sweep (xbatchd) has no manifest: the journal's
-        // Submit events are the matrix, and the replay fold below
-        // reconstructs every record from them. Supervision settings
-        // fall back to the manifest defaults for display.
-        snap.hasManifest = false;
-    } else {
-        return Status::error("not a sweep directory (no manifest, "
-                             "no journal)").withFile(dir);
-    }
+    Expected<SweepManifest> m = SweepJournal::readManifest(dir);
+    if (!m.ok())
+        return m.status();
+    snap.manifest = m.take();
 
     Expected<std::vector<JournalEvent>> ev = SweepJournal::replay(dir);
     if (!ev.ok())
@@ -159,14 +146,8 @@ takeSnapshot(const std::string &dir)
         }
 
         if (rec.done) {
-            // Cache hits get their own phase: the row's `seconds`
-            // is the hit-serve latency, not a simulation time.
-            view.state = rec.cached && rec.cls == JobClass::Ok
-                             ? "cached"
-                             : jobClassName(rec.cls);
+            view.state = jobClassName(rec.cls);
             ++snap.done;
-            if (rec.cached)
-                ++snap.cachedJobs;
             if (rec.cls == JobClass::Ok) {
                 ++snap.ok;
                 snap.progressUops += rec.metrics.totalUops;
@@ -230,9 +211,9 @@ writeSnapshotJson(std::ostream &os, const std::string &dir,
     // that ran --perf with counters available. Version 5: EWMA-
     // smoothed rate/ETA alongside the raw ones, a t-interval on the
     // rate samples, and per-job statsPhase (src/obs/stats phase ID).
-    jw.field("version", (uint64_t)5);
+    // Version 6: no "service" flag and no "cached" state or counts.
+    jw.field("version", (uint64_t)6);
     jw.field("dir", dir);
-    jw.field("service", !snap.hasManifest);
     jw.field("workers", (uint64_t)snap.manifest.workers);
     jw.field("heartbeatSec", snap.manifest.heartbeatSec);
     jw.field("stallPeriods", (uint64_t)snap.manifest.stallPeriods);
@@ -240,7 +221,6 @@ writeSnapshotJson(std::ostream &os, const std::string &dir,
     jw.field("total", (uint64_t)snap.records.size());
     jw.field("done", (uint64_t)snap.done);
     jw.field("ok", (uint64_t)snap.ok);
-    jw.field("cached", (uint64_t)snap.cachedJobs);
     jw.field("failed", (uint64_t)snap.failed);
     jw.field("running", (uint64_t)snap.running);
     jw.field("stalled", (uint64_t)snap.stalledJobs);
@@ -267,7 +247,6 @@ writeSnapshotJson(std::ostream &os, const std::string &dir,
         jw.field("id", (uint64_t)rec.spec.id);
         jw.field("label", rec.spec.run.label());
         jw.field("state", view.state);
-        jw.field("cached", rec.cached);
         jw.field("attempts", (uint64_t)rec.attempts);
         if (view.hasHb) {
             jw.field("phase", view.hb.phase);
@@ -305,8 +284,7 @@ renderTable(std::ostream &os, const std::string &dir,
     std::ostringstream head;
     head << "sweep " << dir << ": " << snap.done << "/"
          << snap.records.size() << " done (" << snap.ok << " ok, "
-         << snap.cachedJobs << " cached, " << snap.failed
-         << " failed), " << snap.running
+         << snap.failed << " failed), " << snap.running
          << " running, " << snap.stalledJobs << " stalled, "
          << snap.pendingJobs << " pending, " << snap.retries
          << " retries\n";
