@@ -29,20 +29,4 @@ causeName(Cause cause)
     return "invalid";
 }
 
-bool
-isAttribDeltaPath(const std::string &path)
-{
-    return path.find(".attrib.uops.") != std::string::npos ||
-           path.find(".attrib.cycles.") != std::string::npos;
-}
-
-std::string
-attribDeltaKey(const std::string &path)
-{
-    const std::size_t pos = path.find(".attrib.");
-    if (pos == std::string::npos)
-        return path;
-    return path.substr(pos + 1);
-}
-
 } // namespace xbs

@@ -20,7 +20,6 @@
 #define XBS_ATTRIB_TAXONOMY_HH
 
 #include <cstdint>
-#include <string>
 
 namespace xbs
 {
@@ -52,20 +51,6 @@ constexpr std::size_t kNumCauses = (std::size_t)Cause::kCount;
 /** Stable lowerCamel identifier ("xbcConflict"), used for stat names
  *  and every JSON surface. */
 const char *causeName(Cause cause);
-
-/**
- * True when @p path is a per-cause attribution counter in a sampled
- * stat tree ("<fe>.attrib.uops.<cause>" or
- * "<fe>.attrib.cycles.<cause>"). The per-window deltas of exactly
- * these paths form the attribution vector that the phase detector
- * (src/obs/stats) segments on.
- */
-bool isAttribDeltaPath(const std::string &path);
-
-/** The "attrib.uops.<cause>" tail of an attrib stat path (the part
- *  after the frontend prefix), or @p path itself when it is not an
- *  attrib path. */
-std::string attribDeltaKey(const std::string &path);
 
 } // namespace xbs
 

@@ -87,24 +87,6 @@ JobClass classifyOutcome(bool timed_out, bool stalled, bool exited,
 std::string sanitizeNote(const std::string &text,
                          std::size_t max_len = 160);
 
-/** Streaming-statistics summary parsed from the child's "stats" and
- *  "phases" JSON blocks (present when the child ran with an interval
- *  sampler attached; has==false otherwise). Carries the n that any
- *  statistical comparison downstream needs. */
-struct JobStats
-{
-    bool has = false;
-    uint64_t windows = 0;     ///< interval windows observed
-    uint64_t windowCycles = 0;///< window length in cycles
-    double bwMean = 0.0;      ///< mean window bandwidth
-    double bwVar = 0.0;
-    double bwLag1 = 0.0;
-    bool ciValid = false;     ///< false: insufficientData
-    double bwCi95 = 0.0;      ///< CI half-width (when ciValid)
-    uint64_t batches = 0;     ///< batch means behind the CI
-    uint64_t phases = 0;      ///< workload phases detected
-};
-
 /** Metrics parsed from a successful child's stdout JSON. */
 struct JobMetrics
 {
@@ -115,8 +97,6 @@ struct JobMetrics
     uint64_t totalUops = 0;
     /** Root-cause rollup (src/attrib); has==false on old children. */
     AttribRollup attrib;
-    /** Streaming interval statistics (src/obs/stats). */
-    JobStats stats;
 };
 
 /** Per-child host resource usage (wait4; see batch/subprocess). */
@@ -127,39 +107,6 @@ struct JobUsage
     double sysSec = 0.0;    ///< system CPU time
     uint64_t inBlock = 0;   ///< block-input ops (trace-decode I/O)
     uint64_t outBlock = 0;  ///< block-output ops
-};
-
-/**
- * Per-child host perf counters, parsed from the child's `perf.total`
- * object when the sweep runs with --perf and the counters were
- * available in the child. Multiplex-scaled doubles (see
- * prof/perf_counters.hh).
- */
-struct JobPerf
-{
-    double cycles = 0.0;
-    double instructions = 0.0;
-    double cacheRefs = 0.0;
-    double cacheMisses = 0.0;
-    double branches = 0.0;
-    double branchMisses = 0.0;
-
-    /// @{ Derived rates (0 when the denominator is 0).
-    double ipc() const
-    {
-        return cycles > 0.0 ? instructions / cycles : 0.0;
-    }
-    double cacheMpki() const
-    {
-        return instructions > 0.0
-                   ? cacheMisses * 1000.0 / instructions
-                   : 0.0;
-    }
-    double branchMissRate() const
-    {
-        return branches > 0.0 ? branchMisses / branches : 0.0;
-    }
-    /// @}
 };
 
 /** What the supervisor remembers about one job across attempts. */
@@ -176,8 +123,6 @@ struct JobRecord
     JobMetrics metrics;
     bool hasUsage = false;     ///< last attempt's rusage captured
     JobUsage usage;
-    bool hasPerf = false;      ///< child reported live perf counters
-    JobPerf perf;
     std::string note;          ///< first stderr line of a failure
     std::string heartbeatPath; ///< live-telemetry file ("" if off)
     bool replayed = false;     ///< restored from a journal on resume

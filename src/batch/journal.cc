@@ -20,21 +20,6 @@ writeJobMetricsFields(JsonWriter &jw, const JobMetrics &m)
     jw.field("totalUops", m.totalUops);
     if (m.attrib.has)
         writeAttribRollup(jw, m.attrib);
-    if (m.stats.has) {
-        jw.beginObject("stats");
-        jw.field("windows", m.stats.windows);
-        jw.field("windowCycles", m.stats.windowCycles);
-        jw.fieldFull("bwMean", m.stats.bwMean);
-        jw.fieldFull("bwVar", m.stats.bwVar);
-        jw.fieldFull("bwLag1", m.stats.bwLag1);
-        jw.field("ciValid", m.stats.ciValid);
-        if (m.stats.ciValid) {
-            jw.fieldFull("bwCi95", m.stats.bwCi95);
-            jw.field("batches", m.stats.batches);
-        }
-        jw.field("phases", m.stats.phases);
-        jw.endObject();
-    }
 }
 
 JobMetrics
@@ -53,27 +38,6 @@ readJobMetricsFields(const JsonValue &v)
         m.totalUops = f->asUint();
     if (const JsonValue *f = v.find("attrib"))
         m.attrib = parseAttribRollup(*f);
-    if (const JsonValue *s = v.find("stats"); s && s->isObject()) {
-        m.stats.has = true;
-        if (const JsonValue *f = s->find("windows"))
-            m.stats.windows = f->asUint();
-        if (const JsonValue *f = s->find("windowCycles"))
-            m.stats.windowCycles = f->asUint();
-        if (const JsonValue *f = s->find("bwMean"))
-            m.stats.bwMean = f->asNumber();
-        if (const JsonValue *f = s->find("bwVar"))
-            m.stats.bwVar = f->asNumber();
-        if (const JsonValue *f = s->find("bwLag1"))
-            m.stats.bwLag1 = f->asNumber();
-        if (const JsonValue *f = s->find("ciValid"))
-            m.stats.ciValid = f->isBool() && f->boolValue;
-        if (const JsonValue *f = s->find("bwCi95"))
-            m.stats.bwCi95 = f->asNumber();
-        if (const JsonValue *f = s->find("batches"))
-            m.stats.batches = f->asUint();
-        if (const JsonValue *f = s->find("phases"))
-            m.stats.phases = f->asUint();
-    }
     return m;
 }
 
@@ -121,8 +85,6 @@ SweepJournal::writeManifest(const std::string &dir,
             jw.field("stallPeriods",
                      (uint64_t)manifest.stallPeriods);
         }
-        if (manifest.perf)
-            jw.field("perf", true);
         jw.beginArray("jobs");
         for (const JobSpec &job : manifest.jobs) {
             jw.beginObject();
@@ -181,8 +143,6 @@ SweepJournal::readManifest(const std::string &dir)
         m.heartbeatSec = v->asNumber();
     if (const JsonValue *v = root.find("stallPeriods"))
         m.stallPeriods = (unsigned)v->asUint();
-    if (const JsonValue *v = root.find("perf"))
-        m.perf = v->isBool() && v->boolValue;
 
     const JsonValue *jobs = root.find("jobs");
     if (!jobs || !jobs->isArray())
@@ -246,20 +206,6 @@ SweepJournal::append(JournalEvent &event)
                     jw.field("inBlock", event.usage.inBlock);
                 if (event.usage.outBlock)
                     jw.field("outBlock", event.usage.outBlock);
-            }
-            if (event.hasPerf) {
-                // Full precision like the paper metrics: replayed
-                // perf counters must round-trip bit-identically into
-                // a resumed report.
-                jw.fieldFull("perfCycles", event.perf.cycles);
-                jw.fieldFull("perfInstructions",
-                             event.perf.instructions);
-                jw.fieldFull("perfCacheRefs", event.perf.cacheRefs);
-                jw.fieldFull("perfCacheMisses",
-                             event.perf.cacheMisses);
-                jw.fieldFull("perfBranches", event.perf.branches);
-                jw.fieldFull("perfBranchMisses",
-                             event.perf.branchMisses);
             }
             if (!event.note.empty())
                 jw.field("note", event.note);
@@ -353,20 +299,6 @@ SweepJournal::replay(const std::string &dir)
                 ev.usage.inBlock = u->asUint();
             if (const JsonValue *u = v.find("outBlock"))
                 ev.usage.outBlock = u->asUint();
-        }
-        if (const JsonValue *f = v.find("perfCycles")) {
-            ev.hasPerf = true;
-            ev.perf.cycles = f->asNumber();
-            if (const JsonValue *u = v.find("perfInstructions"))
-                ev.perf.instructions = u->asNumber();
-            if (const JsonValue *u = v.find("perfCacheRefs"))
-                ev.perf.cacheRefs = u->asNumber();
-            if (const JsonValue *u = v.find("perfCacheMisses"))
-                ev.perf.cacheMisses = u->asNumber();
-            if (const JsonValue *u = v.find("perfBranches"))
-                ev.perf.branches = u->asNumber();
-            if (const JsonValue *u = v.find("perfBranchMisses"))
-                ev.perf.branchMisses = u->asNumber();
         }
         if (const JsonValue *f = v.find("note"))
             ev.note = f->asString();

@@ -64,10 +64,6 @@ struct SweepManifest
     /// sweep supervises exactly like the original.
     double heartbeatSec = 0.0;
     unsigned stallPeriods = 4;
-    /// Children run with --perf (host microarchitecture counters).
-    /// Optional in the file; recorded so a resumed sweep relaunches
-    /// with the same observation flags.
-    bool perf = false;
     std::vector<JobSpec> jobs;
 };
 
@@ -93,8 +89,6 @@ struct JournalEvent
     JobMetrics metrics;
     bool hasUsage = false;
     JobUsage usage;            ///< child rusage (wait4) if captured
-    bool hasPerf = false;
-    JobPerf perf;              ///< child host perf counters (--perf)
     std::string note;
 };
 

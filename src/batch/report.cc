@@ -100,22 +100,6 @@ renderSweepReport(const std::vector<JobRecord> &records,
                 jw.field("totalUops", rec.metrics.totalUops);
                 if (rec.metrics.attrib.has)
                     writeAttribRollup(jw, rec.metrics.attrib);
-                if (rec.metrics.stats.has) {
-                    const JobStats &st = rec.metrics.stats;
-                    jw.beginObject("stats");
-                    jw.field("windows", st.windows);
-                    jw.field("windowCycles", st.windowCycles);
-                    jw.field("bwMean", st.bwMean);
-                    jw.field("bwVar", st.bwVar);
-                    jw.field("bwLag1", st.bwLag1);
-                    jw.field("ciValid", st.ciValid);
-                    if (st.ciValid) {
-                        jw.field("bwCi95", st.bwCi95);
-                        jw.field("batches", st.batches);
-                    }
-                    jw.field("phases", st.phases);
-                    jw.endObject();
-                }
                 jw.endObject();
             }
             if (rec.hasUsage) {
@@ -127,19 +111,6 @@ renderSweepReport(const std::vector<JobRecord> &records,
                     jw.field("inBlock", rec.usage.inBlock);
                     jw.field("outBlock", rec.usage.outBlock);
                 }
-                jw.endObject();
-            }
-            if (rec.hasPerf) {
-                jw.beginObject("perf");
-                jw.field("cycles", rec.perf.cycles);
-                jw.field("instructions", rec.perf.instructions);
-                jw.field("cacheRefs", rec.perf.cacheRefs);
-                jw.field("cacheMisses", rec.perf.cacheMisses);
-                jw.field("branches", rec.perf.branches);
-                jw.field("branchMisses", rec.perf.branchMisses);
-                jw.field("ipc", rec.perf.ipc());
-                jw.field("cacheMpki", rec.perf.cacheMpki());
-                jw.field("branchMissRate", rec.perf.branchMissRate());
                 jw.endObject();
             }
             if (!rec.note.empty())

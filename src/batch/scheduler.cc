@@ -21,81 +21,12 @@ bool
 parseChildMetrics(const std::string &out, JobMetrics *metrics)
 {
     JsonValue v;
-    if (!parseJson(out, &v, nullptr) || !v.isObject())
+    if (!parseJson(out, &v, nullptr) || !v.isObject() ||
+        !v.find("bandwidth")) {
         return false;
-    if (const JsonValue *f = v.find("bandwidth"))
-        metrics->bandwidth = f->asNumber();
-    if (const JsonValue *f = v.find("missRate"))
-        metrics->missRate = f->asNumber();
-    if (const JsonValue *f = v.find("overallIpc"))
-        metrics->overallIpc = f->asNumber();
-    if (const JsonValue *f = v.find("cycles"))
-        metrics->cycles = f->asUint();
-    if (const JsonValue *f = v.find("totalUops"))
-        metrics->totalUops = f->asUint();
-    if (const JsonValue *f = v.find("attrib"))
-        metrics->attrib = parseAttribRollup(*f);
-    // The child's streaming-stats summary (interval runs): keep the
-    // window-bandwidth estimator and the phase count so report.json
-    // carries the n behind every statistical comparison downstream.
-    if (const JsonValue *s = v.find("stats"); s && s->isObject()) {
-        metrics->stats.has = true;
-        if (const JsonValue *f = s->find("windows"))
-            metrics->stats.windows = f->asUint();
-        if (const JsonValue *f = s->find("windowCycles"))
-            metrics->stats.windowCycles = f->asUint();
-        if (const JsonValue *bw = s->find("bandwidth");
-            bw && bw->isObject()) {
-            if (const JsonValue *f = bw->find("mean"))
-                metrics->stats.bwMean = f->asNumber();
-            if (const JsonValue *f = bw->find("var"))
-                metrics->stats.bwVar = f->asNumber();
-            if (const JsonValue *f = bw->find("lag1"))
-                metrics->stats.bwLag1 = f->asNumber();
-            if (const JsonValue *f = bw->find("ci95")) {
-                metrics->stats.ciValid = true;
-                metrics->stats.bwCi95 = f->asNumber();
-            }
-            if (const JsonValue *f = bw->find("batches"))
-                metrics->stats.batches = f->asUint();
-        }
     }
-    if (const JsonValue *p = v.find("phases"); p && p->isArray())
-        metrics->stats.phases = (uint64_t)p->items.size();
-    return v.find("bandwidth") != nullptr;
-}
-
-/** Parse the child's perf.total counters (xbsim --perf). Absent or
- *  typed-unavailable perf demotes to "no perf" without complaint:
- *  availability is a property of the host, not the job. */
-bool
-parseChildPerf(const std::string &out, JobPerf *perf)
-{
-    JsonValue v;
-    if (!parseJson(out, &v, nullptr) || !v.isObject())
-        return false;
-    const JsonValue *p = v.find("perf");
-    if (!p || !p->isObject())
-        return false;
-    const JsonValue *avail = p->find("available");
-    if (!avail || !avail->boolValue)
-        return false;
-    const JsonValue *total = p->find("total");
-    if (!total || !total->isObject())
-        return false;
-    if (const JsonValue *f = total->find("cycles"))
-        perf->cycles = f->asNumber();
-    if (const JsonValue *f = total->find("instructions"))
-        perf->instructions = f->asNumber();
-    if (const JsonValue *f = total->find("cacheRefs"))
-        perf->cacheRefs = f->asNumber();
-    if (const JsonValue *f = total->find("cacheMisses"))
-        perf->cacheMisses = f->asNumber();
-    if (const JsonValue *f = total->find("branches"))
-        perf->branches = f->asNumber();
-    if (const JsonValue *f = total->find("branchMisses"))
-        perf->branchMisses = f->asNumber();
-    return total->find("cycles") != nullptr;
+    *metrics = readJobMetricsFields(v);
+    return true;
 }
 
 /** First non-empty line of a child's stderr, for failure notes. */
@@ -157,8 +88,6 @@ SweepScheduler::restore(const std::vector<JournalEvent> &events)
                 rec.seconds = ev.seconds;
                 rec.hasUsage = ev.hasUsage;
                 rec.usage = ev.usage;
-                rec.hasPerf = ev.hasPerf;
-                rec.perf = ev.perf;
             }
             break;
           case JournalEvent::Kind::Final:
@@ -173,8 +102,6 @@ SweepScheduler::restore(const std::vector<JournalEvent> &events)
             rec.metrics = ev.metrics;
             rec.hasUsage = ev.hasUsage;
             rec.usage = ev.usage;
-            rec.hasPerf = ev.hasPerf;
-            rec.perf = ev.perf;
             rec.note = ev.note;
             break;
         }
@@ -358,8 +285,6 @@ SweepScheduler::finalize(std::size_t idx, JobClass cls,
     ev.metrics = metrics;
     ev.hasUsage = rec.hasUsage;
     ev.usage = rec.usage;
-    ev.hasPerf = rec.hasPerf;
-    ev.perf = rec.perf;
     ev.note = rec.note;
     journalAppend(ev);
 
@@ -409,10 +334,6 @@ SweepScheduler::handleExit(Running &run, int raw_status)
         rec.usage.inBlock = run.child.inBlock;
         rec.usage.outBlock = run.child.outBlock;
     }
-    // Host perf counters ride the same stdout document as the paper
-    // metrics; only an Ok simulation carries them.
-    rec.hasPerf =
-        cls == JobClass::Ok && parseChildPerf(run.child.out, &rec.perf);
     if (cls != JobClass::Ok)
         rec.note = sanitizeNote(firstLineOf(run.child.err));
     if (cls == JobClass::Stalled && rec.note.empty()) {
@@ -433,8 +354,6 @@ SweepScheduler::handleExit(Running &run, int raw_status)
     ev.metrics = metrics;
     ev.hasUsage = rec.hasUsage;
     ev.usage = rec.usage;
-    ev.hasPerf = rec.hasPerf;
-    ev.perf = rec.perf;
     ev.note = rec.note;
     journalAppend(ev);
 

@@ -60,7 +60,7 @@ IntervalSampler::delta(std::size_t idx) const
 void
 IntervalSampler::emitWindow(uint64_t start_cycle, uint64_t end_cycle)
 {
-    if (os_ || hook_) {
+    if (os_) {
         // Headline window metrics from the not-yet-committed deltas.
         uint64_t d_renamed = delta(renamedIdx_);
         uint64_t d_delivery_cycles = delta(deliveryCyclesIdx_);
@@ -68,44 +68,31 @@ IntervalSampler::emitWindow(uint64_t start_cycle, uint64_t end_cycle)
         uint64_t d_build_uops = delta(buildUopsIdx_);
         uint64_t d_total_uops = d_delivery_uops + d_build_uops;
 
-        WindowInfo info;
-        info.index = windows_;
-        info.startCycle = start_cycle;
-        info.endCycle = end_cycle;
-        info.bandwidth =
-            d_delivery_cycles
-                ? (double)d_renamed / (double)d_delivery_cycles
-                : 0.0;
-        info.missRate =
-            d_total_uops
-                ? (double)d_build_uops / (double)d_total_uops
-                : 0.0;
-
-        if (os_) {
-            JsonWriter json(*os_, /*pretty=*/false);
-            json.beginObject();
-            json.field("interval", windows_);
-            json.field("startCycle", start_cycle);
-            json.field("endCycle", end_cycle);
-            json.field("cycles", end_cycle - start_cycle);
-            json.field("bandwidth", info.bandwidth);
-            json.field("missRate", info.missRate);
-            if (hook_)
-                hook_(info, &json);
-            if (annotator_)
-                annotator_(json);
-            json.beginObject("deltas");
-            for (std::size_t i = 0; i < stats_.size(); ++i) {
-                uint64_t d = stats_[i]->value() - prev_[i];
-                if (d)
-                    json.field(paths_[i], d);
-            }
-            json.endObject();
-            json.endObject();
-            *os_ << '\n';
-        } else {
-            hook_(info, nullptr);
+        JsonWriter json(*os_, /*pretty=*/false);
+        json.beginObject();
+        json.field("interval", windows_);
+        json.field("startCycle", start_cycle);
+        json.field("endCycle", end_cycle);
+        json.field("cycles", end_cycle - start_cycle);
+        json.field("bandwidth",
+                   d_delivery_cycles
+                       ? (double)d_renamed / (double)d_delivery_cycles
+                       : 0.0);
+        json.field("missRate",
+                   d_total_uops
+                       ? (double)d_build_uops / (double)d_total_uops
+                       : 0.0);
+        if (annotator_)
+            annotator_(json);
+        json.beginObject("deltas");
+        for (std::size_t i = 0; i < stats_.size(); ++i) {
+            uint64_t d = stats_[i]->value() - prev_[i];
+            if (d)
+                json.field(paths_[i], d);
         }
+        json.endObject();
+        json.endObject();
+        *os_ << '\n';
     }
 
     for (std::size_t i = 0; i < stats_.size(); ++i)

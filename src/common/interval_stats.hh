@@ -32,18 +32,6 @@ class JsonWriter;
 class IntervalSampler
 {
   public:
-    static constexpr std::size_t npos = (std::size_t)-1;
-
-    /** What one closed window looked like, for window hooks. */
-    struct WindowInfo
-    {
-        uint64_t index = 0;       ///< 0-based window number
-        uint64_t startCycle = 0;
-        uint64_t endCycle = 0;
-        double bandwidth = 0.0;   ///< renamed uops / delivery cycles
-        double missRate = 0.0;    ///< build uops / total uops
-    };
-
     /**
      * @param root     stat tree to sample (walked once, here; stats
      *                 registered later are not seen)
@@ -53,22 +41,6 @@ class IntervalSampler
 
     /** Set the JSONL destination (nullptr silences emission). */
     void setOutput(std::ostream *os) { os_ = os; }
-
-    /**
-     * Install a per-window hook, fired for every window — with or
-     * without a JSONL output stream. When the stream is on, the hook
-     * runs while the window object is open, right after the headline
-     * fields, so it may append members (e.g. a "phase" id); @p json
-     * is then non-null. The hook runs before the deltas are
-     * committed, so pendingDelta() inside it reads this window's
-     * deltas. Empty function detaches.
-     */
-    void
-    setWindowHook(std::function<void(const WindowInfo &,
-                                     JsonWriter *)> fn)
-    {
-        hook_ = std::move(fn);
-    }
 
     /**
      * Install a hook called while each window object is open, so a
@@ -98,21 +70,6 @@ class IntervalSampler
     void finish(uint64_t cycle);
 
     uint64_t windowsEmitted() const { return windows_; }
-    uint64_t interval() const { return interval_; }
-
-    /// @{ Introspection for window hooks (src/obs/stats): the sampled
-    ///    stat paths, suffix lookup into them, and the current
-    ///    window's not-yet-committed delta of one stat.
-    const std::vector<std::string> &paths() const { return paths_; }
-
-    std::size_t
-    findPathIndex(const std::string &suffix) const
-    {
-        return findPath(suffix);
-    }
-
-    uint64_t pendingDelta(std::size_t idx) const { return delta(idx); }
-    /// @}
 
   private:
     void crossBoundaries(uint64_t cycle);
@@ -128,13 +85,12 @@ class IntervalSampler
     bool finished_ = false;
     std::ostream *os_ = nullptr;
     std::function<void(JsonWriter &)> annotator_;
-    std::function<void(const WindowInfo &, JsonWriter *)> hook_;
 
     std::vector<std::string> paths_;
     std::vector<const ScalarStat *> stats_;
     std::vector<uint64_t> prev_;
 
-    /// @{ Indices of the headline-metric ingredients (npos if the
+    /// @{ Indices of the headline-metric ingredients ((size_t)-1 if the
     ///    tree has no FrontendMetrics group).
     std::size_t renamedIdx_;
     std::size_t deliveryCyclesIdx_;

@@ -28,8 +28,6 @@ renderHeartbeat(const HeartbeatRecord &rec)
         jw.field("wallSeconds", rec.wallSeconds);
         jw.field("rssKb", rec.rssKb);
         jw.field("done", rec.done);
-        if (rec.statsPhase >= 0)
-            jw.field("statsPhase", (uint64_t)rec.statsPhase);
         if (!rec.restoredFrom.empty())
             jw.field("restoredFrom", rec.restoredFrom);
         jw.endObject();
@@ -71,8 +69,6 @@ parseHeartbeat(const std::string &text)
         rec.rssKb = v->asUint();
     if (const JsonValue *v = doc.find("done"))
         rec.done = v->isBool() && v->boolValue;
-    if (const JsonValue *v = doc.find("statsPhase"))
-        rec.statsPhase = (int64_t)v->asNumber();
     if (const JsonValue *v = doc.find("restoredFrom"))
         rec.restoredFrom = v->asString();
     return rec;
@@ -140,7 +136,6 @@ HeartbeatEmitter::publish(uint64_t uops, uint64_t cycles,
         rec.uopsPerSec = (double)(uops - lastUops_) / window;
     rec.rssKb = HostCounters::self().maxRssKb;
     rec.done = done;
-    rec.statsPhase = statsPhase_;
     rec.restoredFrom = restoredFrom_;
     if (writer_.write(rec).isOk()) {
         lastBeat_ = now;

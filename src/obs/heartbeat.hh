@@ -49,10 +49,6 @@ struct HeartbeatRecord
     double wallSeconds = 0.0;///< host seconds since the writer started
     uint64_t rssKb = 0;      ///< current peak resident set, KiB
     bool done = false;       ///< final heartbeat of this process
-    /** Current workload phase id from the streaming-stats segmenter
-     *  (src/obs/stats); -1 when the run has no stats layer or no
-     *  window has closed yet. */
-    int64_t statsPhase = -1;
     /** Checkpoint path this run restored warm state from (empty =
      *  cold start). Lets a watcher tell a warm run's head start from
      *  a cold run's genuine progress. */
@@ -115,9 +111,6 @@ class HeartbeatEmitter
     /** Total-uops estimate, once the trace is materialized. */
     void setTotalUops(uint64_t total) { totalUops_ = total; }
 
-    /** Workload phase id reported by subsequent beats (-1: none). */
-    void setStatsPhase(int64_t phase) { statsPhase_ = phase; }
-
     /** Checkpoint path reported by subsequent beats (warm starts). */
     void
     setRestoredFrom(std::string path)
@@ -146,7 +139,6 @@ class HeartbeatEmitter
     std::string phase_ = "start";
     std::string restoredFrom_;
     uint64_t totalUops_ = 0;
-    int64_t statsPhase_ = -1;
     uint64_t ticks_ = 0;
     Clock::time_point lastBeat_;
     uint64_t lastUops_ = 0;

@@ -164,9 +164,12 @@ foldChildTrace(const std::string &file, double start_us,
 /**
  * Emit @p slices of one pid as properly nested B/E events: sorted by
  * start (ties: longer first) per tid, Begin emitted at open, End
- * when the next slice starts after its end. A simple stack replay —
- * slices from foldChildTrace already nest (they came from balanced
- * stacks), so this is just ordering.
+ * when the next slice starts after its end. A simple stack replay.
+ * Slices from foldChildTrace nest (they came from balanced stacks),
+ * but scheduler slices may only overlap: a retry can launch inside
+ * its own backoff window and outlive it. An open slice that the new
+ * slice outlives is ended at the new slice's start, so every track
+ * stays nested and its timestamps never go down.
  */
 void
 emitSlices(JsonWriter &jw, uint64_t pid, std::vector<Slice> slices)
@@ -195,6 +198,11 @@ emitSlices(JsonWriter &jw, uint64_t pid, std::vector<Slice> slices)
             cur_tid = s.tid;
         }
         drain(s.startUs);
+        while (!stack.empty() && stack.back()->endUs < s.endUs) {
+            spanEvent(jw, "E", stack.back()->name, s.startUs, pid,
+                      s.tid);
+            stack.pop_back();
+        }
         spanEvent(jw, "B", s.name, s.startUs, pid, s.tid);
         stack.push_back(&s);
     }

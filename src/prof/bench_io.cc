@@ -9,7 +9,6 @@
 #include "common/histogram.hh"
 #include "common/json.hh"
 #include "common/table.hh"
-#include "obs/stats/stream_stats.hh"
 
 namespace xbs
 {
@@ -71,53 +70,13 @@ writeHost(JsonWriter &jw, const BenchHost &h, const std::string &key)
     jw.endObject();
 }
 
-BenchPerf
-parsePerf(const JsonValue &obj)
-{
-    BenchPerf p;
-    p.has = true;
-    if (const JsonValue *v = obj.find("cycles"))
-        p.cycles = v->asNumber();
-    if (const JsonValue *v = obj.find("instructions"))
-        p.instructions = v->asNumber();
-    if (const JsonValue *v = obj.find("cacheRefs"))
-        p.cacheRefs = v->asNumber();
-    if (const JsonValue *v = obj.find("cacheMisses"))
-        p.cacheMisses = v->asNumber();
-    if (const JsonValue *v = obj.find("branches"))
-        p.branches = v->asNumber();
-    if (const JsonValue *v = obj.find("branchMisses"))
-        p.branchMisses = v->asNumber();
-    return p;
-}
-
-void
-writePerf(JsonWriter &jw, const BenchPerf &p, const std::string &key)
-{
-    // Derived rates are written for readers but recomputed from the
-    // counters on parse, so round trips cannot drift.
-    jw.beginObject(key);
-    jw.field("cycles", p.cycles);
-    jw.field("instructions", p.instructions);
-    jw.field("cacheRefs", p.cacheRefs);
-    jw.field("cacheMisses", p.cacheMisses);
-    jw.field("branches", p.branches);
-    jw.field("branchMisses", p.branchMisses);
-    jw.field("ipc", p.ipc());
-    jw.field("cacheMpki", p.cacheMpki());
-    jw.field("branchMissRate", p.branchMissRate());
-    jw.endObject();
-}
-
 /**
- * Fold one job's interval JSONL into bandwidth percentiles plus a
- * streaming bandwidth estimator (mean/variance/lag-1/batch-means CI,
- * written into @p stats when non-null). A torn tail (crash
- * mid-write) or a malformed line stops the scan but keeps every
- * complete window before it.
+ * Fold one job's interval JSONL into bandwidth percentiles. A torn
+ * tail (crash mid-write) or a malformed line stops the scan but
+ * keeps every complete window before it.
  */
 BenchIntervals
-readIntervalFile(const std::string &path, BenchStats *stats)
+readIntervalFile(const std::string &path)
 {
     BenchIntervals iv;
     Expected<std::string> text = readFileToString(path);
@@ -125,9 +84,7 @@ readIntervalFile(const std::string &path, BenchStats *stats)
         return iv;  // missing file: has stays false
 
     iv.has = true;
-    StreamStat bw_stat;
     Histogram bw(kBwMaxMilli);
-    Histogram ipc(kBwMaxMilli);
     std::istringstream is(text.value());
     JsonlScan scan = forEachJsonLine(is, [&](const JsonValue &window) {
         const JsonValue *b = window.find("bandwidth");
@@ -135,7 +92,6 @@ readIntervalFile(const std::string &path, BenchStats *stats)
             iv.torn = true;
             return false;
         }
-        bw_stat.push(b->asNumber());
         double milli = b->asNumber() * kBwScale;
         if (milli < 0.0)
             milli = 0.0;
@@ -143,20 +99,6 @@ readIntervalFile(const std::string &path, BenchStats *stats)
             milli = kBwMaxMilli;
         bw.add((uint32_t)std::lround(milli));
         ++iv.windows;
-        // Windows annotated with host perf (child ran --perf with
-        // counters available) feed the host-IPC percentiles.
-        if (const JsonValue *p = window.find("perf");
-            p && p->isObject()) {
-            if (const JsonValue *v = p->find("ipc")) {
-                double im = v->asNumber() * kBwScale;
-                if (im < 0.0)
-                    im = 0.0;
-                if (im > kBwMaxMilli)
-                    im = kBwMaxMilli;
-                ipc.add((uint32_t)std::lround(im));
-                ++iv.ipcWindows;
-            }
-        }
         return true;
     });
     if (!scan.clean())
@@ -166,65 +108,7 @@ readIntervalFile(const std::string &path, BenchStats *stats)
         iv.bwP95 = (double)bw.percentile(0.95) / kBwScale;
         iv.bwP99 = (double)bw.percentile(0.99) / kBwScale;
     }
-    if (iv.ipcWindows > 0) {
-        iv.ipcP50 = (double)ipc.percentile(0.50) / kBwScale;
-        iv.ipcP95 = (double)ipc.percentile(0.95) / kBwScale;
-        iv.ipcP99 = (double)ipc.percentile(0.99) / kBwScale;
-    }
-    if (stats && iv.windows > 0) {
-        stats->has = true;
-        stats->windows = bw_stat.count();
-        stats->mean = bw_stat.mean();
-        stats->var = bw_stat.variance();
-        stats->lag1 = bw_stat.lag1();
-        const StreamStat::Ci95 ci = bw_stat.ci95();
-        stats->ciValid = ci.valid;
-        stats->ci95 = ci.halfWidth;
-        stats->batches = ci.batches;
-        stats->batchSize = ci.batchSize;
-    }
     return iv;
-}
-
-void
-writeStats(JsonWriter &jw, const BenchStats &st, const char *key)
-{
-    jw.beginObject(key);
-    jw.field("windows", st.windows);
-    jw.fieldFull("mean", st.mean);
-    jw.fieldFull("var", st.var);
-    jw.fieldFull("lag1", st.lag1);
-    jw.field("ciValid", st.ciValid);
-    if (st.ciValid) {
-        jw.fieldFull("ci95", st.ci95);
-        jw.field("batches", st.batches);
-        jw.field("batchSize", st.batchSize);
-    }
-    jw.endObject();
-}
-
-BenchStats
-parseStats(const JsonValue &obj)
-{
-    BenchStats st;
-    st.has = true;
-    if (const JsonValue *v = obj.find("windows"))
-        st.windows = v->asUint();
-    if (const JsonValue *v = obj.find("mean"))
-        st.mean = v->asNumber();
-    if (const JsonValue *v = obj.find("var"))
-        st.var = v->asNumber();
-    if (const JsonValue *v = obj.find("lag1"))
-        st.lag1 = v->asNumber();
-    if (const JsonValue *v = obj.find("ciValid"))
-        st.ciValid = v->isBool() && v->boolValue;
-    if (const JsonValue *v = obj.find("ci95"))
-        st.ci95 = v->asNumber();
-    if (const JsonValue *v = obj.find("batches"))
-        st.batches = v->asUint();
-    if (const JsonValue *v = obj.find("batchSize"))
-        st.batchSize = v->asUint();
-    return st;
 }
 
 void
@@ -242,8 +126,6 @@ writeRow(JsonWriter &jw, const BenchRow &row)
     jw.field("totalUops", row.totalUops);
     if (row.host.has)
         writeHost(jw, row.host, "host");
-    if (row.perf.has)
-        writePerf(jw, row.perf, "perf");
     if (row.intervals.has) {
         jw.beginObject("intervals");
         jw.field("windows", row.intervals.windows);
@@ -251,16 +133,8 @@ writeRow(JsonWriter &jw, const BenchRow &row)
         jw.field("bwP50", row.intervals.bwP50);
         jw.field("bwP95", row.intervals.bwP95);
         jw.field("bwP99", row.intervals.bwP99);
-        if (row.intervals.ipcWindows) {
-            jw.field("ipcWindows", row.intervals.ipcWindows);
-            jw.field("ipcP50", row.intervals.ipcP50);
-            jw.field("ipcP95", row.intervals.ipcP95);
-            jw.field("ipcP99", row.intervals.ipcP99);
-        }
         jw.endObject();
     }
-    if (row.bwStats.has)
-        writeStats(jw, row.bwStats, "stats");
     if (row.attrib.has)
         writeAttribRollup(jw, row.attrib);
     jw.endObject();
@@ -290,8 +164,6 @@ parseRow(const JsonValue &obj)
         row.totalUops = v->asUint();
     if (const JsonValue *v = obj.find("host"); v && v->isObject())
         row.host = parseHost(*v);
-    if (const JsonValue *v = obj.find("perf"); v && v->isObject())
-        row.perf = parsePerf(*v);
     if (const JsonValue *v = obj.find("intervals");
         v && v->isObject()) {
         row.intervals.has = true;
@@ -305,17 +177,7 @@ parseRow(const JsonValue &obj)
             row.intervals.bwP95 = w->asNumber();
         if (const JsonValue *w = v->find("bwP99"))
             row.intervals.bwP99 = w->asNumber();
-        if (const JsonValue *w = v->find("ipcWindows"))
-            row.intervals.ipcWindows = w->asUint();
-        if (const JsonValue *w = v->find("ipcP50"))
-            row.intervals.ipcP50 = w->asNumber();
-        if (const JsonValue *w = v->find("ipcP95"))
-            row.intervals.ipcP95 = w->asNumber();
-        if (const JsonValue *w = v->find("ipcP99"))
-            row.intervals.ipcP99 = w->asNumber();
     }
-    if (const JsonValue *v = obj.find("stats"); v && v->isObject())
-        row.bwStats = parseStats(*v);
     if (const JsonValue *v = obj.find("attrib"))
         row.attrib = parseAttribRollup(*v);
     return row;
@@ -421,49 +283,10 @@ aggregateSweepDir(const std::string &dir)
             host_uops += row.totalUops;
         }
 
-        if (const JsonValue *pf = job.find("perf");
-            pf && pf->isObject()) {
-            row.perf = parsePerf(*pf);
-            bench.perf.has = true;
-            bench.perf.cycles += row.perf.cycles;
-            bench.perf.instructions += row.perf.instructions;
-            bench.perf.cacheRefs += row.perf.cacheRefs;
-            bench.perf.cacheMisses += row.perf.cacheMisses;
-            bench.perf.branches += row.perf.branches;
-            bench.perf.branchMisses += row.perf.branchMisses;
-        }
-
         row.intervals = readIntervalFile(
-            dir + "/intervals/job-" + std::to_string(id) + ".jsonl",
-            &row.bwStats);
+            dir + "/intervals/job-" + std::to_string(id) + ".jsonl");
 
         bench.rows.push_back(std::move(row));
-    }
-
-    // Sweep-wide dispersion: a t-interval over the per-row bandwidth
-    // means (not the pooled windows — rows are different workloads,
-    // so between-row variance is the honest spread).
-    {
-        StreamStat rows_stat;
-        for (const BenchRow &row : bench.rows)
-            if (row.bwStats.has)
-                rows_stat.push(row.bwStats.mean);
-        if (rows_stat.count() > 0) {
-            bench.bwStats.has = true;
-            bench.bwStats.windows = rows_stat.count();
-            bench.bwStats.mean = rows_stat.mean();
-            bench.bwStats.var = rows_stat.variance();
-            bench.bwStats.lag1 = 0.0;  // rows are not a time series
-            if (rows_stat.count() >= 2) {
-                bench.bwStats.ciValid = true;
-                bench.bwStats.ci95 =
-                    tCritical95(rows_stat.count() - 1) *
-                    std::sqrt(rows_stat.variance() /
-                              (double)rows_stat.count());
-                bench.bwStats.batches = rows_stat.count();
-                bench.bwStats.batchSize = 1;
-            }
-        }
     }
 
     if (any_host) {
@@ -498,10 +321,6 @@ renderBenchJson(const BenchReport &report)
         jw.field("intervalCycles", report.intervalCycles);
         if (report.host.has)
             writeHost(jw, report.host, "host");
-        if (report.perf.has)
-            writePerf(jw, report.perf, "perf");
-        if (report.bwStats.has)
-            writeStats(jw, report.bwStats, "stats");
         jw.beginArray("rows");
         for (const BenchRow &row : report.rows)
             writeRow(jw, row);
@@ -544,10 +363,6 @@ parseBenchJson(const std::string &text, const std::string &path)
         bench.intervalCycles = v->asUint();
     if (const JsonValue *v = doc.find("host"); v && v->isObject())
         bench.host = parseHost(*v);
-    if (const JsonValue *v = doc.find("perf"); v && v->isObject())
-        bench.perf = parsePerf(*v);
-    if (const JsonValue *v = doc.find("stats"); v && v->isObject())
-        bench.bwStats = parseStats(*v);
     if (const JsonValue *rows = doc.find("rows");
         rows && rows->isArray()) {
         for (const JsonValue &row : rows->items)
@@ -573,7 +388,6 @@ metricVerdictName(MetricVerdict v)
       case MetricVerdict::Warn:          return "warn";
       case MetricVerdict::Regress:       return "regress";
       case MetricVerdict::MissingMetric: return "missing";
-      case MetricVerdict::LowPower:      return "lowPower";
     }
     return "?";
 }
@@ -638,101 +452,6 @@ compareMetric(RegressReport &out, const RegressOptions &opts,
         if (d.improved)
             ++out.improvements;
     }
-    ++out.compared;
-    out.deltas.push_back(std::move(d));
-}
-
-/**
- * CI-aware comparison (both sides carried valid batch-means CIs).
- * Decision table (docs/MODEL.md "Statistical observability"):
- *
- *   no overlap, worse direction, beyond tol  -> Regress
- *   no overlap, better direction, beyond tol -> Pass (improved)
- *   overlap, CIs too wide to detect tol      -> LowPower (warn)
- *   otherwise                                -> Pass
- *
- * The Welch t statistic and its Welch-Satterthwaite degrees of
- * freedom are recorded for reporting; the gate itself uses the
- * simpler and more conservative interval-overlap test.
- */
-void
-compareStatisticalMetric(RegressReport &out, const RegressOptions &opts,
-                         const std::string &name, const BenchStats &base,
-                         const BenchStats &cur, Direction dir)
-{
-    MetricDelta d;
-    d.name = name;
-    d.baseline = base.mean;
-    d.current = cur.mean;
-    d.tol = opts.paperTol;
-    d.statistical = true;
-    d.ci95Base = base.ci95;
-    d.ci95Cur = cur.ci95;
-    if (std::fabs(base.mean) > 1e-12)
-        d.rel = (cur.mean - base.mean) / std::fabs(base.mean);
-    else
-        d.rel = cur.mean - base.mean;
-
-    // Standard errors recovered from the interval half-widths, for
-    // the Welch report fields.
-    const double se_b =
-        base.batches > 1 ? base.ci95 / tCritical95(base.batches - 1)
-                         : 0.0;
-    const double se_c =
-        cur.batches > 1 ? cur.ci95 / tCritical95(cur.batches - 1)
-                        : 0.0;
-    const double se2 = se_b * se_b + se_c * se_c;
-    if (se2 > 0.0) {
-        d.welchT = (cur.mean - base.mean) / std::sqrt(se2);
-        double denom = 0.0;
-        if (base.batches > 1)
-            denom += (se_b * se_b) * (se_b * se_b) /
-                     (double)(base.batches - 1);
-        if (cur.batches > 1)
-            denom += (se_c * se_c) * (se_c * se_c) /
-                     (double)(cur.batches - 1);
-        d.welchDf = denom > 0.0 ? se2 * se2 / denom : 0.0;
-    }
-
-    const double diff = cur.mean - base.mean;
-    const bool overlap = std::fabs(diff) <= base.ci95 + cur.ci95;
-    const double tol_abs = d.tol * std::fabs(base.mean);
-    const bool beyond_tol = std::fabs(diff) > tol_abs;
-    // Minimum detectable difference: intervals this wide cannot see
-    // a tolerance-sized drift, so "overlap" is not evidence of
-    // stability.
-    const bool low_power = base.ci95 + cur.ci95 > tol_abs;
-    bool worse = false;
-    bool better = false;
-    switch (dir) {
-      case Direction::Lower:
-        worse = diff > 0.0;
-        better = diff < 0.0;
-        break;
-      case Direction::Higher:
-        worse = diff < 0.0;
-        better = diff > 0.0;
-        break;
-      case Direction::Exact:
-        worse = diff != 0.0;
-        break;
-    }
-
-    if (!overlap && worse && beyond_tol) {
-        d.verdict = MetricVerdict::Regress;
-        ++out.regressions;
-    } else if (!overlap && better && beyond_tol) {
-        d.verdict = MetricVerdict::Pass;
-        d.improved = true;
-        ++out.improvements;
-    } else if (overlap && low_power) {
-        d.verdict = MetricVerdict::LowPower;
-        ++out.lowPower;
-        ++out.warnings;
-    } else {
-        d.verdict = MetricVerdict::Pass;
-    }
-    ++out.statistical;
     ++out.compared;
     out.deltas.push_back(std::move(d));
 }
@@ -819,21 +538,9 @@ compareBench(const BenchReport &current, const BenchReport &baseline,
         compareMetric(out, opts, base.id + ".missRate",
                       base.missRate, cur.missRate, Direction::Lower,
                       false);
-        // Interval bandwidth gets the statistical gate whenever both
-        // sides carry a valid batch-means CI; CI-less baselines (old
-        // BENCH_<n>.json records, sweeps without --interval-stats)
-        // fall back to the legacy raw-threshold comparison.
-        if (base.bwStats.has && base.bwStats.ciValid &&
-            cur.bwStats.has && cur.bwStats.ciValid) {
-            compareStatisticalMetric(out, opts,
-                                     base.id + ".bandwidth",
-                                     base.bwStats, cur.bwStats,
-                                     Direction::Higher);
-        } else {
-            compareMetric(out, opts, base.id + ".bandwidth",
-                          base.bandwidth, cur.bandwidth,
-                          Direction::Higher, false);
-        }
+        compareMetric(out, opts, base.id + ".bandwidth",
+                      base.bandwidth, cur.bandwidth, Direction::Higher,
+                      false);
         compareMetric(out, opts, base.id + ".overallIpc",
                       base.overallIpc, cur.overallIpc,
                       Direction::Higher, false);
@@ -896,26 +603,6 @@ compareBench(const BenchReport &current, const BenchReport &baseline,
         }
     }
 
-    // Host microarchitecture counters: like host throughput, the
-    // per-job numbers are noisy, so only the sweep-wide IPC and cache
-    // MPKI are compared, and always in the loose host class (warn
-    // unless --gate-host). A baseline without perf (counters
-    // unavailable where it was recorded) skips the comparison; a
-    // current report without perf against a perf baseline is a
-    // missing metric so CI notices the counters went away.
-    if (baseline.perf.has) {
-        if (!current.perf.has) {
-            missingMetric(out, "host.ipc", baseline.perf.ipc(), true);
-        } else {
-            compareMetric(out, opts, "host.ipc", baseline.perf.ipc(),
-                          current.perf.ipc(), Direction::Higher,
-                          true);
-            compareMetric(out, opts, "host.cacheMpki",
-                          baseline.perf.cacheMpki(),
-                          current.perf.cacheMpki(), Direction::Lower,
-                          true);
-        }
-    }
     return out;
 }
 
@@ -930,10 +617,6 @@ renderRegressTable(const RegressReport &report, bool all)
         std::string verdict = metricVerdictName(d.verdict);
         if (d.improved)
             verdict += " (improved)";
-        if (d.statistical) {
-            verdict += " [ci " + TextTable::num(d.ci95Base, 4) + "/" +
-                       TextTable::num(d.ci95Cur, 4) + "]";
-        }
         table.addRow({d.name, TextTable::num(d.baseline, 4),
                       d.verdict == MetricVerdict::MissingMetric
                           ? "-"
@@ -966,15 +649,6 @@ renderRegressTable(const RegressReport &report, bool all)
                   report.improvements,
                   report.pass() ? "PASS" : "FAIL");
     os << line;
-    if (report.statistical > 0) {
-        std::snprintf(line, sizeof(line),
-                      "regress: %zu metric%s decided by CI overlap"
-                      " (%zu low-power)\n",
-                      report.statistical,
-                      report.statistical == 1 ? "" : "s",
-                      report.lowPower);
-        os << line;
-    }
     return os.str();
 }
 
@@ -995,8 +669,6 @@ renderBenchRecord(const BenchReport &current,
         jw.field("warnings", (uint64_t)regress.warnings);
         jw.field("missing", (uint64_t)regress.missing);
         jw.field("improved", (uint64_t)regress.improvements);
-        jw.field("statistical", (uint64_t)regress.statistical);
-        jw.field("lowPower", (uint64_t)regress.lowPower);
         jw.field("buildMismatch", regress.buildMismatch);
         jw.endObject();
         // Baseline provenance: the sampling geometry the record was
@@ -1004,19 +676,12 @@ renderBenchRecord(const BenchReport &current,
         // window count is visible at review time.
         {
             uint64_t windows = 0;
-            uint64_t ci_rows = 0;
-            for (const BenchRow &row : current.rows) {
-                if (row.bwStats.has) {
-                    windows += row.bwStats.windows;
-                    if (row.bwStats.ciValid)
-                        ++ci_rows;
-                }
-            }
+            for (const BenchRow &row : current.rows)
+                windows += row.intervals.windows;
             jw.beginObject("recordedFrom");
             jw.field("intervalCycles", current.intervalCycles);
             jw.field("windows", windows);
             jw.field("rows", (uint64_t)current.rows.size());
-            jw.field("ciRows", ci_rows);
             jw.endObject();
         }
         jw.beginArray("attribNotes");
@@ -1050,10 +715,6 @@ renderBenchRecord(const BenchReport &current,
         jw.field("intervalCycles", current.intervalCycles);
         if (current.host.has)
             writeHost(jw, current.host, "host");
-        if (current.perf.has)
-            writePerf(jw, current.perf, "perf");
-        if (current.bwStats.has)
-            writeStats(jw, current.bwStats, "stats");
         jw.beginArray("rows");
         for (const BenchRow &row : current.rows)
             writeRow(jw, row);

@@ -48,60 +48,6 @@ struct BenchHost
     double cpuSec() const { return userSec + sysSec; }
 };
 
-/** Host microarchitecture counters from the child's --perf group
- *  (per row: one job; top level: sweep-wide sums; derived rates are
- *  recomputed from the sums, never summed themselves). Absent
- *  (has==false) whenever the sweep ran without --perf or
- *  perf_event_open was unavailable on the host. */
-struct BenchPerf
-{
-    bool has = false;
-    double cycles = 0.0;
-    double instructions = 0.0;
-    double cacheRefs = 0.0;
-    double cacheMisses = 0.0;
-    double branches = 0.0;
-    double branchMisses = 0.0;
-
-    double
-    ipc() const
-    {
-        return cycles > 0.0 ? instructions / cycles : 0.0;
-    }
-    double
-    cacheMpki() const
-    {
-        return instructions > 0.0
-                   ? cacheMisses * 1000.0 / instructions
-                   : 0.0;
-    }
-    double
-    branchMissRate() const
-    {
-        return branches > 0.0 ? branchMisses / branches : 0.0;
-    }
-};
-
-/**
- * Streaming statistics over one row's interval-bandwidth series
- * (batch-means 95% CI; see src/obs/stats), or — at the top level —
- * the t-interval over the row means (sweep-wide dispersion). ciValid
- * is false when the estimator had insufficient data; gates then fall
- * back to the legacy raw-threshold comparison.
- */
-struct BenchStats
-{
-    bool has = false;
-    uint64_t windows = 0;   ///< samples behind the estimate
-    double mean = 0.0;
-    double var = 0.0;
-    double lag1 = 0.0;
-    bool ciValid = false;
-    double ci95 = 0.0;      ///< half-width (mean +- ci95)
-    uint64_t batches = 0;
-    uint64_t batchSize = 0;
-};
-
 /** Interval-bandwidth rollup over one job's JSONL window stream. */
 struct BenchIntervals
 {
@@ -111,13 +57,6 @@ struct BenchIntervals
     double bwP50 = 0.0;
     double bwP95 = 0.0;
     double bwP99 = 0.0;
-    /// @{ Host-IPC percentiles over windows carrying a --perf
-    ///    annotation (0 ipcWindows: the stream had none).
-    uint64_t ipcWindows = 0;
-    double ipcP50 = 0.0;
-    double ipcP95 = 0.0;
-    double ipcP99 = 0.0;
-    /// @}
 };
 
 /** One (frontend, workload, geometry) cell of the sweep. */
@@ -135,9 +74,7 @@ struct BenchRow
     uint64_t totalUops = 0;
 
     BenchHost host;
-    BenchPerf perf;
     BenchIntervals intervals;
-    BenchStats bwStats;   ///< interval-bandwidth CI (src/obs/stats)
     AttribRollup attrib;  ///< root-cause rollup (has==false: absent)
 };
 
@@ -153,8 +90,6 @@ struct BenchReport
     uint64_t intervalCycles = 0;  ///< 0: sweep ran without intervals
     std::vector<BenchRow> rows;   ///< ok jobs only, matrix order
     BenchHost host;               ///< sweep-wide rollup
-    BenchPerf perf;               ///< sweep-wide counter sums
-    BenchStats bwStats;           ///< t-interval over row bw means
 };
 
 /**
@@ -183,10 +118,6 @@ enum class MetricVerdict
     Warn,           ///< worse beyond threshold, but not gated
     Regress,        ///< worse beyond threshold, gated
     MissingMetric,  ///< baseline has it, current does not
-    /** Statistical comparison only: the CIs overlap but are too wide
-     *  to detect a tolerance-sized drift — the verdict is "cannot
-     *  tell", reported as a typed warning, never a failure. */
-    LowPower,
 };
 
 const char *metricVerdictName(MetricVerdict v);
@@ -202,15 +133,6 @@ struct MetricDelta
     bool host = false;     ///< host-perf metric (loose/warn class)
     bool improved = false; ///< better beyond threshold
     MetricVerdict verdict = MetricVerdict::Pass;
-    /// @{ Statistical comparison (both sides carried valid CIs):
-    ///    the interval half-widths and the Welch t statistic with
-    ///    its Welch-Satterthwaite degrees of freedom.
-    bool statistical = false;
-    double ci95Base = 0.0;
-    double ci95Cur = 0.0;
-    double welchT = 0.0;
-    double welchDf = 0.0;
-    /// @}
 };
 
 struct RegressOptions
@@ -235,8 +157,6 @@ struct RegressReport
     std::size_t warnings = 0;
     std::size_t missing = 0;
     std::size_t improvements = 0;
-    std::size_t statistical = 0;  ///< metrics decided by CI overlap
-    std::size_t lowPower = 0;     ///< of which: verdict LowPower
 
     bool
     pass() const

@@ -16,54 +16,7 @@ PhaseProfiler::definePhase(const std::string &name, unsigned parent)
     p.name = name;
     p.parent = parent;
     phases_.push_back(std::move(p));
-    perfPhases_.resize(phases_.size());
     return (unsigned)phases_.size() - 1;
-}
-
-void
-PhaseProfiler::attachPerf(PerfCounterGroup *grp, unsigned perf_shift)
-{
-    perf_ = grp && grp->available() ? grp : nullptr;
-    perfMask_ = (1u << perf_shift) - 1;
-    perfPhases_.assign(phases_.size(), PhasePerf{});
-}
-
-PerfCounterGroup::Snapshot
-PhaseProfiler::perfEnter(unsigned id)
-{
-    PhasePerf &pp = perfPhases_[id];
-    if ((pp.armed++ & (uint64_t)perfMask_) != 0)
-        return PerfCounterGroup::Snapshot{};
-    return perf_->read();
-}
-
-void
-PhaseProfiler::perfExit(unsigned id,
-                        const PerfCounterGroup::Snapshot &begin)
-{
-    const PerfCounterGroup::Snapshot end = perf_->read();
-    perfPhases_[id].delta.add(perf_->delta(begin, end));
-}
-
-void
-PhaseProfiler::writePerfJson(JsonWriter &jw,
-                             const std::string &key) const
-{
-    jw.beginArray(key);
-    for (unsigned i = 0; i < phases_.size(); ++i) {
-        const Phase &p = phases_[i];
-        const PerfDelta &d = perfPhases_[i].delta;
-        if (!d.samples)
-            continue;
-        jw.beginObject();
-        jw.field("name", p.name);
-        jw.field("parent", p.parent == kNoPhase
-                               ? ""
-                               : phases_[p.parent].name);
-        d.writeJson(jw, "perf");
-        jw.endObject();
-    }
-    jw.endArray();
 }
 
 uint64_t

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "prof/perf_counters.hh"
 
 namespace xbs
 {
@@ -109,60 +108,11 @@ class PhaseProfiler
     /** Indented text tree: phase, calls, est ms, share of root. */
     std::string render() const;
 
-    /// @{ Host perf-counter attribution (see prof/perf_counters.hh).
-
-    /**
-     * Attribute @p grp's counters per phase by snapshotting at
-     * ScopedPhase boundaries. Only wall-clock-sampled entries are
-     * candidates, and of those only 1 in 2^perf_shift is
-     * snapshotted (a group read is a syscall, ~50x a clock read),
-     * which keeps --perf inside the same <=2% budget as --profile.
-     */
-    void attachPerf(PerfCounterGroup *grp, unsigned perf_shift = 6);
-
-    bool perfAttached() const { return perf_ != nullptr; }
-    const PerfCounterGroup *perfGroup() const { return perf_; }
-
-    /** Begin a perf window on an *armed* entry of @p id; the
-     *  returned snapshot is invalid on the entries this phase's
-     *  perf subsample skips. */
-    PerfCounterGroup::Snapshot perfEnter(unsigned id);
-
-    /** Close the window opened by perfEnter() (begin.valid true). */
-    void perfExit(unsigned id, const PerfCounterGroup::Snapshot &begin);
-
-    /** Scaled counter deltas accumulated on phase @p id. */
-    const PerfDelta &phasePerf(unsigned id) const
-    {
-        return perfPhases_[id].delta;
-    }
-
-    /**
-     * Emit per-phase perf attribution as array member @p key: one
-     * object per phase carrying a "perf" sub-object with scaled
-     * counts and derived IPC / MPKI / branch-miss rates. Phases
-     * with no perf samples are skipped.
-     */
-    void writePerfJson(JsonWriter &jw,
-                       const std::string &key = "phases") const;
-
-    /// @}
-
   private:
     unsigned depthOf(unsigned id) const;
 
-    /** Per-phase perf sampling state, indexed like phases_. */
-    struct PhasePerf
-    {
-        uint64_t armed = 0;  ///< wall-clock-sampled entries seen
-        PerfDelta delta;
-    };
-
     unsigned sampleMask_;
     std::vector<Phase> phases_;
-    PerfCounterGroup *perf_ = nullptr;
-    unsigned perfMask_ = 0;
-    std::vector<PhasePerf> perfPhases_;
 };
 
 /**
@@ -178,11 +128,6 @@ class ScopedPhase
         if (prof && id != PhaseProfiler::kNoPhase && prof->arm(id)) {
             prof_ = prof;
             id_ = id;
-            // The perf window opens before the wall clock starts so
-            // the group-read syscall is not charged to the phase's
-            // time estimate.
-            if (prof->perfAttached())
-                perfBegin_ = prof->perfEnter(id);
             start_ = std::chrono::steady_clock::now();
         }
     }
@@ -195,8 +140,6 @@ class ScopedPhase
                           std::chrono::steady_clock::now() - start_)
                           .count();
             prof_->commit(id_, (uint64_t)ns);
-            if (perfBegin_.valid)
-                prof_->perfExit(id_, perfBegin_);
         }
     }
 
@@ -207,7 +150,6 @@ class ScopedPhase
     PhaseProfiler *prof_ = nullptr;
     unsigned id_ = 0;
     std::chrono::steady_clock::time_point start_;
-    PerfCounterGroup::Snapshot perfBegin_;
 };
 
 } // namespace xbs

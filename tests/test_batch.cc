@@ -327,7 +327,7 @@ TEST(Journal, EventsRoundTrip)
     EXPECT_EQ(f.note, "fine");
 }
 
-TEST(Journal, PerfAndBlockIoRoundTripBitIdentical)
+TEST(Journal, BlockIoRoundTrips)
 {
     const std::string dir = makeTempDir();
     SweepJournal journal;
@@ -345,16 +345,6 @@ TEST(Journal, PerfAndBlockIoRoundTripBitIdentical)
     ev.usage.sysSec = 0.25;
     ev.usage.inBlock = 4096;
     ev.usage.outBlock = 128;
-    ev.hasPerf = true;
-    // Multiplex-scaled counters are doubles; deliberately pick
-    // values with non-terminating binary-fraction noise so only a
-    // full-precision (%.17g) round trip can reproduce them.
-    ev.perf.cycles = 123456789.1;
-    ev.perf.instructions = 3.0000000000000004e8;
-    ev.perf.cacheRefs = 5.5e6;
-    ev.perf.cacheMisses = 98765.3;
-    ev.perf.branches = 7.7e7;
-    ev.perf.branchMisses = 1234.0000001;
     ASSERT_TRUE(journal.append(ev).isOk());
 
     Expected<std::vector<JournalEvent>> back =
@@ -365,23 +355,6 @@ TEST(Journal, PerfAndBlockIoRoundTripBitIdentical)
     ASSERT_TRUE(f.hasUsage);
     EXPECT_EQ(f.usage.inBlock, 4096u);
     EXPECT_EQ(f.usage.outBlock, 128u);
-    ASSERT_TRUE(f.hasPerf);
-    EXPECT_EQ(f.perf.cycles, ev.perf.cycles);
-    EXPECT_EQ(f.perf.instructions, ev.perf.instructions);
-    EXPECT_EQ(f.perf.cacheRefs, ev.perf.cacheRefs);
-    EXPECT_EQ(f.perf.cacheMisses, ev.perf.cacheMisses);
-    EXPECT_EQ(f.perf.branches, ev.perf.branches);
-    EXPECT_EQ(f.perf.branchMisses, ev.perf.branchMisses);
-
-    // Events without perf stay perf-less through replay.
-    JournalEvent bare;
-    bare.kind = JournalEvent::Kind::Launch;
-    bare.job = 1;
-    bare.attempt = 1;
-    ASSERT_TRUE(journal.append(bare).isOk());
-    back = SweepJournal::replay(dir);
-    ASSERT_TRUE(back.ok());
-    EXPECT_FALSE(back.value()[1].hasPerf);
 }
 
 TEST(Journal, TornTailLineIsTolerated)
@@ -823,62 +796,7 @@ TEST(Resume, InterruptedAttemptIsFree)
     EXPECT_EQ(sched.records()[0].attempts, 0);
 }
 
-TEST(Scheduler, ChildPerfCountersReachRecordAndReport)
-{
-    const std::string dir = makeTempDir();
-    // A --perf child: metrics doc carries the host counter object.
-    const std::string sim = writeScript(
-        dir, "perf.sh",
-        "echo '{\"bandwidth\": 2.5, \"missRate\": 0.125, "
-        "\"overallIpc\": 2.0, \"cycles\": 100, \"totalUops\": 250, "
-        "\"perf\": {\"available\": true, "
-        "\"events\": [\"cycles\", \"instructions\"], "
-        "\"total\": {\"cycles\": 5000000.5, "
-        "\"instructions\": 12500000.25, \"cacheRefs\": 40000, "
-        "\"cacheMisses\": 1000, \"branches\": 300000, "
-        "\"branchMisses\": 6000}}}'\n");
-
-    SweepScheduler sched(fastOptions(sim), makeJobs(1), nullptr);
-    EXPECT_TRUE(sched.run());
-    EXPECT_TRUE(sched.allOk());
-    ASSERT_EQ(sched.records().size(), 1u);
-    const JobRecord &rec = sched.records()[0];
-    ASSERT_TRUE(rec.hasPerf);
-    EXPECT_DOUBLE_EQ(rec.perf.cycles, 5000000.5);
-    EXPECT_DOUBLE_EQ(rec.perf.instructions, 12500000.25);
-    EXPECT_DOUBLE_EQ(rec.perf.ipc(), 12500000.25 / 5000000.5);
-    EXPECT_DOUBLE_EQ(rec.perf.branchMissRate(), 0.02);
-
-    // The counters surface in report.json with the derived rates.
-    SweepSummary s = summarizeSweep(sched.records(), false, 0, 1.0);
-    const std::string json = renderSweepReport(sched.records(), s);
-    EXPECT_NE(json.find("\"perf\""), std::string::npos);
-    EXPECT_NE(json.find("\"cacheMpki\""), std::string::npos);
-    EXPECT_NE(json.find("\"branchMissRate\""), std::string::npos);
-}
-
-TEST(Scheduler, PerfUnavailableChildStaysPerfLess)
-{
-    const std::string dir = makeTempDir();
-    // A --perf child on a counter-less host: typed unavailability,
-    // paper metrics untouched, and no perf on the record.
-    const std::string sim = writeScript(
-        dir, "noperf.sh",
-        "echo '{\"bandwidth\": 2.5, \"missRate\": 0.125, "
-        "\"overallIpc\": 2.0, \"cycles\": 100, \"totalUops\": 250, "
-        "\"perf\": {\"available\": false, "
-        "\"perfUnavailable\": \"denied: perf_event_open\"}}'\n");
-
-    SweepScheduler sched(fastOptions(sim), makeJobs(1), nullptr);
-    EXPECT_TRUE(sched.run());
-    EXPECT_TRUE(sched.allOk());
-    const JobRecord &rec = sched.records()[0];
-    EXPECT_FALSE(rec.hasPerf);
-    ASSERT_TRUE(rec.hasMetrics);
-    EXPECT_DOUBLE_EQ(rec.metrics.bandwidth, 2.5);
-}
-
-TEST(Resume, PerfSurvivesJournalReplay)
+TEST(Resume, BlockIoSurvivesJournalReplay)
 {
     std::vector<JobSpec> jobs = makeJobs(1);
     std::vector<JournalEvent> events;
@@ -895,9 +813,6 @@ TEST(Resume, PerfSurvivesJournalReplay)
     ev.metrics.bandwidth = 4.0;
     ev.hasUsage = true;
     ev.usage.inBlock = 2048;
-    ev.hasPerf = true;
-    ev.perf.cycles = 123456789.1;
-    ev.perf.instructions = 2.5e8;
     events.push_back(ev);
 
     SweepScheduler sched(fastOptions("/bin/true"), jobs, nullptr);
@@ -905,9 +820,7 @@ TEST(Resume, PerfSurvivesJournalReplay)
     EXPECT_EQ(sched.doneCount(), 1u);
     const JobRecord &rec = sched.records()[0];
     EXPECT_TRUE(rec.replayed);
-    ASSERT_TRUE(rec.hasPerf);
-    EXPECT_DOUBLE_EQ(rec.perf.cycles, 123456789.1);
-    EXPECT_DOUBLE_EQ(rec.perf.instructions, 2.5e8);
+    ASSERT_TRUE(rec.hasUsage);
     EXPECT_EQ(rec.usage.inBlock, 2048u);
 }
 

@@ -11,7 +11,6 @@
 #include "core/xbc_frontend.hh"
 #include "dc/dc_frontend.hh"
 #include "ic/ic_frontend.hh"
-#include "prof/perf_counters.hh"
 #include "prof/phase_profiler.hh"
 #include "sim/runner.hh"
 #include "tc/tc_frontend.hh"
@@ -211,9 +210,8 @@ TEST(SurveyOrdering, DecodedStructuresBeatAddressIndexed)
 
 TEST(Determinism, HostProfilingNeverPerturbsPaperMetrics)
 {
-    // The --perf contract: host-side observation (phase timers plus
-    // the perf counter group, available or not) must leave every
-    // simulated metric bit-identical across all five frontends.
+    // The --profile contract: host-side phase timers must leave
+    // every simulated metric bit-identical across all five frontends.
     Trace trace = makeCatalogTrace("gcc", 40000);
     for (FrontendKind kind :
          {FrontendKind::Ic, FrontendKind::Dc, FrontendKind::Tc,
@@ -225,10 +223,6 @@ TEST(Determinism, HostProfilingNeverPerturbsPaperMetrics)
         bare->run(trace);
 
         PhaseProfiler prof(0);  // worst case: sample every entry
-        PerfCounterGroup grp;
-        grp.open();  // may fail on this host; attach either way
-        if (grp.available())
-            prof.attachPerf(&grp, 0);
         auto profiled = makeFrontend(config);
         profiled->attachProfiler(&prof);
         profiled->run(trace);

@@ -330,6 +330,17 @@ checkBalanced(const JsonValue &doc)
     return closed;
 }
 
+/** Spin until the span clock reads later than it does now, so the
+ *  next recorded timestamp is strictly greater (no assumption about
+ *  how long a sleep takes). */
+void
+waitForClockToAdvance(const SweepSpanLog &log)
+{
+    const double t = log.now();
+    while (log.now() <= t) {
+    }
+}
+
 } // anonymous namespace
 
 TEST(TraceMerge, SchedulerOnlyTimelineIsBalanced)
@@ -339,14 +350,24 @@ TEST(TraceMerge, SchedulerOnlyTimelineIsBalanced)
     log.startSweep();
     log.noteLaunch(0, "gcc/tc/32768", 1, 0);
     log.noteLaunch(1, "go/tc/32768", 1, 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    waitForClockToAdvance(log);
     log.noteExit(0, 1, "ok");
     log.noteExit(1, 1, "crash");
-    log.noteBackoff(1, 2, log.now(), log.now() + 0.005);
+    const double backoff_start = log.now();
+    waitForClockToAdvance(log);
     log.noteLaunch(1, "go/tc/32768", 2, 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    waitForClockToAdvance(log);
     log.noteExit(1, 2, "ok");
+    // The retry launched inside its own backoff window, which ends
+    // halfway through the retry: the two slices overlap on job 1's
+    // track instead of nesting.
+    const AttemptSpan retry = log.attempts().back();
+    const double backoff_end = (retry.startSec + retry.endSec) / 2;
+    log.noteBackoff(1, 2, backoff_start, backoff_end);
     log.finishSweep();
+    ASSERT_LT(backoff_start, retry.startSec);
+    ASSERT_LT(retry.startSec, backoff_end);
+    ASSERT_LT(backoff_end, retry.endSec);
 
     const std::string out = dir + "/trace.json";
     ASSERT_TRUE(writeSweepTrace(out, log, "").isOk());

@@ -173,7 +173,10 @@ TEST(TraceIoWriter, RoundTripSurvives)
     Trace t = makeTestTrace(code,
                             {{a, false}, {b, true}, {a, false}},
                             "roundtrip");
-    const std::string path = "/tmp/xbs_roundtrip.xbt";
+    // Not test_trace's xbs_roundtrip.xbt: ctest -j runs both binaries
+    // at once, and one would delete the other's file mid-read.
+    const std::string path =
+        testing::TempDir() + "xbs_io_corrupt_roundtrip.xbt";
     ASSERT_TRUE(writeTraceEx(t, path).isOk());
     Expected<Trace> back = readTraceEx(path);
     ASSERT_TRUE(back.ok()) << back.status().toString();

@@ -75,17 +75,6 @@ main(int argc, char **argv)
                  "xbagg: %zu rows (%llu/%llu jobs ok) -> %s\n",
                  b.rows.size(), (unsigned long long)b.jobsOk,
                  (unsigned long long)b.jobsTotal, out_path.c_str());
-    std::size_t ci_rows = 0;
-    for (const BenchRow &row : b.rows)
-        if (row.bwStats.has && row.bwStats.ciValid)
-            ++ci_rows;
-    if (ci_rows) {
-        std::fprintf(stderr,
-                     "xbagg: %zu/%zu rows carry a bandwidth CI; "
-                     "sweep bw %.3f +- %.3f\n",
-                     ci_rows, b.rows.size(), b.bwStats.mean,
-                     b.bwStats.ciValid ? b.bwStats.ci95 : 0.0);
-    }
     if (torn || no_intervals) {
         std::fprintf(stderr,
                      "xbagg: interval damage: %zu torn, %zu missing "

@@ -94,7 +94,6 @@ main(int argc, char **argv)
     std::string out_dir = "xbatch-out";
     std::string resume_dir;
     std::string xbsim_path;
-    bool perf = false;
     bool print_table = true;
 
     ArgParser args("xbatch",
@@ -136,11 +135,6 @@ main(int argc, char **argv)
                    "resume an interrupted sweep from its directory");
     args.addString("xbsim", &xbsim_path,
                    "xbsim binary (default: next to xbatch)");
-    args.addBool("perf", &perf,
-                 "run children with --perf: host microarchitecture "
-                 "counters (IPC, cache/branch MPKI) captured per job "
-                 "into the journal and report.json; degrades "
-                 "gracefully where perf_event_open is unavailable");
     args.addBool("print", &print_table,
                  "print the per-job result table");
     if (!args.parse(argc, argv))
@@ -205,7 +199,6 @@ main(int argc, char **argv)
         manifest.intervalCycles = intervals;
         manifest.heartbeatSec = heartbeat;
         manifest.stallPeriods = (unsigned)stall_periods;
-        manifest.perf = perf;
         manifest.jobs = buildJobMatrix(workloads, frontends,
                                        capacities.value(), insts);
 
@@ -260,16 +253,11 @@ main(int argc, char **argv)
     SweepSpanLog span_log;
     if (!trace_out.empty())
         opts.spanLog = &span_log;
-    if (manifest.intervalCycles || manifest.perf ||
-        !trace_out.empty()) {
+    if (manifest.intervalCycles || !trace_out.empty()) {
         const uint64_t window = manifest.intervalCycles;
         const bool events = !trace_out.empty();
-        // --perf rides on extraArgs, not RunSpec: host counters
-        // never change the simulated result.
-        const bool child_perf = manifest.perf;
-        opts.extraArgs = [dir, window, events,
-                          child_perf](const JobSpec &spec,
-                                      int attempt) {
+        opts.extraArgs = [dir, window, events](const JobSpec &spec,
+                                               int attempt) {
             std::vector<std::string> extra;
             if (window) {
                 extra.push_back("--interval-stats=" +
@@ -284,8 +272,6 @@ main(int argc, char **argv)
                                 std::to_string(spec.id) + "-a" +
                                 std::to_string(attempt) + ".json");
             }
-            if (child_perf)
-                extra.push_back("--perf");
             return extra;
         };
     }

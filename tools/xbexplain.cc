@@ -43,58 +43,12 @@ using namespace xbs;
 namespace
 {
 
-/** One detected execution phase (xbsim --stats single-doc input):
- *  the src/obs/stats phase table entry, whose mean vector is the
- *  L1-normalized per-window attrib-delta shape — i.e. per-phase loss
- *  shares, directly rankable as a top-loss table. */
-struct UnitPhase
-{
-    int64_t id = 0;
-    uint64_t windows = 0;
-    uint64_t firstWindow = 0;
-    uint64_t representative = 0;
-    std::vector<std::pair<std::string, double>> share;
-};
-
 /** One attributed run: a single xbsim invocation or one sweep job. */
 struct Unit
 {
     std::string id;  ///< "frontend/workload@capacity" label
     AttribRollup attrib;
-    /// @{ Host microarchitecture context (--perf runs): how the run
-    ///    behaved on the host, shown next to what it lost in the
-    ///    model. Absent when the input carries no perf object.
-    bool hasPerf = false;
-    double hostIpc = 0.0;
-    double hostCacheMpki = 0.0;
-    double hostBranchMissRate = 0.0;
-    /// @}
-    std::vector<UnitPhase> phases;  ///< empty: input had no phases[]
 };
-
-/** Fill a unit's host-perf fields from a job/run "perf" object
- *  (report.json job shape: counters + precomputed rates; xbsim
- *  single-doc shape: {available, total:{...}}). */
-void
-extractUnitPerf(const JsonValue &perf, Unit *u)
-{
-    const JsonValue *src = &perf;
-    if (const JsonValue *avail = perf.find("available")) {
-        // xbsim single-doc shape.
-        if (!avail->boolValue)
-            return;
-        src = perf.find("total");
-        if (!src || !src->isObject())
-            return;
-    }
-    u->hasPerf = true;
-    if (const JsonValue *v = src->find("ipc"))
-        u->hostIpc = v->asNumber();
-    if (const JsonValue *v = src->find("cacheMpki"))
-        u->hostCacheMpki = v->asNumber();
-    if (const JsonValue *v = src->find("branchMissRate"))
-        u->hostBranchMissRate = v->asNumber();
-}
 
 std::string
 unitLabel(const std::string &frontend, const std::string &workload,
@@ -154,10 +108,6 @@ extractUnits(const std::string &path, std::vector<Unit> *units)
             if (const JsonValue *v = job.find("ways"))
                 ways = v->asUint();
             u.id = unitLabel(frontend, workload, capacity, ways);
-            if (const JsonValue *pf = job.find("perf");
-                pf && pf->isObject()) {
-                extractUnitPerf(*pf, &u);
-            }
             units->push_back(std::move(u));
         }
         if (units->empty()) {
@@ -189,27 +139,6 @@ extractUnits(const std::string &path, std::vector<Unit> *units)
     if (const JsonValue *v = doc.find("capacityUops"))
         capacity = v->asUint();
     u.id = unitLabel(frontend, workload, capacity, 0);
-    if (const JsonValue *pf = doc.find("perf"); pf && pf->isObject())
-        extractUnitPerf(*pf, &u);
-    if (const JsonValue *ph = doc.find("phases"); ph && ph->isArray()) {
-        for (const JsonValue &p : ph->items) {
-            UnitPhase phase;
-            if (const JsonValue *v = p.find("id"))
-                phase.id = (int64_t)v->asUint();
-            if (const JsonValue *v = p.find("windows"))
-                phase.windows = v->asUint();
-            if (const JsonValue *v = p.find("firstWindow"))
-                phase.firstWindow = v->asUint();
-            if (const JsonValue *v = p.find("representative"))
-                phase.representative = v->asUint();
-            if (const JsonValue *m = p.find("mean");
-                m && m->isObject()) {
-                for (const auto &[key, val] : m->members)
-                    phase.share.emplace_back(key, val.asNumber());
-            }
-            u.phases.push_back(std::move(phase));
-        }
-    }
     units->push_back(std::move(u));
     return kExitOk;
 }
@@ -270,12 +199,6 @@ printTopLoss(const Unit &u, unsigned top)
                 u.id.c_str(),
                 (unsigned long long)u.attrib.buildUops,
                 (unsigned long long)u.attrib.silentCycles);
-    if (u.hasPerf) {
-        std::printf("  host: ipc %.2f, cacheMPKI %.2f, "
-                    "brMiss %.2f%%\n",
-                    u.hostIpc, u.hostCacheMpki,
-                    u.hostBranchMissRate * 100.0);
-    }
     auto render = [&](const char *kind, const Categories &cats,
                       uint64_t total) {
         Categories sorted = cats;
@@ -298,31 +221,6 @@ printTopLoss(const Unit &u, unsigned top)
     };
     render("buildUops", u.attrib.uops, u.attrib.buildUops);
     render("silentCycles", u.attrib.cycles, u.attrib.silentCycles);
-    // Per-phase loss shares: where the activity went while the run
-    // was *in* that phase, not averaged across the whole run.
-    for (const UnitPhase &phase : u.phases) {
-        std::printf("  phase P%lld: %llu window%s "
-                    "(first %llu, representative %llu)\n",
-                    (long long)phase.id,
-                    (unsigned long long)phase.windows,
-                    phase.windows == 1 ? "" : "s",
-                    (unsigned long long)phase.firstWindow,
-                    (unsigned long long)phase.representative);
-        auto sorted = phase.share;
-        std::stable_sort(sorted.begin(), sorted.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.second > b.second;
-                         });
-        TextTable table({"cause", "share"});
-        unsigned shown = 0;
-        for (const auto &[name, val] : sorted) {
-            if (shown++ >= top || val <= 0.0)
-                break;
-            table.addRow({name, TextTable::pct(val)});
-        }
-        if (table.numRows() > 0)
-            std::fputs(table.render().c_str(), stdout);
-    }
     std::printf("\n");
 }
 
@@ -382,29 +280,6 @@ writeExplainJson(const std::string &path, const std::string &mode,
         jw.beginObject();
         jw.field("id", u.id);
         jw.field("sumsOk", u.attrib.sumsMatch());
-        if (u.hasPerf) {
-            jw.beginObject("hostPerf");
-            jw.field("ipc", u.hostIpc);
-            jw.field("cacheMpki", u.hostCacheMpki);
-            jw.field("branchMissRate", u.hostBranchMissRate);
-            jw.endObject();
-        }
-        if (!u.phases.empty()) {
-            jw.beginArray("phases");
-            for (const UnitPhase &phase : u.phases) {
-                jw.beginObject();
-                jw.field("id", (int64_t)phase.id);
-                jw.field("windows", phase.windows);
-                jw.field("firstWindow", phase.firstWindow);
-                jw.field("representative", phase.representative);
-                jw.beginObject("share");
-                for (const auto &[name, val] : phase.share)
-                    jw.field(name, val);
-                jw.endObject();
-                jw.endObject();
-            }
-            jw.endArray();
-        }
         writeAttribRollup(jw, u.attrib);
         jw.endObject();
     }

@@ -11,13 +11,9 @@
  * the machine, so they get a loose tolerance (default +-50%) and
  * warn instead of fail unless --gate-host is set.
  *
- * When both sides carry a batch-means bandwidth CI (sweeps run with
- * --intervals, aggregated by xbagg), the bandwidth gate switches
- * from the raw threshold to a CI-overlap decision: disjoint
- * intervals beyond tolerance fail, overlapping intervals pass, and
- * intervals too wide to detect a tolerance-sized drift produce a
- * typed "lowPower" warning instead of a silent pass. CI-less
- * baselines keep the legacy threshold comparison.
+ * The simulator is deterministic, so a threshold is the whole gate:
+ * a paper metric that moves beyond its tolerance is a real change in
+ * the simulation, never noise.
  *
  * Examples:
  *   xbregress bench.json bench/baselines/ci-smoke.json

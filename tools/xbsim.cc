@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -32,7 +31,6 @@
 #include "common/signals.hh"
 #include "common/status.hh"
 #include "obs/heartbeat.hh"
-#include "obs/stats/stats_layer.hh"
 #include "prof/build_info.hh"
 #include "prof/host_counters.hh"
 #include "prof/phase_profiler.hh"
@@ -115,7 +113,6 @@ main(int argc, char **argv)
     std::string inject_spec;
     uint64_t inject_seed = 1;
     bool profile = false;
-    bool perf = false;
     bool build_info_only = false;
     std::string heartbeat_path;
     double heartbeat_period = 1.0;
@@ -144,12 +141,7 @@ main(int argc, char **argv)
     args.addBool("path-assoc", &path_assoc,
                  "path-associative trace cache (tc)");
     args.addBool("json", &json, "emit results as JSON");
-    args.addBool("stats", &stats,
-                 "dump the full statistics tree plus streaming "
-                 "interval statistics (mean/variance/lag-1/95% CI "
-                 "per metric, workload phases); implies a default "
-                 "10000-cycle interval sampler when --interval-stats "
-                 "is off");
+    args.addBool("stats", &stats, "dump the full statistics tree");
     args.addBool("list-workloads", &list, "list the catalog and exit");
     args.addString("trace-events", &trace_events,
                    "write a Chrome/Perfetto trace-event JSON file");
@@ -191,10 +183,6 @@ main(int argc, char **argv)
     args.addBool("profile", &profile,
                  "time simulator phases (predict/fetch/build/array/"
                  "trace-decode) on the host clock");
-    args.addBool("perf", &perf,
-                 "host microarchitecture counters (perf_event): "
-                 "IPC / cache MPKI / branch-miss rate, attributed "
-                 "per phase; degrades gracefully when denied");
     args.addBool("build-info", &build_info_only,
                  "print build provenance as JSON and exit");
     if (!args.parse(argc, argv))
@@ -273,31 +261,11 @@ main(int argc, char **argv)
 
     // Host-time profiling (src/prof): phase timers inside the run
     // loops plus a "trace-decode" phase around input materialization.
-    // --perf rides the same sampled phase boundaries, so it implies
-    // the phase infrastructure even without --profile.
-    const bool phases_on = profile || perf;
     PhaseProfiler prof;
     unsigned ph_decode = PhaseProfiler::kNoPhase;
-    if (phases_on) {
+    if (profile) {
         ph_decode = prof.definePhase("trace-decode");
         fe->attachProfiler(&prof);
-    }
-
-    // Host microarchitecture counters: one perf_event group on this
-    // process, snapshotted at sampled phase boundaries. Unavailable
-    // counters (perf_event_paranoid, containers, non-Linux) demote
-    // to a typed reason in the output; paper metrics are unaffected
-    // either way.
-    PerfCounterGroup perf_group;
-    PerfCounterGroup::Snapshot perf_run_begin;
-    if (perf) {
-        if (perf_group.open()) {
-            prof.attachPerf(&perf_group);
-            perf_run_begin = perf_group.read();
-        } else {
-            xbs_inform("perf counters unavailable: %s",
-                       perf_group.unavailableReason().c_str());
-        }
     }
 
     // Observability: an event-trace sink on the probe registry and/or
@@ -318,37 +286,6 @@ main(int argc, char **argv)
             xbs_fatal("cannot open '%s'", interval_out.c_str());
         sampler->setOutput(&interval_os);
         fe->attachSampler(sampler.get());
-    } else if (stats) {
-        // --stats without --interval-stats still wants the streaming
-        // estimators: sample on a default window with no JSONL
-        // output (the sampler then only feeds the stats layer).
-        sampler = std::make_unique<IntervalSampler>(fe->statRoot(),
-                                                    10000);
-        fe->attachSampler(sampler.get());
-    }
-
-    // Streaming statistics (src/obs/stats) ride every sampler:
-    // per-metric mean/variance/lag-1/batch-means CI plus online
-    // phase segmentation. A pure observer — paper metrics are
-    // byte-identical with or without it. The phase id is mirrored
-    // into the heartbeat and, as a slice track, into the event
-    // trace.
-    std::unique_ptr<StatsLayer> stats_layer;
-    ProbePoint phase_probe(&fe->probes(), "stats", "phase");
-    std::deque<std::string> phase_labels;  // stable label addresses
-    bool phase_slice_open = false;
-    if (sampler) {
-        stats_layer = std::make_unique<StatsLayer>(*sampler);
-        stats_layer->setPhaseCallback([&](int phase, uint64_t window) {
-            (void)window;
-            if (phase_slice_open)
-                phase_probe.end();
-            phase_labels.push_back("phase-" + std::to_string(phase));
-            phase_probe.begin(phase_labels.back().c_str());
-            phase_slice_open = true;
-            if (heartbeat)
-                heartbeat->setStatsPhase(phase);
-        });
     }
 
     std::optional<Trace> trace_opt;
@@ -357,8 +294,7 @@ main(int argc, char **argv)
             heartbeat->setPhase("decode");
             heartbeat->beat(fe.get());
         }
-        ScopedPhase decode_timer(phases_on ? &prof : nullptr,
-                                 ph_decode);
+        ScopedPhase decode_timer(profile ? &prof : nullptr, ph_decode);
         if (!trace_path.empty()) {
             Expected<Trace> tr = readTraceEx(trace_path);
             if (!tr.ok()) {
@@ -528,9 +464,6 @@ main(int argc, char **argv)
     ProbePoint host_uops_rate(&fe->probes(), "host", "uopsPerSec");
     ProbePoint host_rec_rate(&fe->probes(), "host", "recordsPerSec");
     ProbePoint host_cyc_rate(&fe->probes(), "host", "cyclesPerSec");
-    PerfCounterGroup::Snapshot perf_win_prev;
-    if (perf_group.available())
-        perf_win_prev = perf_group.read();
     if (sampler) {
         Frontend *fe_ptr = fe.get();
         sampler->setAnnotator([&, fe_ptr](JsonWriter &jw) {
@@ -546,21 +479,6 @@ main(int argc, char **argv)
             jw.field("uopsPerSec", r.uopsPerSec);
             jw.field("recordsPerSec", r.recordsPerSec);
             jw.endObject();
-            // Per-window host counters: the delta since the previous
-            // window, multiplex-scaled — so bench rollups can build
-            // host-IPC percentiles over the run.
-            if (perf_group.available()) {
-                PerfCounterGroup::Snapshot now = perf_group.read();
-                PerfDelta d =
-                    perf_group.delta(perf_win_prev, now);
-                perf_win_prev = now;
-                jw.beginObject("perf");
-                jw.field("ipc", d.ipc());
-                jw.field("cacheMpki", d.cacheMpki());
-                jw.field("branchMissRate", d.branchMissRate());
-                jw.field("multiplexFraction", d.multiplexFraction());
-                jw.endObject();
-            }
             host_uops_rate.fire((int64_t)r.uopsPerSec);
             host_rec_rate.fire((int64_t)r.recordsPerSec);
             host_cyc_rate.fire((int64_t)r.cyclesPerSec);
@@ -601,8 +519,6 @@ main(int argc, char **argv)
     }
 
     fe->finishObservation();
-    if (phase_slice_open)
-        phase_probe.end();
     if (auditor)
         auditor->finishRun(*fe);
 
@@ -687,28 +603,6 @@ main(int argc, char **argv)
             prof.writeJson(jw, "phases");
             jw.endObject();
         }
-        if (perf) {
-            jw.beginObject("perf");
-            jw.field("available", perf_group.available());
-            if (perf_group.available()) {
-                jw.beginArray("events");
-                for (const std::string &name :
-                     perf_group.eventNames()) {
-                    jw.field("", name);
-                }
-                jw.endArray();
-                // Whole-run totals from one snapshot pair (covers
-                // unsampled time too, unlike the phase estimates).
-                const PerfDelta total = perf_group.delta(
-                    perf_run_begin, perf_group.read());
-                total.writeJson(jw, "total");
-                prof.writePerfJson(jw, "phases");
-            } else {
-                jw.field("perfUnavailable",
-                         perf_group.unavailableReason());
-            }
-            jw.endObject();
-        }
         if (interrupted)
             jw.field("interrupted", true);
         if (!restore_from.empty())
@@ -727,10 +621,6 @@ main(int argc, char **argv)
             jw.field("injections", injector->injections());
         if (stats)
             fe->statRoot().dumpJson(jw, /*as_member=*/true);
-        if (stats_layer) {
-            stats_layer->writeStatsJson(jw);
-            stats_layer->writePhasesJson(jw);
-        }
         jw.endObject();
         if (auditor && !auditor->ok())
             auditor->report(std::cerr);
@@ -756,37 +646,10 @@ main(int argc, char **argv)
                     overall.uopsPerSec / 1e6);
         if (profile)
             std::fputs(prof.render().c_str(), stdout);
-        if (perf && perf_group.available()) {
-            const PerfDelta total = perf_group.delta(
-                perf_run_begin, perf_group.read());
-            std::printf("  perf: IPC %.2f   cache MPKI %.2f   "
-                        "branch miss %.2f%%   (counting %.0f%% of "
-                        "enabled time)\n",
-                        total.ipc(), total.cacheMpki(),
-                        100.0 * total.branchMissRate(),
-                        100.0 * total.multiplexFraction());
-            std::printf("  %-24s %8s %10s %10s %10s\n", "phase",
-                        "samples", "ipc", "cacheMPKI", "brMiss%");
-            for (unsigned i = 0; i < prof.phases().size(); ++i) {
-                const PerfDelta &d = prof.phasePerf(i);
-                if (!d.samples)
-                    continue;
-                std::printf("  %-24s %8llu %10.2f %10.2f %10.2f\n",
-                            prof.phases()[i].name.c_str(),
-                            (unsigned long long)d.samples, d.ipc(),
-                            d.cacheMpki(),
-                            100.0 * d.branchMissRate());
-            }
-        } else if (perf) {
-            std::printf("  perf: unavailable (%s)\n",
-                        perf_group.unavailableReason().c_str());
-        }
         if (auditor)
             auditor->report(std::cout);
         if (stats)
             fe->statRoot().dump(std::cout);
-        if (stats && stats_layer)
-            stats_layer->writeText(std::cout);
     }
     if (heartbeat) {
         heartbeat->setPhase("done");

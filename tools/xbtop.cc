@@ -36,7 +36,6 @@
 #include "common/signals.hh"
 #include "common/table.hh"
 #include "obs/heartbeat.hh"
-#include "obs/stats/stream_stats.hh"
 
 using namespace xbs;
 
@@ -81,14 +80,6 @@ struct Snapshot
     uint64_t estTotalUops = 0;
     double uopsPerSec = 0.0;
     double etaSeconds = -1.0;  ///< negative: unknown
-    /// @{ Filled by the refresh loop, not takeSnapshot: EWMA-smoothed
-    ///    aggregate rate (first sample: the raw rate), the ETA derived
-    ///    from it, and a t-interval over the raw rate samples seen so
-    ///    far this viewing session (0 until two refreshes).
-    double uopsPerSecSmoothed = 0.0;
-    double etaSecondsSmoothed = -1.0;
-    double uopsPerSecCi95 = 0.0;
-    /// @}
 };
 
 /**
@@ -206,13 +197,11 @@ writeSnapshotJson(std::ostream &os, const std::string &dir,
     JsonWriter jw(os, /*pretty=*/true);
     jw.beginObject();
     // Version 3: per-job "restoredFrom" (warm starts) and the
-    // "restore" heartbeat phase. Version 4: per-job host perf
-    // counters (hostIpc/hostCacheMpki/hostBranchMissRate) for jobs
-    // that ran --perf with counters available. Version 5: EWMA-
-    // smoothed rate/ETA alongside the raw ones, a t-interval on the
-    // rate samples, and per-job statsPhase (src/obs/stats phase ID).
-    // Version 6: no "service" flag and no "cached" state or counts.
-    jw.field("version", (uint64_t)6);
+    // "restore" heartbeat phase. Versions 4-5 added per-job host
+    // counters, a smoothed rate/ETA with a CI, and a per-job workload
+    // phase id. Version 6: no "service" flag and no "cached" state or
+    // counts. Version 7: none of the version 4-5 additions.
+    jw.field("version", (uint64_t)7);
     jw.field("dir", dir);
     jw.field("workers", (uint64_t)snap.manifest.workers);
     jw.field("heartbeatSec", snap.manifest.heartbeatSec);
@@ -236,9 +225,6 @@ writeSnapshotJson(std::ostream &os, const std::string &dir,
                           : 0.0);
     jw.field("uopsPerSec", snap.uopsPerSec);
     jw.field("etaSeconds", snap.etaSeconds);
-    jw.field("uopsPerSecSmoothed", snap.uopsPerSecSmoothed);
-    jw.field("etaSecondsSmoothed", snap.etaSecondsSmoothed);
-    jw.field("uopsPerSecCi95", snap.uopsPerSecCi95);
     jw.endObject();
     jw.beginArray("perJob");
     for (const JobView &view : snap.jobs) {
@@ -256,18 +242,11 @@ writeSnapshotJson(std::ostream &os, const std::string &dir,
             jw.field("rssKb", view.hb.rssKb);
             jw.field("heartbeatSeq", view.hb.seq);
             jw.field("ageSeconds", view.hbAge);
-            if (view.hb.statsPhase >= 0)
-                jw.field("statsPhase", (int64_t)view.hb.statsPhase);
             if (!view.hb.restoredFrom.empty())
                 jw.field("restoredFrom", view.hb.restoredFrom);
         }
         if (rec.done)
             jw.field("seconds", rec.seconds);
-        if (rec.hasPerf) {
-            jw.field("hostIpc", rec.perf.ipc());
-            jw.field("hostCacheMpki", rec.perf.cacheMpki());
-            jw.field("hostBranchMissRate", rec.perf.branchMissRate());
-        }
         if (!rec.note.empty())
             jw.field("note", rec.note);
         jw.endObject();
@@ -293,37 +272,18 @@ renderTable(std::ostream &os, const std::string &dir,
              << TextTable::pct((double)snap.progressUops /
                                (double)snap.estTotalUops)
              << " of ~" << snap.estTotalUops << " uops";
-        if (snap.uopsPerSecSmoothed > 0.0) {
-            head << " at "
-                 << TextTable::num(snap.uopsPerSecSmoothed / 1e6, 2)
+        if (snap.uopsPerSec > 0.0) {
+            head << " at " << TextTable::num(snap.uopsPerSec / 1e6, 2)
                  << " Muops/s";
-            if (snap.uopsPerSecCi95 > 0.0) {
-                head << " +-"
-                     << TextTable::num(snap.uopsPerSecCi95 / 1e6, 2);
-            }
         }
-        if (snap.etaSecondsSmoothed >= 0.0) {
-            head << ", ETA "
-                 << TextTable::num(snap.etaSecondsSmoothed, 0) << "s";
-        }
+        if (snap.etaSeconds >= 0.0)
+            head << ", ETA " << TextTable::num(snap.etaSeconds, 0) << "s";
         head << "\n";
     }
     os << head.str() << "\n";
 
-    // Host perf columns only earn their width when some job carries
-    // counters (--perf sweep on a host with a PMU).
-    bool any_perf = false;
-    for (const JobView &view : snap.jobs)
-        any_perf = any_perf || view.rec->hasPerf;
-
-    std::vector<std::string> header{"job", "label", "state", "att",
-                                    "phase", "sPh", "uops", "rate",
-                                    "rss", "beat"};
-    if (any_perf) {
-        header.push_back("hIPC");
-        header.push_back("hMPKI");
-    }
-    TextTable table(header);
+    TextTable table({"job", "label", "state", "att", "phase", "uops",
+                     "rate", "rss", "beat"});
     for (const JobView &view : snap.jobs) {
         const JobRecord &rec = *view.rec;
         // Keep the table focused on live rows unless the sweep is
@@ -337,17 +297,12 @@ renderTable(std::ostream &os, const std::string &dir,
         row.push_back(std::to_string(rec.attempts));
         if (view.hasHb && !rec.done) {
             row.push_back(view.hb.phase);
-            row.push_back(view.hb.statsPhase >= 0
-                              ? "P" + std::to_string(
-                                          view.hb.statsPhase)
-                              : "-");
             row.push_back(std::to_string(view.hb.uops));
             row.push_back(
                 TextTable::num(view.hb.uopsPerSec / 1e6, 2) + "M/s");
             row.push_back(std::to_string(view.hb.rssKb) + "K");
             row.push_back(TextTable::num(view.hbAge, 1) + "s");
         } else {
-            row.push_back("-");
             row.push_back("-");
             row.push_back(rec.done && rec.hasMetrics
                               ? std::to_string(
@@ -356,16 +311,6 @@ renderTable(std::ostream &os, const std::string &dir,
             row.push_back("-");
             row.push_back("-");
             row.push_back("-");
-        }
-        if (any_perf) {
-            if (rec.hasPerf) {
-                row.push_back(TextTable::num(rec.perf.ipc(), 2));
-                row.push_back(
-                    TextTable::num(rec.perf.cacheMpki(), 2));
-            } else {
-                row.push_back("-");
-                row.push_back("-");
-            }
         }
         table.addRow(std::move(row));
     }
@@ -407,38 +352,12 @@ main(int argc, char **argv)
         refresh = 0.1;
 
     installStopHandlers(&g_stop);
-    // Refresh-to-refresh state: an EWMA over the aggregate rate (so
-    // the ETA stops whipsawing with scheduler noise) and a StreamStat
-    // over the raw samples for a +-CI on the displayed throughput.
-    // With --once there is one sample: smoothed == raw, no CI.
-    constexpr double kRateAlpha = 0.3;
-    double rate_ewma = -1.0;
-    StreamStat rate_stat;
     for (;;) {
         Expected<Snapshot> snap = takeSnapshot(dir);
         if (!snap.ok()) {
             std::fprintf(stderr, "xbtop: %s\n",
                          snap.status().toString().c_str());
             return 1;
-        }
-        {
-            Snapshot &s = snap.value();
-            if (s.uopsPerSec > 0.0) {
-                rate_ewma = rate_ewma < 0.0
-                                ? s.uopsPerSec
-                                : kRateAlpha * s.uopsPerSec +
-                                      (1.0 - kRateAlpha) * rate_ewma;
-                rate_stat.push(s.uopsPerSec);
-            }
-            s.uopsPerSecSmoothed = rate_ewma < 0.0 ? 0.0 : rate_ewma;
-            if (s.estTotalUops > s.progressUops &&
-                s.uopsPerSecSmoothed > 0.0) {
-                s.etaSecondsSmoothed =
-                    (double)(s.estTotalUops - s.progressUops) /
-                    s.uopsPerSecSmoothed;
-            }
-            if (StreamStat::Ci95 ci = rate_stat.naiveCi95(); ci.valid)
-                s.uopsPerSecCi95 = ci.halfWidth;
         }
         if (json) {
             writeSnapshotJson(std::cout, dir, snap.value());
