@@ -9,7 +9,7 @@
 namespace xbs
 {
 
-AttribRecorder::AttribRecorder(StatGroup *parent, ProbeManager *probes)
+AttribRecorder::AttribRecorder(StatGroup *parent)
     : StatGroup("attrib", parent),
       buildResidency(this, "buildResidency",
                      "cycles spent in build mode (== buildCycles)"),
@@ -18,9 +18,7 @@ AttribRecorder::AttribRecorder(StatGroup *parent, ProbeManager *probes)
       rsbUnderflows(this, "rsbUnderflows",
                     "return predictions from an empty return stack"),
       uopGroup_("uops", this),
-      cycleGroup_("cycles", this),
-      disruptProbe_(probes, "attrib", "disrupt"),
-      buildEnterProbe_(probes, "attrib", "buildEnter")
+      cycleGroup_("cycles", this)
 {
     for (std::size_t i = 0; i < kNumCauses; ++i) {
         const char *name = causeName((Cause)i);
@@ -38,7 +36,6 @@ AttribRecorder::noteDisruption(Cause cause)
 {
     pending_ = cause;
     fresh_ = true;
-    disruptProbe_.fire((int64_t)cause);
 }
 
 void
@@ -52,7 +49,6 @@ AttribRecorder::enterBuild(Cause fallback)
 {
     latched_ = fresh_ ? pending_ : fallback;
     fresh_ = false;
-    buildEnterProbe_.fire((int64_t)latched_);
 }
 
 void

@@ -39,7 +39,6 @@
 #include <memory>
 
 #include "attrib/taxonomy.hh"
-#include "common/probe.hh"
 #include "common/stats.hh"
 
 namespace xbs
@@ -53,7 +52,7 @@ class CkptSource;
 class AttribRecorder : public StatGroup
 {
   public:
-    AttribRecorder(StatGroup *parent, ProbeManager *probes);
+    explicit AttribRecorder(StatGroup *parent);
 
     /// @{ Uop-cause (build-entry) attribution.
 
@@ -138,9 +137,6 @@ class AttribRecorder : public StatGroup
     StatGroup cycleGroup_;
     std::array<std::unique_ptr<ScalarStat>, kNumCauses> uops_;
     std::array<std::unique_ptr<ScalarStat>, kNumCauses> cycles_;
-
-    ProbePoint disruptProbe_;
-    ProbePoint buildEnterProbe_;
 
     Cause pending_ = Cause::ColdStart;
     bool fresh_ = true; ///< pending_ not yet consumed/cleared

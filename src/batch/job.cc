@@ -28,7 +28,6 @@ jobClassName(JobClass cls)
       case JobClass::Audit:       return "audit";
       case JobClass::Interrupted: return "interrupted";
       case JobClass::Timeout:     return "timeout";
-      case JobClass::Stalled:     return "stalled";
       case JobClass::Crash:       return "crash";
       case JobClass::Spawn:       return "spawn";
       case JobClass::Resource:    return "resource";
@@ -46,7 +45,6 @@ jobClassFromName(const std::string &name)
         {"audit", JobClass::Audit},
         {"interrupted", JobClass::Interrupted},
         {"timeout", JobClass::Timeout},
-        {"stalled", JobClass::Stalled},
         {"crash", JobClass::Crash},
         {"spawn", JobClass::Spawn},
         {"resource", JobClass::Resource},
@@ -64,19 +62,17 @@ jobClassRetryable(JobClass cls)
     // Resource is the typed "the host ran out of something" verdict
     // (ENOSPC journal writes, fork EAGAIN): backoff gives the
     // host a chance to recover, unlike the deterministic classes.
-    return cls == JobClass::Timeout || cls == JobClass::Stalled ||
-           cls == JobClass::Crash || cls == JobClass::Resource;
+    return cls == JobClass::Timeout || cls == JobClass::Crash ||
+           cls == JobClass::Resource;
 }
 
 JobClass
-classifyOutcome(bool timed_out, bool stalled, bool exited,
-                int exit_code, int term_signal)
+classifyOutcome(bool timed_out, bool exited, int exit_code,
+                int term_signal)
 {
     (void)term_signal;
-    // Supervisor-side verdicts outrank whatever the dying child
-    // reported; a stall is the more specific diagnosis.
-    if (stalled)
-        return JobClass::Stalled;
+    // The watchdog's verdict outranks whatever the dying child
+    // reported.
     if (timed_out)
         return JobClass::Timeout;
     if (!exited)

@@ -46,7 +46,6 @@ enum class JobClass
     Audit,        ///< exit 3: invariant/oracle violations
     Interrupted,  ///< exit 5: child drained on supervisor shutdown
     Timeout,      ///< wall-clock deadline hit; watchdog killed it
-    Stalled,      ///< alive but no uop progress for K heartbeats
     Crash,        ///< died on a signal (or an unknown exit code)
     Spawn,        ///< fork/exec failed (exit 127 or pipe error)
     Resource,     ///< transient host exhaustion (ENOSPC/EAGAIN/...)
@@ -67,16 +66,12 @@ bool jobClassRetryable(JobClass cls);
  *                    child managed to report, the attempt is a
  *                    Timeout (a drained child exits 5, an unreactive
  *                    one dies on SIGKILL; both took too long)
- * @param stalled     the stall detector initiated the kill (alive
- *                    but no uop progress for K heartbeat periods);
- *                    takes precedence over everything the child
- *                    reported on its way down, like timed_out
  * @param exited      WIFEXITED
  * @param exit_code   WEXITSTATUS when exited
  * @param term_signal WTERMSIG when signaled
  */
-JobClass classifyOutcome(bool timed_out, bool stalled, bool exited,
-                         int exit_code, int term_signal);
+JobClass classifyOutcome(bool timed_out, bool exited, int exit_code,
+                         int term_signal);
 
 /**
  * Make arbitrary child stderr safe for one JSONL journal line and
@@ -124,7 +119,6 @@ struct JobRecord
     bool hasUsage = false;     ///< last attempt's rusage captured
     JobUsage usage;
     std::string note;          ///< first stderr line of a failure
-    std::string heartbeatPath; ///< live-telemetry file ("" if off)
     bool replayed = false;     ///< restored from a journal on resume
 };
 

@@ -80,11 +80,6 @@ SweepJournal::writeManifest(const std::string &dir,
         jw.field("backoffMs", (uint64_t)manifest.backoffMs);
         if (manifest.intervalCycles)
             jw.field("intervalCycles", manifest.intervalCycles);
-        if (manifest.heartbeatSec > 0.0) {
-            jw.field("heartbeatSec", manifest.heartbeatSec);
-            jw.field("stallPeriods",
-                     (uint64_t)manifest.stallPeriods);
-        }
         jw.beginArray("jobs");
         for (const JobSpec &job : manifest.jobs) {
             jw.beginObject();
@@ -139,10 +134,6 @@ SweepJournal::readManifest(const std::string &dir)
         m.backoffMs = (unsigned)v->asUint();
     if (const JsonValue *v = root.find("intervalCycles"))
         m.intervalCycles = v->asUint();
-    if (const JsonValue *v = root.find("heartbeatSec"))
-        m.heartbeatSec = v->asNumber();
-    if (const JsonValue *v = root.find("stallPeriods"))
-        m.stallPeriods = (unsigned)v->asUint();
 
     const JsonValue *jobs = root.find("jobs");
     if (!jobs || !jobs->isArray())

@@ -58,12 +58,6 @@ struct SweepManifest
     /// so pre-existing manifests still parse; recorded so a resumed
     /// sweep relaunches children with the same observation flags.
     uint64_t intervalCycles = 0;
-    /// Live telemetry: child heartbeat period in seconds (0: off)
-    /// and the stall threshold in periods. Optional in the file so
-    /// pre-existing manifests still parse; recorded so a resumed
-    /// sweep supervises exactly like the original.
-    double heartbeatSec = 0.0;
-    unsigned stallPeriods = 4;
     std::vector<JobSpec> jobs;
 };
 

@@ -8,7 +8,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "obs/heartbeat.hh"
 
 namespace xbs
 {
@@ -58,7 +57,6 @@ SweepScheduler::SweepScheduler(SchedulerOptions opts,
     eligibleAt_.assign(records_.size(), Clock::time_point::min());
     for (std::size_t i = 0; i < records_.size(); ++i)
         pending_.push_back(i);
-    slotBusy_.assign(std::max(opts_.workers, 1u), 0);
 }
 
 uint64_t
@@ -142,17 +140,8 @@ SweepScheduler::launch(std::size_t idx)
     journalAppend(ev);
 
     std::vector<std::string> argv = rec.spec.argv(opts_.xbsimPath);
-    std::string hb_path;
-    if (!opts_.heartbeatDir.empty()) {
-        hb_path = opts_.heartbeatDir + "/job-" +
-                  std::to_string(rec.spec.id) + ".json";
-        argv.push_back("--heartbeat=" + hb_path);
-        argv.push_back("--heartbeat-period=" +
-                       std::to_string(opts_.heartbeatSec));
-        rec.heartbeatPath = hb_path;
-    }
     if (opts_.extraArgs) {
-        for (std::string &flag : opts_.extraArgs(rec.spec, attempt))
+        for (std::string &flag : opts_.extraArgs(rec.spec))
             argv.push_back(std::move(flag));
     }
     Expected<Child> child = spawnChild(argv);
@@ -192,75 +181,13 @@ SweepScheduler::launch(std::size_t idx)
 
     Running run;
     run.child = child.take();
-    run.child.heartbeatPath = hb_path;
     run.idx = idx;
     run.attempt = attempt;
     run.start = now;
     run.deadline =
         now + std::chrono::microseconds(
                   (int64_t)(opts_.timeoutSec * 1e6));
-    run.lastProgress = now;
-    run.nextHbPoll = now;
-    for (unsigned s = 0; s < slotBusy_.size(); ++s) {
-        if (!slotBusy_[s]) {
-            slotBusy_[s] = 1;
-            run.slot = s;
-            break;
-        }
-    }
-    if (opts_.spanLog) {
-        opts_.spanLog->noteLaunch((uint64_t)rec.spec.id,
-                                  rec.spec.run.label(),
-                                  (unsigned)attempt, run.slot);
-    }
     running_.push_back(std::move(run));
-}
-
-void
-SweepScheduler::pollHeartbeat(Running &run, Clock::time_point now)
-{
-    if (run.child.heartbeatPath.empty() || run.termSent ||
-        now < run.nextHbPoll) {
-        return;
-    }
-    // Poll a few times per period: fresh enough to catch a stall
-    // within ~one extra quarter-period, cheap enough (one small
-    // read) to sit in the supervisor loop.
-    run.nextHbPoll =
-        now + std::chrono::microseconds(
-                  (int64_t)(opts_.heartbeatSec * 1e6 / 4));
-
-    Expected<HeartbeatRecord> hb =
-        readHeartbeat(run.child.heartbeatPath);
-    if (!hb.ok())
-        return;  // not written yet (or torn temp): wall clock rules
-
-    const HeartbeatRecord &rec = hb.value();
-    const bool progress = !run.hbArmed || rec.uops > run.hbUops ||
-                          rec.phase != run.hbPhase;
-    // Only this child's beats count: a predecessor attempt's final
-    // record has done=true and must not arm the detector for a
-    // child that hasn't reached main yet.
-    if (!run.hbArmed && rec.done)
-        return;
-    run.hbArmed = true;
-    run.hbUops = rec.uops;
-    run.hbPhase = rec.phase;
-    if (progress)
-        run.lastProgress = now;
-
-    const auto stall_after = std::chrono::microseconds(
-        (int64_t)(opts_.heartbeatSec * opts_.stallPeriods * 1e6));
-    if (now - run.lastProgress >= stall_after) {
-        // Alive but not advancing: kill as stalled (retryable) with
-        // the same TERM-then-KILL escalation as a timeout.
-        run.stalled = true;
-        run.termSent = true;
-        run.killAt =
-            now + std::chrono::microseconds(
-                      (int64_t)(opts_.graceSec * 1e6));
-        signalChild(run.child, SIGTERM);
-    }
 }
 
 void
@@ -304,16 +231,13 @@ SweepScheduler::handleExit(Running &run, int raw_status)
         std::chrono::duration<double>(Clock::now() - run.start)
             .count();
 
-    if (run.slot < slotBusy_.size())
-        slotBusy_[run.slot] = 0;
-
-    JobClass cls = classifyOutcome(run.timedOut, run.stalled, exited,
-                                   exit_code, term_signal);
+    JobClass cls =
+        classifyOutcome(run.timedOut, exited, exit_code, term_signal);
     // A drain (supervisor shutdown) turns the kill-induced outcomes
     // into Interrupted: the attempt is free and --resume re-runs the
     // job. A child that still finished with a deterministic verdict
     // keeps it.
-    if (draining_ && !run.timedOut && !run.stalled &&
+    if (draining_ && !run.timedOut &&
         (cls == JobClass::Crash || cls == JobClass::Interrupted)) {
         cls = JobClass::Interrupted;
     }
@@ -336,11 +260,6 @@ SweepScheduler::handleExit(Running &run, int raw_status)
     }
     if (cls != JobClass::Ok)
         rec.note = sanitizeNote(firstLineOf(run.child.err));
-    if (cls == JobClass::Stalled && rec.note.empty()) {
-        rec.note = "no uop progress for " +
-                   std::to_string(opts_.stallPeriods) +
-                   " heartbeat periods";
-    }
 
     JournalEvent ev;
     ev.kind = JournalEvent::Kind::Result;
@@ -357,12 +276,6 @@ SweepScheduler::handleExit(Running &run, int raw_status)
     ev.note = rec.note;
     journalAppend(ev);
 
-    if (opts_.spanLog) {
-        opts_.spanLog->noteExit((uint64_t)rec.spec.id,
-                                (unsigned)run.attempt,
-                                jobClassName(cls));
-    }
-
     if (cls == JobClass::Interrupted && draining_) {
         // No final event: the journal shows an open attempt and
         // --resume re-queues the job.
@@ -370,28 +283,6 @@ SweepScheduler::handleExit(Running &run, int raw_status)
     }
 
     rec.attempts = run.attempt;
-
-    // Checkpoint demotion: a warm-start job that died with a data
-    // error was rejected at restore (missing, corrupt, or mismatched
-    // checkpoint — xbsim exits 2 before simulating a cycle). The
-    // checkpoint is an accelerator, never a correctness dependency:
-    // requeue the job as a cold start instead of finalizing the
-    // failure, at the cost of re-running warmup.
-    if (cls == JobClass::Data && !draining_ &&
-        !rec.spec.run.restoreFrom.empty()) {
-        rec.spec.run.restoreFrom.clear();
-        rec.note = "checkpoint rejected; demoted to cold start";
-        eligibleAt_[run.idx] = Clock::now();
-        pending_.push_back(run.idx);
-        ++retries_;
-        if (opts_.spanLog) {
-            const double start = opts_.spanLog->now();
-            opts_.spanLog->noteBackoff((uint64_t)rec.spec.id,
-                                       (unsigned)rec.attempts + 1,
-                                       start, start);
-        }
-        return;
-    }
 
     if (jobClassRetryable(cls) && !draining_ &&
         (unsigned)rec.attempts <= opts_.maxRetries) {
@@ -401,14 +292,6 @@ SweepScheduler::handleExit(Running &run, int raw_status)
         eligibleAt_[run.idx] = Clock::now() + delay;
         pending_.push_back(run.idx);
         ++retries_;
-        if (opts_.spanLog) {
-            const double start = opts_.spanLog->now();
-            opts_.spanLog->noteBackoff(
-                (uint64_t)rec.spec.id,
-                (unsigned)rec.attempts + 1, start,
-                start + std::chrono::duration<double>(delay)
-                            .count());
-        }
         return;
     }
 
@@ -468,12 +351,7 @@ SweepScheduler::step()
             running_.erase(running_.begin() + (long)i);
             continue;
         }
-        pollHeartbeat(run, now);
-        // Once heartbeats prove the child is making progress,
-        // the stall detector owns the kill decision; the fixed
-        // deadline only guards children that never got far
-        // enough to beat.
-        if (!run.termSent && !run.hbArmed && now >= run.deadline) {
+        if (!run.termSent && now >= run.deadline) {
             // Watchdog: ask nicely first so the child can flush
             // partial output, then escalate.
             run.timedOut = true;
@@ -491,9 +369,6 @@ SweepScheduler::step()
 bool
 SweepScheduler::run()
 {
-    if (opts_.spanLog && !opts_.spanLog->started())
-        opts_.spanLog->startSweep();
-
     for (;;) {
         step();
         if (running_.empty() && (draining_ || pending_.empty()))
@@ -501,10 +376,6 @@ SweepScheduler::run()
         std::this_thread::sleep_for(
             std::chrono::milliseconds(opts_.pollMs));
     }
-
-    if (opts_.spanLog)
-        opts_.spanLog->finishSweep();
-
     return !interrupted_;
 }
 

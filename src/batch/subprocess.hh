@@ -43,10 +43,6 @@ struct Child
     uint64_t outBlock = 0;   ///< block-output operations
     /// @}
 
-    /** Heartbeat file this child was asked to write ("" when live
-     *  telemetry is off); the supervisor's stall detector polls it. */
-    std::string heartbeatPath;
-
     bool alive() const { return pid > 0; }
 };
 

@@ -14,7 +14,7 @@ namespace xbs
 BbtcFrontend::BbtcFrontend(const FrontendParams &params,
                            const BbtcParams &bbtc_params)
     : Frontend("bbtc", params), bbtcParams_(bbtc_params),
-      preds_(params_), pipe_(params_, metrics_, preds_, &probes_),
+      preds_(params_), pipe_(params_, metrics_, preds_),
       blocks_(bbtc_params.blocks, &root_)
 {
     pipe_.attachAttrib(&attrib_);
@@ -328,7 +328,6 @@ BbtcFrontend::run(const Trace &trace)
         ++metrics_.cycles;
         metrics_.traceRecords.set(rec);
         observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
 
         if (stall > 0) {
             --stall;
@@ -392,7 +391,6 @@ BbtcFrontend::run(const Trace &trace)
         }
     }
     metrics_.traceRecords.set(rec);
-    traceModeDone();
 }
 
 double

@@ -148,8 +148,8 @@ class CheckpointFile
  *  byte offset. */
 Expected<CheckpointFile> parseCheckpoint(const std::string &bytes);
 
-/** Read + parse a checkpoint file. A missing file is NotFound (the
- *  scheduler demotes it to a cold start); everything else Corrupt. */
+/** Read + parse a checkpoint file. A missing file is NotFound;
+ *  everything else Corrupt. */
 Expected<CheckpointFile> readCheckpointFile(const std::string &path);
 
 /// @{ Generic stat-tree serialization. The walk is deterministic

@@ -1,5 +1,6 @@
 #include "common/args.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -62,18 +63,24 @@ ArgParser::assign(Flag &flag, const std::string &value)
         *(std::string *)flag.target = value;
         break;
       case Kind::Uint: {
+        // strtoull reads "" as 0 and wraps a leading '-' (-1 becomes
+        // 2^64-1); both are typos, never intended values.
+        const std::size_t first = value.find_first_not_of(" \t\n\v\f\r");
         char *end = nullptr;
         uint64_t v = std::strtoull(value.c_str(), &end, 0);
-        if (!end || *end != '\0')
+        if (first == std::string::npos || value[first] == '-' ||
+            *end != '\0') {
             xbs_fatal("--%s expects an integer, got '%s'",
                       flag.name.c_str(), value.c_str());
+        }
         *(uint64_t *)flag.target = v;
         break;
       }
       case Kind::Double: {
+        // Empty, nan and inf parse cleanly but no flag means them.
         char *end = nullptr;
         double v = std::strtod(value.c_str(), &end);
-        if (!end || *end != '\0')
+        if (end == value.c_str() || *end != '\0' || !std::isfinite(v))
             xbs_fatal("--%s expects a number, got '%s'",
                       flag.name.c_str(), value.c_str());
         *(double *)flag.target = v;

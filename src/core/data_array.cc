@@ -10,13 +10,8 @@
 namespace xbs
 {
 
-XbcDataArray::XbcDataArray(const XbcParams &params, StatGroup *parent,
-                           ProbeManager *probes)
-    : StatGroup("xbc", parent), params_(params),
-      evictProbe_(probes, "array", "evict"),
-      relocProbe_(probes, "array", "relocate"),
-      conflictProbe_(probes, "array", "conflict"),
-      occupancyProbe_(probes, "array", "residentUops")
+XbcDataArray::XbcDataArray(const XbcParams &params, StatGroup *parent)
+    : StatGroup("xbc", parent), params_(params)
 {
     xbs_assert(params_.numBanks >= 1 && params_.bankUops >= 1 &&
                params_.ways >= 1, "bad XBC geometry");
@@ -76,7 +71,6 @@ XbcDataArray::accountSlots(const std::vector<UopSlot> &slots, int delta)
             --filledUops_;
         }
     }
-    occupancyProbe_.count((int64_t)filledUops_);
 }
 
 void
@@ -209,7 +203,6 @@ XbcDataArray::allocLine(uint64_t tag, std::size_t set,
 
         if (victim->valid) {
             ++evictions;
-            evictProbe_.fire((int64_t)victim->slots.size());
             accountSlots(victim->slots, -1);
             dropVariantsUsing(victim->tag, set, ref.bank, ref.way);
         }
@@ -586,7 +579,6 @@ XbcDataArray::noteConflict(const Variant &variant,
     const LineUse lu = variant.lines[line_pos];
     BankLine &l = line(lu, set);
     ++l.conflict;
-    conflictProbe_.fire((int64_t)line_pos);
     if (sink_)
         sink_->onConflict(lu.bank, set);
     if (!params_.dynamicPlacement ||
@@ -608,7 +600,6 @@ XbcDataArray::noteConflict(const Variant &variant,
                 continue;
             if (target.valid) {
                 ++evictions;
-                evictProbe_.fire((int64_t)target.slots.size());
                 accountSlots(target.slots, -1);
                 dropVariantsUsing(target.tag, set, b, w);
             }
@@ -646,7 +637,6 @@ XbcDataArray::noteConflict(const Variant &variant,
                     directory_.erase(it);
             }
             ++relocations;
-            relocProbe_.fire((int64_t)b);
             return true;
         }
     }
@@ -954,7 +944,6 @@ XbcDataArray::faultInvalidateLine(std::size_t idx)
     unsigned bank = (unsigned)(idx / ((std::size_t)params_.ways *
                                       numSets_));
     ++evictions;
-    evictProbe_.fire((int64_t)l.slots.size());
     accountSlots(l.slots, -1);
     dropVariantsUsing(l.tag, set, bank, way);
     l.valid = false;

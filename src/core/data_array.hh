@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "attrib/array_sink.hh"
-#include "common/probe.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "core/params.hh"
@@ -50,12 +49,7 @@ class CkptSource;
 class XbcDataArray : public StatGroup
 {
   public:
-    /**
-     * @param probes probe registry of the owning frontend for the
-     *        "array" track (nullptr: probes permanently disabled)
-     */
-    XbcDataArray(const XbcParams &params, StatGroup *parent,
-                 ProbeManager *probes = nullptr);
+    XbcDataArray(const XbcParams &params, StatGroup *parent);
 
     /** Reference to one physical bank line. */
     struct LineUse
@@ -317,16 +311,6 @@ class XbcDataArray : public StatGroup
 
   private:
     const StaticCode *code_ = nullptr;
-
-    /// @{ "array" track: line evictions (value = slots lost),
-    ///    dynamic-placement relocations (value = destination bank),
-    ///    conflict-counter bumps (value = deferred line position) and
-    ///    an occupancy counter sampled whenever resident uops change.
-    ProbePoint evictProbe_;
-    ProbePoint relocProbe_;
-    ProbePoint conflictProbe_;
-    ProbePoint occupancyProbe_;
-    /// @}
 
     ArrayEventSink *sink_ = nullptr;
 };

@@ -7,43 +7,10 @@ namespace xbs
 {
 
 XbcFillUnit::XbcFillUnit(const XbcParams &params, XbcDataArray &array,
-                         Xbtb &xbtb, StatGroup *parent,
-                         ProbeManager *probes)
+                         Xbtb &xbtb, StatGroup *parent)
     : StatGroup("xfu", parent), params_(params), array_(array),
-      xbtb_(xbtb),
-      allocProbe_(probes, "xfu", "alloc"),
-      containProbe_(probes, "xfu", "containedHit"),
-      extendProbe_(probes, "xfu", "extend"),
-      complexProbe_(probes, "xfu", "complexShare"),
-      independentProbe_(probes, "xfu", "independentCopy"),
-      quotaProbe_(probes, "xfu", "quotaEnd"),
-      prefixSplitProbe_(probes, "xfu", "prefixSplit")
+      xbtb_(xbtb)
 {
-}
-
-void
-XbcFillUnit::fireStore(XbcDataArray::InsertOutcome oc,
-                       std::size_t uops)
-{
-    switch (oc) {
-      case XbcDataArray::InsertOutcome::Allocated:
-        allocProbe_.fire((int64_t)uops);
-        break;
-      case XbcDataArray::InsertOutcome::AlreadyPresent:
-        containProbe_.fire((int64_t)uops);
-        break;
-      case XbcDataArray::InsertOutcome::Extended:
-        extendProbe_.fire((int64_t)uops);
-        break;
-      case XbcDataArray::InsertOutcome::ComplexAdded:
-        complexProbe_.fire((int64_t)uops);
-        break;
-      case XbcDataArray::InsertOutcome::IndependentAdded:
-        independentProbe_.fire((int64_t)uops);
-        break;
-      case XbcDataArray::InsertOutcome::PrefixNeeded:
-        break;  // resolved recursively; the final outcome fires
-    }
 }
 
 void
@@ -71,10 +38,8 @@ XbcFillUnit::store(const Trace &trace, const XbSeq &seq,
     // Always record/refresh the XBTB entry of the completed XB.
     xbtb_.allocate(end_ip, end_type);
 
-    if (oc != XbcDataArray::InsertOutcome::PrefixNeeded) {
-        fireStore(oc, seq.size());
+    if (oc != XbcDataArray::InsertOutcome::PrefixNeeded)
         return ptr;
-    }
 
     // PrefixSplit mode: round the shared suffix down to an
     // instruction boundary and store the differing prefix as an
@@ -90,7 +55,6 @@ XbcFillUnit::store(const Trace &trace, const XbSeq &seq,
             prevMask_ = ptr.mask;
         if (outcome)
             *outcome = oc;
-        fireStore(oc, seq.size());
         return ptr;
     }
 
@@ -102,7 +66,6 @@ XbcFillUnit::store(const Trace &trace, const XbSeq &seq,
     XbcDataArray::InsertOutcome poc;
     XbPointer pptr = store(trace, prefix, pend.ip, pend.cls, &poc);
     ++prefixSplits;
-    prefixSplitProbe_.fire((int64_t)prefix.size());
 
     // Chain prefix -> suffix through the XBTB.
     int32_t suffix_entry = seq[pos].staticIdx;
@@ -138,7 +101,6 @@ XbcFillUnit::feed(const Trace &trace, std::size_t rec)
                               &comp.outcome);
         ++xbsBuilt;
         ++quotaEnded;
-        quotaProbe_.fire((int64_t)seq_.size());
         seq_.clear();
         appendInstUops(code, idx, seq_);
         lastIdx_ = idx;

@@ -13,7 +13,6 @@
 #ifndef XBS_CORE_FILL_UNIT_HH
 #define XBS_CORE_FILL_UNIT_HH
 
-#include "common/probe.hh"
 #include "core/data_array.hh"
 #include "core/params.hh"
 #include "core/xbtb.hh"
@@ -25,13 +24,8 @@ namespace xbs
 class XbcFillUnit : public StatGroup
 {
   public:
-    /**
-     * @param probes probe registry of the owning frontend for the
-     *        "xfu" track (nullptr: probes permanently disabled)
-     */
     XbcFillUnit(const XbcParams &params, XbcDataArray &array,
-                Xbtb &xbtb, StatGroup *parent,
-                ProbeManager *probes = nullptr);
+                Xbtb &xbtb, StatGroup *parent);
 
     /** Abandon the current partial XB and start fresh. */
     void restart();
@@ -85,21 +79,6 @@ class XbcFillUnit : public StatGroup
     XbSeq seq_;
     int32_t lastIdx_ = kNoTarget;  ///< static idx of last fed inst
     uint32_t prevMask_ = 0;        ///< banks of the last placed XB
-
-    /// @{ "xfu" track: store outcomes keyed by InsertOutcome
-    ///    (value = uops stored), quota-ended builds and prefix
-    ///    splits as instant markers.
-    ProbePoint allocProbe_;
-    ProbePoint containProbe_;
-    ProbePoint extendProbe_;
-    ProbePoint complexProbe_;
-    ProbePoint independentProbe_;
-    ProbePoint quotaProbe_;
-    ProbePoint prefixSplitProbe_;
-    /// @}
-
-    /** Fire the "xfu" probe matching @p oc with @p uops as value. */
-    void fireStore(XbcDataArray::InsertOutcome oc, std::size_t uops);
 };
 
 } // namespace xbs

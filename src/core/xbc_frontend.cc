@@ -11,12 +11,12 @@ namespace xbs
 XbcFrontend::XbcFrontend(const FrontendParams &params,
                          const XbcParams &xbc_params)
     : Frontend("xbcfe", params), xbcParams_(xbc_params),
-      preds_(params_), pipe_(params_, metrics_, preds_, &probes_),
-      array_(xbcParams_, &root_, &probes_),
+      preds_(params_), pipe_(params_, metrics_, preds_),
+      array_(xbcParams_, &root_),
       xbtb_(xbcParams_.xbtbEntries, xbcParams_.xbtbWays, &root_),
       xibtb_(xbcParams_.xibtbSets, xbcParams_.xibtbWays, &root_),
       xrsb_(xbcParams_.xrsbDepth),
-      fill_(xbcParams_, array_, xbtb_, &root_, &probes_),
+      fill_(xbcParams_, array_, xbtb_, &root_),
       outMux_(xbcParams_, &root_),
       prio_(xbcParams_.numBanks, &root_),
       arrayAcct_(&attrib_, &metrics_.cycles, xbcParams_.numBanks,
@@ -100,7 +100,6 @@ XbcFrontend::maybePromote(Xbtb::Entry &entry)
     // XB0's original location becomes eviction fodder (paper 3.8).
     array_.demoteLru(entry.xbIp, xb0_mask);
     ++promotions;
-    promoteProbe_.fire((int64_t)combined.size());
 }
 
 XbcFrontend::EndResult
@@ -136,7 +135,6 @@ XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
         if (pred != taken) {
             ++metrics_.condMispredicts;
             r.penalty += params_.mispredictPenalty;
-            condMispredProbe_.fire((int64_t)params_.mispredictPenalty);
             attrib_.noteStall(Cause::CondMispredict,
                               params_.mispredictPenalty);
             build_cause = Cause::CondMispredict;
@@ -167,8 +165,6 @@ XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
         if (!(cand.valid && cand.entryIdx == actual_next)) {
             ++metrics_.indirectMispredicts;
             r.penalty += params_.mispredictPenalty;
-            indirectMispredProbe_.fire(
-                (int64_t)params_.mispredictPenalty);
             attrib_.noteStall(Cause::IndirectMispredict,
                               params_.mispredictPenalty);
             build_cause = Cause::IndirectMispredict;
@@ -193,8 +189,6 @@ XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
         if (!(cand.valid && cand.entryIdx == actual_next)) {
             ++metrics_.returnMispredicts;
             r.penalty += params_.mispredictPenalty;
-            returnMispredProbe_.fire(
-                (int64_t)params_.mispredictPenalty);
             attrib_.noteStall(Cause::ReturnMispredict,
                               params_.mispredictPenalty);
             build_cause = Cause::ReturnMispredict;
@@ -360,8 +354,6 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
             const StaticInst &br = trace.inst(rec - 1);
             if (br.cls == InstClass::CondBranch) {
                 ++promotedWrongPath;
-                promotedWrongProbe_.fire(
-                    (int64_t)params_.mispredictPenalty);
                 stall += params_.mispredictPenalty;
                 attrib_.noteStall(Cause::PromotionRecovery,
                                   params_.mispredictPenalty);
@@ -425,7 +417,6 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
                     if (misbehaving) {
                         be->promoted = false;
                         ++depromotions;
-                        depromoteProbe_.fire();
                     }
                     // Wrong-path divergence is caught by the match
                     // check on the next instruction.
@@ -692,7 +683,6 @@ XbcFrontend::run(const Trace &trace)
         ++metrics_.cycles;
         metrics_.traceRecords.set(rec);
         observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
 
         if (stall > 0) {
             // Fetch-silent bubble; the buffer keeps draining, but
@@ -761,7 +751,6 @@ XbcFrontend::run(const Trace &trace)
         }
     }
     metrics_.traceRecords.set(rec);
-    traceModeDone();
 }
 
 } // namespace xbs

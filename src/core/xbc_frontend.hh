@@ -184,19 +184,6 @@ class XbcFrontend : public Frontend
     bool curIsContinuation_ = false;
     PrevLink prev_;
     unsigned completionsSinceCheck_ = 0;
-
-    /// @{ "pred" track: prediction outcomes and promotion lifecycle
-    ///    (values carry the charged penalty / promoted XB size).
-    ProbePoint condMispredProbe_{&probes_, "pred", "condMispredict"};
-    ProbePoint indirectMispredProbe_{&probes_, "pred",
-                                     "indirectMispredict"};
-    ProbePoint returnMispredProbe_{&probes_, "pred",
-                                   "returnMispredict"};
-    ProbePoint promoteProbe_{&probes_, "pred", "promote"};
-    ProbePoint depromoteProbe_{&probes_, "pred", "depromote"};
-    ProbePoint promotedWrongProbe_{&probes_, "pred",
-                                   "promotedWrongPath"};
-    /// @}
 };
 
 } // namespace xbs

@@ -10,7 +10,7 @@ namespace xbs
 DcFrontend::DcFrontend(const FrontendParams &params,
                        const DecodedCacheParams &dc_params)
     : Frontend("dcfe", params), dcParams_(dc_params), preds_(params_),
-      pipe_(params_, metrics_, preds_, &probes_), dc_(dcParams_, &root_)
+      pipe_(params_, metrics_, preds_), dc_(dcParams_, &root_)
 {
     pipe_.attachAttrib(&attrib_);
 }
@@ -132,7 +132,6 @@ DcFrontend::run(const Trace &trace)
         maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, 0, stall);
         ++metrics_.cycles;
         observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
         if (stall > 0) {
             --stall;
             ++metrics_.stallCycles;
@@ -182,7 +181,6 @@ DcFrontend::run(const Trace &trace)
             }
         }
     }
-    traceModeDone();
 }
 
 } // namespace xbs

@@ -11,11 +11,9 @@
  * standalone frontend studies (hit rates and bandwidth are exact;
  * wrong-path fetch effects are out of scope, as in the paper).
  *
- * Observability: every frontend owns a ProbeManager that its
- * components register named probe points with (attach an
- * EventTraceSink to capture a timeline) and accepts an
- * IntervalSampler for windowed statistics. Both are pay-for-use:
- * with nothing attached, the per-cycle cost is one branch each.
+ * Observability: every frontend accepts an IntervalSampler for
+ * windowed statistics. It is pay-for-use: with nothing attached, the
+ * per-cycle cost is one branch.
  */
 
 #ifndef XBS_FRONTEND_FRONTEND_HH
@@ -23,7 +21,6 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
@@ -32,7 +29,6 @@
 #include "attrib/recorder.hh"
 #include "ckpt/checkpoint.hh"
 #include "common/interval_stats.hh"
-#include "common/probe.hh"
 #include "common/stats.hh"
 #include "frontend/metrics.hh"
 #include "frontend/oracle.hh"
@@ -78,7 +74,6 @@ class Frontend
     Frontend(std::string name, const FrontendParams &params)
         : root_(std::move(name)), metrics_(&root_), params_(params)
     {
-        probes_.setCycleSource(&metrics_.cycles);
     }
 
     virtual ~Frontend() = default;
@@ -100,10 +95,6 @@ class Frontend
     const StatGroup &statRoot() const { return root_; }
 
     const FrontendParams &params() const { return params_; }
-
-    /** Probe registry; attach a sink here to capture event traces. */
-    ProbeManager &probes() { return probes_; }
-    const ProbeManager &probes() const { return probes_; }
 
     /** Root-cause attribution recorder (src/attrib). */
     AttribRecorder &attrib() { return attrib_; }
@@ -400,48 +391,10 @@ class Frontend
         }
     }
 
-    /**
-     * Mode-FSM timeline: open a slice named @p label (a string
-     * literal: "build" / "delivery"), closing the previous one.
-     * Call once per cycle with the current mode; consecutive
-     * same-label calls are free.
-     */
-    void
-    traceMode(const char *label)
-    {
-        if (modeLabel_ && std::strcmp(modeLabel_, label) == 0)
-            return;
-        if (modeProbe_.enabled()) {
-            if (modeLabel_)
-                modeProbe_.end();
-            modeProbe_.begin(label);
-        }
-        modeLabel_ = label;
-    }
-
-    /** Close the open mode slice (end of run). */
-    void
-    traceModeDone()
-    {
-        if (modeProbe_.enabled() && modeLabel_)
-            modeProbe_.end();
-        modeLabel_ = nullptr;
-    }
-
-  public:
-    /** Current mode-FSM label ("build"/"delivery"), or nullptr
-     *  outside run(). Tracked whether or not a trace sink is
-     *  attached, so live telemetry can report the phase. */
-    const char *modeLabel() const { return modeLabel_; }
-
-  protected:
-
     StatGroup root_;
     FrontendMetrics metrics_;
     FrontendParams params_;
-    ProbeManager probes_;
-    ProbePoint modeProbe_{&probes_, "mode", "mode"};
-    AttribRecorder attrib_{&root_, &probes_};
+    AttribRecorder attrib_{&root_};
 
     /// @{ Host-time profiling (null/kNoPhase when detached).
     PhaseProfiler *prof_ = nullptr;
@@ -466,7 +419,6 @@ class Frontend
     std::vector<CycleObserver *> observers_;
     DeliveryOracle *oracle_ = nullptr;
     const volatile std::sig_atomic_t *stopFlag_ = nullptr;
-    const char *modeLabel_ = nullptr;
 };
 
 } // namespace xbs

@@ -5,7 +5,7 @@ namespace xbs
 
 IcFrontend::IcFrontend(const FrontendParams &params)
     : Frontend("ic", params), preds_(params),
-      pipe_(params_, metrics_, preds_, &probes_)
+      pipe_(params_, metrics_, preds_)
 {
     pipe_.attachAttrib(&attrib_);
 }
@@ -68,9 +68,7 @@ IcFrontend::run(const Trace &trace)
         metrics_.stallCycles += r.stall;
         attrib_.chargeSilentCycles(r.stall);
         observeCycle();
-        traceMode("delivery");
     }
-    traceModeDone();
 }
 
 } // namespace xbs

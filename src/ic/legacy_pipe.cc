@@ -8,15 +8,12 @@ namespace xbs
 {
 
 LegacyPipe::LegacyPipe(const FrontendParams &params,
-                       FrontendMetrics &metrics, PredictorBank &preds,
-                       ProbeManager *probes)
+                       FrontendMetrics &metrics, PredictorBank &preds)
     : params_(params), metrics_(metrics), preds_(preds),
       icache_(params.icCapacityBytes, params.icLineBytes,
               params.icWays),
       l2_(params.l2CapacityBytes, params.icLineBytes, params.l2Ways),
-      decoder_(params.decode),
-      icMissProbe_(probes, "icpipe", "icMiss"),
-      resteerProbe_(probes, "icpipe", "resteer")
+      decoder_(params.decode)
 {
 }
 
@@ -24,12 +21,8 @@ unsigned
 LegacyPipe::handleControl(const Trace &trace, std::size_t rec)
 {
     ScopedPhase timer(prof_, phPredict_);
-    unsigned penalty = predictControl(params_, metrics_, preds_,
-                                      trace, rec,
-                                      /*legacy_path=*/true, attrib_);
-    if (penalty > 0)
-        resteerProbe_.fire((int64_t)penalty);
-    return penalty;
+    return predictControl(params_, metrics_, preds_, trace, rec,
+                          /*legacy_path=*/true, attrib_);
 }
 
 LegacyPipe::Result
@@ -75,7 +68,6 @@ LegacyPipe::cycle(const Trace &trace, std::size_t &rec)
                 res.stall += latency;
                 if (attrib_)
                     attrib_->noteStall(cause, latency);
-                icMissProbe_.fire((int64_t)latency);
                 missed = true;
             }
             if (num_lines < 2)

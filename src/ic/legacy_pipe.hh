@@ -17,7 +17,6 @@
 #include <cstddef>
 
 #include "attrib/recorder.hh"
-#include "common/probe.hh"
 #include "frontend/metrics.hh"
 #include "frontend/params.hh"
 #include "frontend/predictors.hh"
@@ -32,12 +31,8 @@ namespace xbs
 class LegacyPipe
 {
   public:
-    /**
-     * @param probes probe registry of the owning frontend for the
-     *        "icpipe" track (nullptr: probes permanently disabled)
-     */
     LegacyPipe(const FrontendParams &params, FrontendMetrics &metrics,
-               PredictorBank &preds, ProbeManager *probes = nullptr);
+               PredictorBank &preds);
 
     /** Outcome of one fetch cycle. */
     struct Result
@@ -113,12 +108,6 @@ class LegacyPipe
     InstCache icache_;
     InstCache l2_;   ///< unified L2 backing the IC's code fetches
     Decoder decoder_;
-
-    /// @{ "icpipe" track: miss stalls and resteer bubbles, with the
-    ///    charged penalty as the event value.
-    ProbePoint icMissProbe_;
-    ProbePoint resteerProbe_;
-    /// @}
 
     PhaseProfiler *prof_ = nullptr;
     unsigned phPredict_ = PhaseProfiler::kNoPhase;

@@ -2,7 +2,7 @@
  * @file
  * Host-time self-profiling: where does the simulator spend
  * *wall-clock* time? The simulated-cycle observability layer
- * (probe/interval stats) answers "what did the modeled machine do";
+ * (interval stats) answers "what did the modeled machine do";
  * this layer answers "why is the simulation itself fast or slow",
  * which is what the ROADMAP's "as fast as the hardware allows" goal
  * needs to be measurable.

@@ -9,15 +9,12 @@ namespace xbs
 namespace
 {
 
-/** Canonical spec text: newline-joined argv of the spec with
- *  restoreFrom cleared (a restored run is the same cell). */
+/** Canonical spec text: newline-joined argv of the spec. */
 std::string
 canonicalSpec(const RunSpec &spec)
 {
-    RunSpec cold = spec;
-    cold.restoreFrom.clear();
     std::string out;
-    for (const std::string &arg : cold.toArgv()) {
+    for (const std::string &arg : spec.toArgv()) {
         if (!out.empty())
             out += '\n';
         out += arg;

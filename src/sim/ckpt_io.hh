@@ -8,8 +8,8 @@
  * The restore contract is all-or-nothing: identity (spec, trace,
  * frontend kind, geometry) and build compatibility are checked
  * before any state is touched, and every failure is a typed Status
- * (NotFound for a missing file, Corrupt for everything else) so the
- * caller can demote the run to a cold start instead of crashing.
+ * (NotFound for a missing file, Corrupt for everything else), never
+ * a crash or a partially restored frontend.
  */
 
 #ifndef XBS_SIM_CKPT_IO_HH
@@ -26,10 +26,10 @@ namespace xbs
 
 /**
  * Identity meta for a checkpoint of @p spec over @p trace at
- * @p cycle, stamped with this binary's build provenance. The spec's
- * restoreFrom is cleared before canonicalization: a run restored
- * from a checkpoint is the same simulation cell as its cold twin,
- * so a second-generation checkpoint must carry the same identity.
+ * @p cycle, stamped with this binary's build provenance. A run
+ * restored from a checkpoint is the same simulation cell as its cold
+ * twin (the spec does not name the checkpoint), so a second-generation
+ * checkpoint carries the same identity.
  */
 CkptMeta makeCkptMeta(const RunSpec &spec, const Trace &trace,
                       uint64_t cycle);

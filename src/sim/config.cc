@@ -209,8 +209,6 @@ RunSpec::toArgv() const
         argv.push_back("--ways=" + std::to_string(ways));
     if (insts)
         argv.push_back("--insts=" + std::to_string(insts));
-    if (!restoreFrom.empty())
-        argv.push_back("--restore-from=" + restoreFrom);
     return argv;
 }
 
@@ -251,8 +249,6 @@ RunSpec::fromArgv(const std::vector<std::string> &args)
             st = parseUint(&spec.capacity);
         } else if (key == "ways") {
             st = parseUint(&spec.ways);
-        } else if (key == "restore-from") {
-            spec.restoreFrom = val;
         } else {
             return Status::error("unknown run spec flag --" + key);
         }

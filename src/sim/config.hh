@@ -84,16 +84,6 @@ struct RunSpec
     uint64_t capacity = 32768;      ///< structure capacity in uops
     uint64_t ways = 0;              ///< 0 = structure default
 
-    /**
-     * Warm-state checkpoint to restore before simulating (empty =
-     * cold start). Identity-wise a restored run is the *same*
-     * simulation cell as its cold twin — the checkpoint only skips
-     * warmup — so label() ignores it, and the scheduler demotes a
-     * job to a cold start (clearing this) when the file is missing
-     * or corrupt.
-     */
-    std::string restoreFrom;
-
     /** xbsim flags for this run (no argv[0], no --json). */
     std::vector<std::string> toArgv() const;
 
@@ -108,7 +98,7 @@ struct RunSpec
     {
         return frontend == o.frontend && workload == o.workload &&
                insts == o.insts && capacity == o.capacity &&
-               ways == o.ways && restoreFrom == o.restoreFrom;
+               ways == o.ways;
     }
 };
 

@@ -25,12 +25,7 @@ SuiteRunner::measure(const Trace &trace, const std::string &suite,
                      const std::string &label, const SimConfig &config)
 {
     auto fe = makeFrontend(config);
-    if (beforeRun_)
-        beforeRun_(*fe, trace, trace.name(), label);
     fe->run(trace);
-    fe->finishObservation();
-    if (afterRun_)
-        afterRun_(*fe, trace, trace.name(), label);
 
     RunResult r;
     r.label = label;

@@ -82,21 +82,6 @@ class SuiteRunner
                                 const std::string &suite = "");
     /// @}
 
-    /** Observation hook type: the frontend about to run / just run,
-     *  the trace it runs over (so an auditor can attach its delivery
-     *  oracle), plus the (workload, label) measurement pair. */
-    using RunHook = std::function<void(Frontend &, const Trace &,
-                                       const std::string &workload,
-                                       const std::string &label)>;
-
-    /// @{ Observation hooks around each measurement: before-run fires
-    ///    after construction (attach sinks/samplers here), after-run
-    ///    fires after run() but before metrics are read (the runner
-    ///    calls finishObservation() itself between the two).
-    void setBeforeRun(RunHook hook) { beforeRun_ = std::move(hook); }
-    void setAfterRun(RunHook hook) { afterRun_ = std::move(hook); }
-    /// @}
-
   private:
     RunResult measure(const Trace &trace, const std::string &suite,
                       const std::string &label,
@@ -104,8 +89,6 @@ class SuiteRunner
 
     uint64_t traceLen_;
     std::vector<std::string> workloads_;
-    RunHook beforeRun_;
-    RunHook afterRun_;
 };
 
 } // namespace xbs

@@ -9,9 +9,9 @@ namespace xbs
 TcFrontend::TcFrontend(const FrontendParams &params,
                        const TcParams &tc_params)
     : Frontend("tc", params), tcParams_(tc_params), preds_(params_),
-      pipe_(params_, metrics_, preds_, &probes_),
+      pipe_(params_, metrics_, preds_),
       tc_(tc_params.capacityUops, tc_params.ways, tc_params.limits,
-          &root_, &probes_),
+          &root_),
       fill_(tc_params.limits)
 {
     pipe_.attachAttrib(&attrib_);
@@ -169,7 +169,6 @@ TcFrontend::run(const Trace &trace)
         ++metrics_.cycles;
         metrics_.traceRecords.set(rec);
         observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
 
         if (stall > 0) {
             // Fetch-silent bubble; the buffer keeps draining, but
@@ -271,7 +270,6 @@ TcFrontend::run(const Trace &trace)
         }
     }
     metrics_.traceRecords.set(rec);
-    traceModeDone();
 }
 
 } // namespace xbs

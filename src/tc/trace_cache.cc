@@ -10,12 +10,8 @@ namespace xbs
 {
 
 TraceCache::TraceCache(unsigned capacity_uops, unsigned ways,
-                       const TraceLimits &limits, StatGroup *parent,
-                       ProbeManager *probes)
-    : StatGroup("tc", parent), ways_(ways), limits_(limits),
-      insertProbe_(probes, "array", "insert"),
-      evictProbe_(probes, "array", "evict"),
-      occupancyProbe_(probes, "array", "residentUops")
+                       const TraceLimits &limits, StatGroup *parent)
+    : StatGroup("tc", parent), ways_(ways), limits_(limits)
 {
     xbs_assert(ways >= 1, "TC needs at least one way");
     unsigned lines = capacity_uops / limits.maxUops;
@@ -143,10 +139,8 @@ TraceCache::insert(const TraceLine &line, const StaticCode &code,
             if (!victim || l.lru < victim->lru)
                 victim = &l;
         }
-        if (victim->valid) {
+        if (victim->valid)
             ++evictions;
-            evictProbe_.fire((int64_t)victim->numUops);
-        }
     }
 
     if (victim->valid)
@@ -156,8 +150,6 @@ TraceCache::insert(const TraceLine &line, const StaticCode &code,
     victim->lru = ++clock_;
     accountInsert(*victim, code);
     ++inserts;
-    insertProbe_.fire((int64_t)line.numUops);
-    occupancyProbe_.count((int64_t)filledUops_);
 }
 
 double

@@ -20,7 +20,6 @@
 
 #include <functional>
 
-#include "common/probe.hh"
 #include "common/stats.hh"
 #include "frontend/oracle.hh"
 #include "isa/uop.hh"
@@ -38,12 +37,9 @@ class TraceCache : public StatGroup
      * @param ways          associativity (paper: 4)
      * @param limits        per-line build limits
      * @param parent        stat group parent
-     * @param probes        probe registry of the owning frontend for
-     *                      the "array" track (nullptr: disabled)
      */
     TraceCache(unsigned capacity_uops, unsigned ways,
-               const TraceLimits &limits, StatGroup *parent,
-               ProbeManager *probes = nullptr);
+               const TraceLimits &limits, StatGroup *parent);
 
     /** @return the resident trace starting at @p ip, or nullptr. */
     const TraceLine *lookup(uint64_t ip);
@@ -116,13 +112,6 @@ class TraceCache : public StatGroup
     /// @{ Redundancy / fragmentation accounting.
     std::unordered_map<UopId, uint32_t> residency_;
     uint64_t filledUops_ = 0;
-    /// @}
-
-    /// @{ "array" track: trace inserts (value = uops in the line),
-    ///    LRU evictions and an occupancy counter of resident uops.
-    ProbePoint insertProbe_;
-    ProbePoint evictProbe_;
-    ProbePoint occupancyProbe_;
     /// @}
 };
 

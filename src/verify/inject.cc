@@ -184,10 +184,11 @@ FaultInjector::apply(InjectKind kind, Frontend &fe)
 {
     if (kind == InjectKind::Hang) {
         // Wedge here, mid-cycle: alive (signal handlers still set
-        // their flags) but retiring nothing, exactly the failure
-        // mode the progress-aware watchdog exists to catch. Sleep
-        // rather than spin so a CI negative check doesn't burn a
-        // core while waiting to be SIGKILLed.
+        // their flags) but retiring nothing, so the drain flag a
+        // SIGTERM raises is never seen and only the watchdog's
+        // SIGKILL, after --grace, ends the process. Sleep rather
+        // than spin so a CI negative check doesn't burn a core while
+        // it waits out the deadline.
         for (;;) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(50));

@@ -26,7 +26,8 @@
  *                 forever without retiring another uop (SIGTERM only
  *                 sets the drain flag, which the loop ignores, so
  *                 only SIGKILL ends it). Works on every frontend;
- *                 exists to exercise supervisor stall detection.
+ *                 exists to exercise the sweep watchdog's
+ *                 wall-clock deadline (TERM, grace, KILL).
  *
  * Trace-domain kinds perturb the input before the run; `period` is
  * the number of records affected (default 8):

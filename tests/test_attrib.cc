@@ -190,7 +190,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AttribRecorder, StickyDisruptionConsumedByEnterBuild)
 {
     StatGroup root("fe");
-    AttribRecorder a(&root, nullptr);
+    AttribRecorder a(&root);
 
     a.noteDisruption(Cause::XbcConflict);
     a.enterBuild(Cause::StructMiss);  // fresh disruption wins
@@ -208,7 +208,7 @@ TEST(AttribRecorder, StickyDisruptionConsumedByEnterBuild)
 TEST(AttribRecorder, ClearDisruptionCancelsPendingCause)
 {
     StatGroup root("fe");
-    AttribRecorder a(&root, nullptr);
+    AttribRecorder a(&root);
 
     a.noteDisruption(Cause::XbtbMiss);
     a.clearDisruption();  // a later hit resumed delivery
@@ -221,7 +221,7 @@ TEST(AttribRecorder, ClearDisruptionCancelsPendingCause)
 TEST(AttribRecorder, LatestDisruptionWins)
 {
     StatGroup root("fe");
-    AttribRecorder a(&root, nullptr);
+    AttribRecorder a(&root);
     a.noteDisruption(Cause::XbcCapacity);
     a.noteDisruption(Cause::CondMispredict);
     a.enterBuild(Cause::StructMiss);
@@ -232,7 +232,7 @@ TEST(AttribRecorder, LatestDisruptionWins)
 TEST(AttribRecorder, StallFifoChargesInOrder)
 {
     StatGroup root("fe");
-    AttribRecorder a(&root, nullptr);
+    AttribRecorder a(&root);
 
     a.noteStall(Cause::SetSearch, 1);
     a.noteStall(Cause::CondMispredict, 2);
@@ -249,7 +249,7 @@ TEST(AttribRecorder, StallFifoChargesInOrder)
 TEST(AttribRecorder, BulkSilentChargeMatchesLoop)
 {
     StatGroup root("fe");
-    AttribRecorder a(&root, nullptr);
+    AttribRecorder a(&root);
     a.noteStall(Cause::IcMiss, 3);
     a.chargeSilentCycles(5);
     EXPECT_EQ(a.cycleCount(Cause::IcMiss), 3u);
@@ -385,7 +385,7 @@ TEST(ReturnStack, CountsUnderflows)
 TEST(AttribRollup, JsonRoundTripAndSums)
 {
     StatGroup root("fe");
-    AttribRecorder a(&root, nullptr);
+    AttribRecorder a(&root);
     a.enterBuild(Cause::ColdStart);
     a.chargeBuildUops(7);
     a.noteDisruption(Cause::XbcConflict);

@@ -111,41 +111,24 @@ selfExe()
 
 TEST(JobClassify, ExitCodeTaxonomy)
 {
-    EXPECT_EQ(classifyOutcome(false, false, true, 0, 0),
-              JobClass::Ok);
-    EXPECT_EQ(classifyOutcome(false, false, true, 1, 0),
-              JobClass::Usage);
-    EXPECT_EQ(classifyOutcome(false, false, true, 2, 0),
-              JobClass::Data);
-    EXPECT_EQ(classifyOutcome(false, false, true, 3, 0),
-              JobClass::Audit);
-    EXPECT_EQ(classifyOutcome(false, false, true, 5, 0),
-              JobClass::Interrupted);
-    EXPECT_EQ(classifyOutcome(false, false, true, 127, 0),
-              JobClass::Spawn);
+    EXPECT_EQ(classifyOutcome(false, true, 0, 0), JobClass::Ok);
+    EXPECT_EQ(classifyOutcome(false, true, 1, 0), JobClass::Usage);
+    EXPECT_EQ(classifyOutcome(false, true, 2, 0), JobClass::Data);
+    EXPECT_EQ(classifyOutcome(false, true, 3, 0), JobClass::Audit);
+    EXPECT_EQ(classifyOutcome(false, true, 5, 0), JobClass::Interrupted);
+    EXPECT_EQ(classifyOutcome(false, true, 127, 0), JobClass::Spawn);
     // Unknown exit codes and signal deaths are crashes.
-    EXPECT_EQ(classifyOutcome(false, false, true, 42, 0),
-              JobClass::Crash);
-    EXPECT_EQ(classifyOutcome(false, false, false, -1, SIGSEGV),
-              JobClass::Crash);
+    EXPECT_EQ(classifyOutcome(false, true, 42, 0), JobClass::Crash);
+    EXPECT_EQ(classifyOutcome(false, false, -1, SIGSEGV), JobClass::Crash);
     // A watchdog kill is a timeout no matter what the child managed
     // to report on the way down.
-    EXPECT_EQ(classifyOutcome(true, false, true, 0, 0),
-              JobClass::Timeout);
-    EXPECT_EQ(classifyOutcome(true, false, false, -1, SIGKILL),
-              JobClass::Timeout);
-    // A stall-detector kill is the more specific verdict: it wins
-    // over both the exit status and a concurrent wall-clock timeout.
-    EXPECT_EQ(classifyOutcome(false, true, false, -1, SIGKILL),
-              JobClass::Stalled);
-    EXPECT_EQ(classifyOutcome(true, true, true, 0, 0),
-              JobClass::Stalled);
+    EXPECT_EQ(classifyOutcome(true, true, 0, 0), JobClass::Timeout);
+    EXPECT_EQ(classifyOutcome(true, false, -1, SIGKILL), JobClass::Timeout);
 }
 
 TEST(JobClassify, OnlyTransientsRetry)
 {
     EXPECT_TRUE(jobClassRetryable(JobClass::Timeout));
-    EXPECT_TRUE(jobClassRetryable(JobClass::Stalled));
     EXPECT_TRUE(jobClassRetryable(JobClass::Crash));
     EXPECT_FALSE(jobClassRetryable(JobClass::Ok));
     EXPECT_FALSE(jobClassRetryable(JobClass::Usage));
@@ -160,7 +143,7 @@ TEST(JobClassify, NamesRoundTrip)
     for (JobClass cls :
          {JobClass::Ok, JobClass::Usage, JobClass::Data,
           JobClass::Audit, JobClass::Interrupted, JobClass::Timeout,
-          JobClass::Stalled, JobClass::Crash, JobClass::Spawn}) {
+          JobClass::Crash, JobClass::Spawn}) {
         Expected<JobClass> back = jobClassFromName(jobClassName(cls));
         ASSERT_TRUE(back.ok());
         EXPECT_EQ(back.value(), cls);
@@ -455,6 +438,7 @@ TEST(Scheduler, HungChildClassifiedTimeout)
 
     SchedulerOptions opts = fastOptions(sim);
     opts.timeoutSec = 0.3;
+    opts.maxRetries = 1;
     SweepScheduler sched(opts, makeJobs(1), nullptr);
     EXPECT_TRUE(sched.run());  // completed, not interrupted
     EXPECT_FALSE(sched.allOk());
@@ -462,129 +446,11 @@ TEST(Scheduler, HungChildClassifiedTimeout)
     const JobRecord &rec = sched.records()[0];
     EXPECT_TRUE(rec.done);
     EXPECT_EQ(rec.cls, JobClass::Timeout);
+    EXPECT_EQ(rec.attempts, 2);  // the deadline is the hang guard:
+    EXPECT_EQ(sched.totalRetries(), 1u);  // a timeout is retried
     EXPECT_EQ(rec.termSignal, SIGKILL);
     EXPECT_GE(rec.seconds, 0.3);
     EXPECT_LT(rec.seconds, 5.0);  // never waited for the sleep
-}
-
-namespace
-{
-
-/** fastOptions plus an armed stall detector writing into dir/hb. */
-SchedulerOptions
-heartbeatOptions(const std::string &dir, const std::string &xbsim,
-                 double period_sec, unsigned periods)
-{
-    SchedulerOptions opts = fastOptions(xbsim);
-    opts.heartbeatDir = dir + "/hb";
-    opts.heartbeatSec = period_sec;
-    opts.stallPeriods = periods;
-    EXPECT_TRUE(ensureDir(opts.heartbeatDir).isOk());
-    return opts;
-}
-
-} // anonymous namespace
-
-TEST(Scheduler, StalledChildKilledAndClassified)
-{
-    const std::string dir = makeTempDir();
-    // The child heartbeats once (arming the detector) and then stops
-    // making progress while staying alive and ignoring SIGTERM. The
-    // wall-clock timeout is far away: only the stall detector can
-    // end this within the test's deadline.
-    const std::string sim = writeScript(
-        dir, "stall.sh",
-        "printf '{\"seq\":1,\"phase\":\"sim\",\"uops\":100}' > " +
-            dir + "/hb/job-0.json\n"
-            "trap '' TERM\nwhile :; do :; done\n");
-
-    SchedulerOptions opts = heartbeatOptions(dir, sim, 0.05, 2);
-    opts.timeoutSec = 30.0;
-    SweepScheduler sched(opts, makeJobs(1), nullptr);
-    EXPECT_TRUE(sched.run());
-    EXPECT_FALSE(sched.allOk());
-    const JobRecord &rec = sched.records()[0];
-    EXPECT_TRUE(rec.done);
-    EXPECT_EQ(rec.cls, JobClass::Stalled);
-    EXPECT_EQ(rec.termSignal, SIGKILL);
-    EXPECT_EQ(rec.note, "no uop progress for 2 heartbeat periods");
-    EXPECT_LT(rec.seconds, 5.0);  // stalled, not wall-clock timeout
-}
-
-TEST(Scheduler, StalledJobRetriedThenSucceeds)
-{
-    const std::string dir = makeTempDir();
-    // First attempt wedges after one heartbeat; the marker makes the
-    // retry exit cleanly. Stalls must be treated as transient.
-    const std::string sim = writeScript(
-        dir, "flaky_stall.sh",
-        "if [ -e " + dir + "/marker ]; then\n" +
-            std::string(kOkJson) +
-            "else\n"
-            "  touch " + dir + "/marker\n"
-            "  printf '{\"seq\":1,\"phase\":\"sim\",\"uops\":5}' > " +
-            dir + "/hb/job-0.json\n"
-            "  trap '' TERM\n"
-            "  while :; do :; done\n"
-            "fi\n");
-
-    SchedulerOptions opts = heartbeatOptions(dir, sim, 0.05, 2);
-    opts.timeoutSec = 30.0;
-    opts.maxRetries = 1;
-    SweepScheduler sched(opts, makeJobs(1), nullptr);
-    EXPECT_TRUE(sched.run());
-    EXPECT_TRUE(sched.allOk());
-    const JobRecord &rec = sched.records()[0];
-    EXPECT_EQ(rec.cls, JobClass::Ok);
-    EXPECT_EQ(rec.attempts, 2);
-    EXPECT_EQ(sched.totalRetries(), 1u);
-    EXPECT_TRUE(rec.hasMetrics);
-}
-
-TEST(Scheduler, ProgressingChildOutlivesWallClockTimeout)
-{
-    const std::string dir = makeTempDir();
-    // The child needs ~0.6s but the wall-clock timeout is 0.25s.
-    // Because it heartbeats with growing uop counts, the armed stall
-    // detector owns the verdict and the job must NOT be killed.
-    const std::string sim = writeScript(
-        dir, "slow.sh",
-        "i=1\n"
-        "while [ $i -le 12 ]; do\n"
-        "  printf '{\"seq\":%d,\"phase\":\"sim\",\"uops\":%d}' "
-        "$i $((i*100)) > " + dir + "/hb/job-0.json\n"
-        "  i=$((i+1))\n"
-        "  sleep 0.05\n"
-        "done\n" + kOkJson);
-
-    SchedulerOptions opts = heartbeatOptions(dir, sim, 0.05, 4);
-    opts.timeoutSec = 0.25;
-    SweepScheduler sched(opts, makeJobs(1), nullptr);
-    EXPECT_TRUE(sched.run());
-    EXPECT_TRUE(sched.allOk());
-    const JobRecord &rec = sched.records()[0];
-    EXPECT_EQ(rec.cls, JobClass::Ok);
-    EXPECT_EQ(rec.attempts, 1);
-    EXPECT_GE(rec.seconds, 0.25);  // genuinely outlived the deadline
-}
-
-TEST(Scheduler, SilentChildStillFallsBackToWallClock)
-{
-    const std::string dir = makeTempDir();
-    // Heartbeats are enabled but this child never writes one (hung
-    // before its first beat). The wall-clock watchdog must still
-    // apply, and the verdict stays Timeout — not Stalled.
-    const std::string sim = writeScript(
-        dir, "mute.sh", "trap '' TERM\nwhile :; do :; done\n");
-
-    SchedulerOptions opts = heartbeatOptions(dir, sim, 0.05, 2);
-    opts.timeoutSec = 0.3;
-    SweepScheduler sched(opts, makeJobs(1), nullptr);
-    EXPECT_TRUE(sched.run());
-    const JobRecord &rec = sched.records()[0];
-    EXPECT_EQ(rec.cls, JobClass::Timeout);
-    EXPECT_GE(rec.seconds, 0.3);
-    EXPECT_LT(rec.seconds, 5.0);
 }
 
 TEST(Scheduler, BinaryStderrSanitizedInNote)

@@ -1,10 +1,8 @@
 /**
  * @file
- * Tests for the observability layer: probe registration/dispatch,
- * event-trace JSON well-formedness (parsed back with the in-tree
- * JSON parser), interval-sampler delta exactness across a forced
- * mode switch, nested StatGroup::find paths, the JSON parser, and
- * the XBSIM_LOG environment override.
+ * Tests for the observability layer: interval-sampler delta
+ * exactness across a forced mode switch, nested StatGroup::find
+ * paths, the JSON parser, and the XBSIM_LOG environment override.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +11,9 @@
 #include <cstring>
 #include <sstream>
 
-#include "common/event_trace.hh"
 #include "common/interval_stats.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/probe.hh"
 #include "common/stats.hh"
 #include "core/xbc_frontend.hh"
 #include "workload/catalog.hh"
@@ -26,217 +22,6 @@ namespace xbs
 {
 namespace
 {
-
-/** Sink that records everything verbatim for dispatch checks. */
-struct RecordingSink : ProbeSink
-{
-    struct Rec
-    {
-        std::string track;
-        std::string name;
-        ProbeOp op;
-        uint64_t cycle;
-        int64_t value;
-    };
-    std::vector<Rec> recs;
-
-    void
-    record(const ProbePoint &point, ProbeOp op, uint64_t cycle,
-           int64_t value, const char *) override
-    {
-        recs.push_back({point.track(), point.name(), op, cycle, value});
-    }
-};
-
-TEST(Probe, RegistrationAndLookup)
-{
-    ProbeManager mgr;
-    ProbePoint a(&mgr, "trackA", "alpha");
-    ProbePoint b(&mgr, "trackA", "beta");
-    ProbePoint c(&mgr, "trackB", "alpha");
-    EXPECT_EQ(mgr.points().size(), 3u);
-    EXPECT_EQ(mgr.find("trackA", "beta"), &b);
-    EXPECT_EQ(mgr.find("trackB", "alpha"), &c);
-    EXPECT_EQ(mgr.find("trackB", "beta"), nullptr);
-    EXPECT_EQ(mgr.find("nope", "alpha"), nullptr);
-}
-
-TEST(Probe, DisabledWithoutSink)
-{
-    ProbeManager mgr;
-    ProbePoint p(&mgr, "t", "n");
-    EXPECT_FALSE(p.enabled());
-    p.fire(42);  // must be a no-op, not a crash
-    p.count(7);
-    p.begin("slice");
-    p.end();
-
-    // A manager-less point is permanently disabled.
-    ProbePoint orphan(nullptr, "t", "n");
-    EXPECT_FALSE(orphan.enabled());
-    orphan.fire(1);
-}
-
-TEST(Probe, DispatchCarriesCycleAndValue)
-{
-    ProbeManager mgr;
-    StatGroup root("root");
-    ScalarStat cycles(&root, "cycles", "clock");
-    mgr.setCycleSource(&cycles);
-
-    ProbePoint p(&mgr, "xfu", "alloc");
-    RecordingSink sink;
-    mgr.attach(&sink);
-    EXPECT_TRUE(p.enabled());
-
-    cycles += 10;
-    p.fire(5);
-    cycles += 7;
-    p.count(99);
-    p.begin("build");
-    p.end();
-
-    ASSERT_EQ(sink.recs.size(), 4u);
-    EXPECT_EQ(sink.recs[0].op, ProbeOp::Instant);
-    EXPECT_EQ(sink.recs[0].cycle, 10u);
-    EXPECT_EQ(sink.recs[0].value, 5);
-    EXPECT_EQ(sink.recs[1].op, ProbeOp::Counter);
-    EXPECT_EQ(sink.recs[1].cycle, 17u);
-    EXPECT_EQ(sink.recs[1].value, 99);
-    EXPECT_EQ(sink.recs[2].op, ProbeOp::Begin);
-    EXPECT_EQ(sink.recs[3].op, ProbeOp::End);
-
-    // Detach: no further records, and points report disabled.
-    mgr.attach(nullptr);
-    EXPECT_FALSE(p.enabled());
-    p.fire(1);
-    EXPECT_EQ(sink.recs.size(), 4u);
-}
-
-TEST(Probe, LateRegistrationSeesExistingSink)
-{
-    ProbeManager mgr;
-    RecordingSink sink;
-    mgr.attach(&sink);
-    ProbePoint late(&mgr, "t", "late");
-    EXPECT_TRUE(late.enabled());
-    late.fire();
-    EXPECT_EQ(sink.recs.size(), 1u);
-}
-
-TEST(EventTrace, RingDropsOldest)
-{
-    ProbeManager mgr;
-    ProbePoint p(&mgr, "t", "e");
-    EventTraceSink sink(/*capacity=*/4);
-    mgr.attach(&sink);
-
-    for (int i = 0; i < 10; ++i)
-        p.fire(i);
-    EXPECT_EQ(sink.size(), 4u);
-    EXPECT_EQ(sink.received(), 10u);
-    EXPECT_EQ(sink.dropped(), 6u);
-
-    // The survivors are the newest four (values 6..9).
-    std::ostringstream os;
-    sink.writeChromeJson(os);
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(parseJson(os.str(), &doc, &err)) << err;
-    const JsonValue *events = doc.find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    std::vector<int64_t> values;
-    for (const auto &e : events->items) {
-        if (const auto *args = e.find("args")) {
-            if (const auto *v = args->find("value"))
-                values.push_back((int64_t)v->asNumber());
-        }
-    }
-    EXPECT_EQ(values, (std::vector<int64_t>{6, 7, 8, 9}));
-}
-
-TEST(EventTrace, ChromeJsonWellFormed)
-{
-    Trace trace = makeCatalogTrace("li", 30000);
-    FrontendParams fp;
-    XbcFrontend fe(fp, XbcParams{});
-    EventTraceSink sink;
-    fe.probes().attach(&sink);
-    fe.run(trace);
-
-    std::ostringstream os;
-    sink.writeChromeJson(os);
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(parseJson(os.str(), &doc, &err)) << err;
-    ASSERT_TRUE(doc.isObject());
-    const JsonValue *events = doc.find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->isArray());
-    EXPECT_FALSE(events->items.empty());
-
-    // Track metadata covers at least the mode FSM and the XFU.
-    std::vector<std::string> tracks;
-    for (const auto &e : events->items) {
-        const auto *name = e.find("name");
-        const auto *ph = e.find("ph");
-        ASSERT_NE(ph, nullptr);
-        if (ph->asString() == "M" &&
-            name->asString() == "thread_name") {
-            tracks.push_back(
-                e.find("args")->find("name")->asString());
-        } else if (ph->asString() != "M") {
-            // Data records: ph in {i, C, B, E}, ts/pid/tid present.
-            const std::string &p = ph->asString();
-            EXPECT_TRUE(p == "i" || p == "C" || p == "B" || p == "E")
-                << p;
-            EXPECT_NE(e.find("ts"), nullptr);
-            EXPECT_NE(e.find("tid"), nullptr);
-            EXPECT_NE(e.find("pid"), nullptr);
-        }
-    }
-    EXPECT_GE(tracks.size(), 5u);
-    auto has = [&](const char *t) {
-        for (const auto &s : tracks)
-            if (s == t)
-                return true;
-        return false;
-    };
-    EXPECT_TRUE(has("mode"));
-    EXPECT_TRUE(has("xfu"));
-    EXPECT_TRUE(has("array"));
-    EXPECT_TRUE(has("pred"));
-    EXPECT_TRUE(has("icpipe"));
-
-    // Matches the sink's own view of the tracks.
-    EXPECT_EQ(sink.trackNames().size(), tracks.size());
-}
-
-TEST(EventTrace, ModeSlicesBalance)
-{
-    Trace trace = makeCatalogTrace("compress", 30000);
-    FrontendParams fp;
-    XbcFrontend fe(fp, XbcParams{});
-    EventTraceSink sink;
-    fe.probes().attach(&sink);
-    fe.run(trace);
-
-    std::ostringstream os;
-    sink.writeChromeJson(os);
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(parseJson(os.str(), &doc, &err)) << err;
-    uint64_t begins = 0, ends = 0;
-    for (const auto &e : doc.find("traceEvents")->items) {
-        const auto *ph = e.find("ph");
-        if (ph->asString() == "B")
-            ++begins;
-        else if (ph->asString() == "E")
-            ++ends;
-    }
-    EXPECT_GT(begins, 0u);
-    EXPECT_EQ(begins, ends);  // traceModeDone closed the last slice
-}
 
 TEST(IntervalSampler, DeltaSumsMatchAggregates)
 {

@@ -92,13 +92,33 @@ TEST(Args, UnknownFlagIsFatal)
 
 TEST(Args, BadIntegerIsFatal)
 {
-    uint64_t v = 0;
-    ArgParser p("prog", "test");
-    p.addUint("n", &v, "n");
-    std::vector<std::string> args = {"prog", "--n=abc"};
-    auto argv = argvOf(args);
-    EXPECT_EXIT(p.parse((int)argv.size(), argv.data()),
-                testing::ExitedWithCode(1), "expects an integer");
+    // strtoull alone would read "" as 0 and "-1" as 2^64-1.
+    for (const char *bad : {"abc", "-1", " -1", ""}) {
+        uint64_t v = 0;
+        ArgParser p("prog", "test");
+        p.addUint("n", &v, "n");
+        std::vector<std::string> args = {"prog",
+                                         std::string("--n=") + bad};
+        auto argv = argvOf(args);
+        EXPECT_EXIT(p.parse((int)argv.size(), argv.data()),
+                    testing::ExitedWithCode(1), "expects an integer")
+            << "'" << bad << "'";
+    }
+}
+
+TEST(Args, BadNumberIsFatal)
+{
+    for (const char *bad : {"abc", "", "nan", "inf", "-inf"}) {
+        double v = 0.0;
+        ArgParser p("prog", "test");
+        p.addDouble("x", &v, "x");
+        std::vector<std::string> args = {"prog",
+                                         std::string("--x=") + bad};
+        auto argv = argvOf(args);
+        EXPECT_EXIT(p.parse((int)argv.size(), argv.data()),
+                    testing::ExitedWithCode(1), "expects a number")
+            << "'" << bad << "'";
+    }
 }
 
 TEST(Args, UsageMentionsFlags)

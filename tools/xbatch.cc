@@ -27,8 +27,6 @@
 #include "common/fs.hh"
 #include "common/signals.hh"
 #include "common/status.hh"
-#include "obs/span.hh"
-#include "obs/trace_merge.hh"
 #include "prof/build_info.hh"
 #include "workload/catalog.hh"
 
@@ -88,9 +86,6 @@ main(int argc, char **argv)
     uint64_t retries = 1;
     uint64_t backoff_ms = 200;
     double grace = 2.0;
-    double heartbeat = 1.0;
-    uint64_t stall_periods = 4;
-    std::string trace_out;
     std::string out_dir = "xbatch-out";
     std::string resume_dir;
     std::string xbsim_path;
@@ -112,23 +107,14 @@ main(int argc, char **argv)
                  "to <out>/intervals/job-<id>.jsonl (0 = off)");
     args.addUint("jobs", &jobs, "concurrent worker processes");
     args.addDouble("timeout", &timeout,
-                   "per-job wall-clock timeout in seconds");
+                   "per-job wall-clock timeout in seconds; a job past "
+                   "it is killed and retried as a timeout");
     args.addUint("retries", &retries,
                  "extra attempts for transient failures");
     args.addUint("backoff-ms", &backoff_ms,
                  "base retry backoff in ms (doubles per attempt)");
     args.addDouble("grace", &grace,
                    "seconds between SIGTERM and SIGKILL");
-    args.addDouble("heartbeat", &heartbeat,
-                   "child heartbeat period in seconds; arms the "
-                   "progress-aware stall detector (0 = off, "
-                   "wall-clock watchdog only)");
-    args.addUint("stall-periods", &stall_periods,
-                 "heartbeat periods without uop progress before a "
-                 "job is killed and retried as stalled");
-    args.addString("trace-out", &trace_out,
-                   "write a merged Perfetto span timeline "
-                   "(scheduler/jobs/attempts/sim phases) here");
     args.addString("out", &out_dir,
                    "sweep directory (manifest, journal, report)");
     args.addString("resume", &resume_dir,
@@ -145,6 +131,8 @@ main(int argc, char **argv)
     }
     if (jobs == 0)
         return fail(Status::error("--jobs must be >= 1"));
+    if (timeout <= 0.0)
+        return fail(Status::error("--timeout must be > 0"));
 
     const bool resuming = !resume_dir.empty();
     const std::string dir = resuming ? resume_dir : out_dir;
@@ -197,8 +185,6 @@ main(int argc, char **argv)
         manifest.maxRetries = (unsigned)retries;
         manifest.backoffMs = (unsigned)backoff_ms;
         manifest.intervalCycles = intervals;
-        manifest.heartbeatSec = heartbeat;
-        manifest.stallPeriods = (unsigned)stall_periods;
         manifest.jobs = buildJobMatrix(workloads, frontends,
                                        capacities.value(), insts);
 
@@ -217,19 +203,6 @@ main(int argc, char **argv)
         if (Status st = ensureDir(dir + "/intervals"); !st.isOk())
             return fail(st);
     }
-    // Live telemetry: children heartbeat into <dir>/heartbeats
-    // (xbtop and the stall detector read them there). The manifest
-    // gates it so a resume supervises exactly like the original run.
-    if (manifest.heartbeatSec > 0.0) {
-        if (Status st = ensureDir(dir + "/heartbeats"); !st.isOk())
-            return fail(st);
-    }
-    // Span timeline: per-attempt child event traces land in
-    // <dir>/events, merged with the scheduler spans at the end.
-    if (!trace_out.empty()) {
-        if (Status st = ensureDir(dir + "/events"); !st.isOk())
-            return fail(st);
-    }
 
     SweepJournal journal;
     if (Status st = journal.open(dir); !st.isOk())
@@ -245,34 +218,13 @@ main(int argc, char **argv)
     opts.backoffMs = manifest.backoffMs;
     opts.graceSec = grace;
     opts.stopFlag = &g_stop;
-    if (manifest.heartbeatSec > 0.0) {
-        opts.heartbeatDir = dir + "/heartbeats";
-        opts.heartbeatSec = manifest.heartbeatSec;
-        opts.stallPeriods = manifest.stallPeriods;
-    }
-    SweepSpanLog span_log;
-    if (!trace_out.empty())
-        opts.spanLog = &span_log;
-    if (manifest.intervalCycles || !trace_out.empty()) {
+    if (manifest.intervalCycles) {
         const uint64_t window = manifest.intervalCycles;
-        const bool events = !trace_out.empty();
-        opts.extraArgs = [dir, window, events](const JobSpec &spec,
-                                               int attempt) {
-            std::vector<std::string> extra;
-            if (window) {
-                extra.push_back("--interval-stats=" +
-                                std::to_string(window));
-                extra.push_back("--interval-out=" + dir +
-                                "/intervals/job-" +
-                                std::to_string(spec.id) + ".jsonl");
-            }
-            if (events) {
-                extra.push_back("--trace-events=" + dir +
-                                "/events/job-" +
-                                std::to_string(spec.id) + "-a" +
-                                std::to_string(attempt) + ".json");
-            }
-            return extra;
+        opts.extraArgs = [dir, window](const JobSpec &spec) {
+            return std::vector<std::string>{
+                "--interval-stats=" + std::to_string(window),
+                "--interval-out=" + dir + "/intervals/job-" +
+                    std::to_string(spec.id) + ".jsonl"};
         };
     }
     const std::size_t total = manifest.jobs.size();
@@ -322,19 +274,6 @@ main(int argc, char **argv)
     }
     if (print_table)
         printSweepSummary(std::cout, sched.records(), summary);
-
-    if (!trace_out.empty()) {
-        if (Status st = writeSweepTrace(trace_out, span_log,
-                                        dir + "/events");
-            !st.isOk()) {
-            std::fprintf(stderr,
-                         "xbatch: cannot write sweep trace: %s\n",
-                         st.toString().c_str());
-        } else {
-            std::fprintf(stderr, "xbatch: sweep timeline -> %s\n",
-                         trace_out.c_str());
-        }
-    }
 
     // Graceful degradation: a completed sweep always produces the
     // full report; failures degrade the exit code, never abort the

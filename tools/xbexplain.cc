@@ -193,7 +193,7 @@ unionNames(const Categories &a, const Categories &b)
 }
 
 void
-printTopLoss(const Unit &u, unsigned top)
+printTopLoss(const Unit &u, uint64_t top)
 {
     std::printf("%s  (buildUops %llu, silentCycles %llu)\n",
                 u.id.c_str(),
@@ -307,16 +307,20 @@ main(int argc, char **argv)
 {
     bool diff = false;
     std::string out;
-    std::string top_str = "8";
+    uint64_t top = 8;
 
     ArgParser args("xbexplain",
                    "attribute lost uops/cycles to root causes");
     args.addBool("diff", &diff,
                  "compare two runs: BASELINE CURRENT");
     args.addString("out", &out, "write machine-readable explain.json");
-    args.addString("top", &top_str, "rows per table (single mode)");
+    args.addUint("top", &top, "rows per table (single mode)");
     if (!args.parse(argc, argv))
         return kExitOk;
+    if (top == 0) {
+        std::fprintf(stderr, "xbexplain: --top must be >= 1\n");
+        return kExitUsage;
+    }
 
     const auto &paths = args.positional();
     if ((diff && paths.size() != 2) || (!diff && paths.size() != 1)) {
@@ -327,10 +331,6 @@ main(int argc, char **argv)
                      paths.size());
         return kExitUsage;
     }
-    unsigned top = (unsigned)std::strtoul(top_str.c_str(), nullptr, 10);
-    if (top == 0)
-        top = 8;
-
     std::vector<Unit> units;
     int rc = extractUnits(paths[0], &units);
     if (rc != kExitOk)

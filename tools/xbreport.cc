@@ -1,29 +1,20 @@
 /**
  * @file
- * xbreport - post-processor for xbsim's observability outputs.
- *
- * Interval mode (default): reads the interval JSONL emitted by
- * `xbsim --interval-stats=N`, classifies each window into a phase by
- * its miss rate (delivery / mixed / build), merges consecutive
- * same-phase windows, and prints a per-phase summary table plus
- * whole-run totals. This turns the raw window stream into the
- * phase-level picture the paper's figures reason about.
- *
- * Trace mode (--trace=FILE): parses a Chrome trace-event JSON file
- * emitted by `xbsim --trace-events` and prints per-track event counts
- * - a quick structural check that the timeline contains what it
- * should (CI uses the nonzero exit on malformed input as a gate).
+ * xbreport - post-processor for xbsim's interval statistics: reads
+ * the interval JSONL emitted by `xbsim --interval-stats=N`,
+ * classifies each window into a phase by its miss rate (delivery /
+ * mixed / build), merges consecutive same-phase windows, and prints a
+ * per-phase summary table plus whole-run totals. This turns the raw
+ * window stream into the phase-level picture the paper's figures
+ * reason about. Malformed input exits 1 (CI uses it as a gate).
  *
  * Examples:
  *   xbsim --frontend=xbc --interval-stats=10000
  *   xbreport intervals.jsonl
- *   xbreport --trace=out.json
  */
 
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -182,99 +173,32 @@ reportIntervals(const std::string &path, double build_thresh,
     return 0;
 }
 
-int
-reportTrace(const std::string &path)
-{
-    Expected<JsonValue> parsed = readJsonFile(path);
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "xbreport: %s\n",
-                     parsed.status().toString().c_str());
-        return 1;
-    }
-    const JsonValue &doc = parsed.value();
-    if (!doc.isObject()) {
-        std::fprintf(stderr, "xbreport: %s: not a JSON object\n",
-                     path.c_str());
-        return 1;
-    }
-    const JsonValue *events = doc.find("traceEvents");
-    if (!events || !events->isArray()) {
-        std::fprintf(stderr,
-                     "xbreport: %s: no traceEvents array\n",
-                     path.c_str());
-        return 1;
-    }
-
-    // tid -> track name from the thread_name metadata records.
-    std::map<uint64_t, std::string> trackOf;
-    std::map<std::string, uint64_t> counts;
-    uint64_t data_events = 0;
-    for (const auto &e : events->items) {
-        if (!e.isObject())
-            continue;
-        const auto *ph = e.find("ph");
-        const auto *name = e.find("name");
-        if (!ph || !name)
-            continue;
-        if (ph->asString() == "M") {
-            if (name->asString() == "thread_name") {
-                const auto *tid = e.find("tid");
-                const auto *args = e.find("args");
-                const auto *tn = args ? args->find("name") : nullptr;
-                if (tid && tn)
-                    trackOf[tid->asUint()] = tn->asString();
-            }
-            continue;
-        }
-        ++data_events;
-        const auto *tid = e.find("tid");
-        auto it = tid ? trackOf.find(tid->asUint()) : trackOf.end();
-        std::string track =
-            it != trackOf.end() ? it->second : "(unnamed)";
-        ++counts[track + "/" + name->asString() + " (" +
-                 ph->asString() + ")"];
-    }
-
-    TextTable table({"track/event", "count"});
-    for (const auto &[key, n] : counts)
-        table.addRow({key, std::to_string(n)});
-    std::fputs(table.render().c_str(), stdout);
-    std::printf("%llu data events on %zu tracks",
-                (unsigned long long)data_events, trackOf.size());
-    if (const auto *d = doc.find("droppedEvents"))
-        std::printf(", %llu dropped",
-                    (unsigned long long)d->asUint());
-    std::printf("\n");
-    return 0;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string trace_path;
-    std::string build_thresh = "0.5";
-    std::string delivery_thresh = "0.05";
+    double build_thresh = 0.5;
+    double delivery_thresh = 0.05;
     bool csv = false;
 
-    ArgParser args("xbreport",
-                   "summarize xbsim interval/trace-event output");
-    args.addString("trace", &trace_path,
-                   "summarize a trace-event JSON file instead");
-    args.addString("build-threshold", &build_thresh,
+    ArgParser args("xbreport", "summarize xbsim interval output");
+    args.addDouble("build-threshold", &build_thresh,
                    "missRate at/above which a window is 'build'");
-    args.addString("delivery-threshold", &delivery_thresh,
+    args.addDouble("delivery-threshold", &delivery_thresh,
                    "missRate at/below which a window is 'delivery'");
     args.addBool("csv", &csv, "emit CSV instead of an aligned table");
     if (!args.parse(argc, argv))
         return 0;
-
-    if (!trace_path.empty())
-        return reportTrace(trace_path);
+    if (delivery_thresh > build_thresh) {
+        std::fprintf(stderr,
+                     "xbreport: --delivery-threshold (%g) exceeds "
+                     "--build-threshold (%g)\n",
+                     delivery_thresh, build_thresh);
+        return 1;
+    }
 
     const auto &rest = args.positional();
     std::string path = rest.empty() ? "intervals.jsonl" : rest[0];
-    return reportIntervals(path, std::stod(build_thresh),
-                           std::stod(delivery_thresh), csv);
+    return reportIntervals(path, build_thresh, delivery_thresh, csv);
 }

@@ -8,7 +8,7 @@
  *   xbsim --frontend=xbc --workload=gcc --insts=2000000
  *   xbsim --frontend=tc --capacity=65536 --ways=2 --json
  *   xbsim --frontend=xbc --trace=run.xbt --stats
- *   xbsim --frontend=xbc --trace-events=out.json --interval-stats=10000
+ *   xbsim --frontend=xbc --interval-stats=10000
  *   xbsim --frontend=xbc --checkpoint-at=500000 --checkpoint-out=warm.xbckpt
  *   xbsim --frontend=xbc --restore-from=warm.xbckpt
  *   xbsim --frontend=xbc --verify-ckpt=500000
@@ -23,14 +23,12 @@
 
 #include "ckpt/checkpoint.hh"
 #include "common/args.hh"
-#include "common/event_trace.hh"
 #include "common/fs.hh"
 #include "common/interval_stats.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/signals.hh"
 #include "common/status.hh"
-#include "obs/heartbeat.hh"
 #include "prof/build_info.hh"
 #include "prof/host_counters.hh"
 #include "prof/phase_profiler.hh"
@@ -51,30 +49,11 @@ namespace
 /**
  * Graceful shutdown (see docs/MODEL.md "Batch execution"): SIGINT or
  * SIGTERM raises this flag, the frontend run loop notices it at the
- * next cycle boundary, and main() flushes interval stats, the event
- * trace, and the audit report before exiting with kExitInterrupted —
- * so a supervisor-timed-out job still leaves usable partial output.
+ * next cycle boundary, and main() flushes interval stats and the
+ * audit report before exiting with kExitInterrupted — so a
+ * supervisor-timed-out job still leaves usable partial output.
  */
 volatile std::sig_atomic_t g_stop = 0;
-
-/** Bridges the frontend's cycle-observer hook to the heartbeat
- *  emitter (obs must not leak into frontend.hh, so the adapter
- *  lives here in the driver). */
-class HeartbeatObserver : public CycleObserver
-{
-  public:
-    explicit HeartbeatObserver(HeartbeatEmitter *hb) : hb_(hb) {}
-
-    void
-    onCycle(Frontend &fe, uint64_t cycle) override
-    {
-        (void)cycle;
-        hb_->onCycle(fe);
-    }
-
-  private:
-    HeartbeatEmitter *hb_;
-};
 
 void
 listWorkloads()
@@ -104,8 +83,6 @@ main(int argc, char **argv)
     bool json = false;
     bool stats = false;
     bool list = false;
-    std::string trace_events;
-    uint64_t trace_capacity = 1u << 20;
     uint64_t interval = 0;
     std::string interval_out = "intervals.jsonl";
     bool audit = false;
@@ -114,8 +91,6 @@ main(int argc, char **argv)
     uint64_t inject_seed = 1;
     bool profile = false;
     bool build_info_only = false;
-    std::string heartbeat_path;
-    double heartbeat_period = 1.0;
     uint64_t checkpoint_at = 0;
     std::string checkpoint_out;
     std::string restore_from;
@@ -143,10 +118,6 @@ main(int argc, char **argv)
     args.addBool("json", &json, "emit results as JSON");
     args.addBool("stats", &stats, "dump the full statistics tree");
     args.addBool("list-workloads", &list, "list the catalog and exit");
-    args.addString("trace-events", &trace_events,
-                   "write a Chrome/Perfetto trace-event JSON file");
-    args.addUint("trace-capacity", &trace_capacity,
-                 "event ring capacity (oldest dropped on overflow)");
     args.addUint("interval-stats", &interval,
                  "emit windowed stat deltas every N cycles (0 = off)");
     args.addString("interval-out", &interval_out,
@@ -173,11 +144,6 @@ main(int argc, char **argv)
                  "restore into a fresh frontend, finish both runs, "
                  "and require bit-identical metrics (exit 2 on "
                  "divergence)");
-    args.addString("heartbeat", &heartbeat_path,
-                   "atomically rewrite a JSON progress record at "
-                   "this path while running (live telemetry)");
-    args.addDouble("heartbeat-period", &heartbeat_period,
-                   "host seconds between heartbeats");
     args.addUint("inject-seed", &inject_seed,
                  "deterministic fault-injection seed");
     args.addBool("profile", &profile,
@@ -206,15 +172,6 @@ main(int argc, char **argv)
     // trace generation is remembered: the run loop then exits on its
     // first cycle and the partial-output path below still runs.
     installStopHandlers(&g_stop);
-
-    // Live telemetry: first beat before any heavy work, so a watcher
-    // can tell "starting up" from "never launched".
-    std::unique_ptr<HeartbeatEmitter> heartbeat;
-    if (!heartbeat_path.empty()) {
-        heartbeat = std::make_unique<HeartbeatEmitter>(
-            heartbeat_path, heartbeat_period);
-        heartbeat->beat(nullptr);
-    }
 
     Expected<FrontendKind> kind = parseFrontendKind(frontend);
     if (!kind.ok())
@@ -268,14 +225,7 @@ main(int argc, char **argv)
         fe->attachProfiler(&prof);
     }
 
-    // Observability: an event-trace sink on the probe registry and/or
-    // an interval sampler over the stat tree, both opt-in via flags.
-    std::unique_ptr<EventTraceSink> sink;
-    if (!trace_events.empty()) {
-        sink = std::make_unique<EventTraceSink>(
-            (std::size_t)trace_capacity);
-        fe->probes().attach(sink.get());
-    }
+    // Observability: an opt-in interval sampler over the stat tree.
     std::unique_ptr<IntervalSampler> sampler;
     std::ofstream interval_os;
     if (interval > 0) {
@@ -290,10 +240,6 @@ main(int argc, char **argv)
 
     std::optional<Trace> trace_opt;
     {
-        if (heartbeat) {
-            heartbeat->setPhase("decode");
-            heartbeat->beat(fe.get());
-        }
         ScopedPhase decode_timer(profile ? &prof : nullptr, ph_decode);
         if (!trace_path.empty()) {
             Expected<Trace> tr = readTraceEx(trace_path);
@@ -332,7 +278,6 @@ main(int argc, char **argv)
     spec.insts = insts;
     spec.capacity = capacity;
     spec.ways = ways;
-    spec.restoreFrom = restore_from;
 
     // Divergence-oracle mode: a self-contained experiment (two full
     // in-process runs), not a simulation of this cell.
@@ -373,15 +318,9 @@ main(int argc, char **argv)
     }
 
     // Warm start: restore checkpointed state before the run. Every
-    // failure here is typed and exits with kExitData; the batch
-    // layer implements demote-to-cold-start by clearing the flag and
-    // re-launching, so a bad checkpoint costs warmup, never results.
+    // failure here is typed and exits with kExitData, so a bad
+    // checkpoint never produces numbers.
     if (!restore_from.empty()) {
-        if (heartbeat) {
-            heartbeat->setPhase("restore");
-            heartbeat->setRestoredFrom(restore_from);
-            heartbeat->beat(fe.get());
-        }
         Expected<std::string> raw = readFileToString(restore_from);
         if (!raw.ok()) {
             Status st = raw.status();
@@ -440,30 +379,14 @@ main(int argc, char **argv)
         auditor = std::make_unique<InvariantAuditor>(opts);
         auditor->attach(*fe, trace);
     }
-    // Heartbeat before injector: at a cycle where an injected hang
-    // wedges the loop, the beat for that cycle still goes out.
-    std::unique_ptr<HeartbeatObserver> hb_observer;
-    if (heartbeat) {
-        heartbeat->setTotalUops(total_uops);
-        heartbeat->setPhase("sim");
-        heartbeat->beat(fe.get());
-        hb_observer =
-            std::make_unique<HeartbeatObserver>(heartbeat.get());
-        fe->attachCycleObserver(hb_observer.get());
-    }
     if (injector)
         fe->attachCycleObserver(injector.get());
 
     fe->attachStopFlag(&g_stop);
 
     // Simulated-progress-per-host-second rates, sampled on the
-    // interval-stats cadence: each window gets a "host" sub-object
-    // and the "host" probe track mirrors the rates into the event
-    // trace as counter series.
+    // interval-stats cadence: each window gets a "host" sub-object.
     ThroughputMeter meter;
-    ProbePoint host_uops_rate(&fe->probes(), "host", "uopsPerSec");
-    ProbePoint host_rec_rate(&fe->probes(), "host", "recordsPerSec");
-    ProbePoint host_cyc_rate(&fe->probes(), "host", "cyclesPerSec");
     if (sampler) {
         Frontend *fe_ptr = fe.get();
         sampler->setAnnotator([&, fe_ptr](JsonWriter &jw) {
@@ -479,9 +402,6 @@ main(int argc, char **argv)
             jw.field("uopsPerSec", r.uopsPerSec);
             jw.field("recordsPerSec", r.recordsPerSec);
             jw.endObject();
-            host_uops_rate.fire((int64_t)r.uopsPerSec);
-            host_rec_rate.fire((int64_t)r.recordsPerSec);
-            host_cyc_rate.fire((int64_t)r.cyclesPerSec);
         });
     }
 
@@ -508,29 +428,14 @@ main(int argc, char **argv)
 
     // A raised flag means SIGINT/SIGTERM cut the run short at a
     // cycle boundary: still flush everything below (interval stats,
-    // event trace, audit report, partial results) but report the
-    // distinct interrupted exit code.
+    // audit report, partial results) but report the distinct
+    // interrupted exit code.
     const bool interrupted = g_stop != 0;
     resetStopHandlers();
-
-    if (heartbeat) {
-        heartbeat->setPhase("flush");
-        heartbeat->beat(fe.get());
-    }
 
     fe->finishObservation();
     if (auditor)
         auditor->finishRun(*fe);
-
-    if (sink) {
-        std::ofstream os(trace_events);
-        if (!os)
-            xbs_fatal("cannot open '%s'", trace_events.c_str());
-        sink->writeChromeJson(os);
-        xbs_inform("wrote %zu trace events (%llu dropped) to %s",
-                   sink->size(), (unsigned long long)sink->dropped(),
-                   trace_events.c_str());
-    }
 
     // Exit-code gating: under injection only oracle violations count
     // (the injected corruption legitimately trips structural checks;
@@ -650,10 +555,6 @@ main(int argc, char **argv)
             auditor->report(std::cout);
         if (stats)
             fe->statRoot().dump(std::cout);
-    }
-    if (heartbeat) {
-        heartbeat->setPhase("done");
-        heartbeat->beat(fe.get(), /*done=*/true);
     }
     return exit_code;
 }
