@@ -6,6 +6,7 @@
 #ifndef XBS_COMMON_BITOPS_HH
 #define XBS_COMMON_BITOPS_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "common/logging.hh"
@@ -20,17 +21,14 @@ isPowerOf2(uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** @return floor(log2(v)); v must be non-zero. */
+/** @return floor(log2(v)); v must be non-zero (0 gives 0). */
 constexpr unsigned
 floorLog2(uint64_t v)
 {
-    unsigned r = 0;
-    while (v >>= 1)
-        ++r;
-    return r;
+    return v ? (unsigned)std::bit_width(v) - 1 : 0;
 }
 
-/** @return ceil(log2(v)); v must be non-zero. */
+/** @return ceil(log2(v)); v must be non-zero (0 gives 1). */
 constexpr unsigned
 ceilLog2(uint64_t v)
 {
@@ -77,12 +75,7 @@ foldedIndex(uint64_t v, unsigned num_sets, unsigned skip_low = 0)
 constexpr unsigned
 popCount(uint64_t v)
 {
-    unsigned n = 0;
-    while (v) {
-        v &= v - 1;
-        ++n;
-    }
-    return n;
+    return (unsigned)std::popcount(v);
 }
 
 } // namespace xbs

@@ -18,6 +18,10 @@ XbcDataArray::XbcDataArray(const XbcParams &params, StatGroup *parent)
     xbs_assert(params_.xbQuotaUops <=
                params_.numBanks * params_.bankUops,
                "XB quota exceeds one set row");
+    xbs_assert(params_.numBanks <= kMaxBanks &&
+               params_.bankUops <= kMaxBankUops &&
+               params_.xbQuotaUops <= kMaxXbUops,
+               "XBC geometry exceeds the inline storage caps");
     unsigned set_uops = params_.numBanks * params_.bankUops *
                         params_.ways;
     unsigned sets = params_.capacityUops / set_uops;
@@ -25,6 +29,7 @@ XbcDataArray::XbcDataArray(const XbcParams &params, StatGroup *parent)
     numSets_ = 1u << floorLog2(sets);
     lines_.resize((std::size_t)params_.numBanks * numSets_ *
                   params_.ways);
+    sets_.resize(numSets_);
 }
 
 std::size_t
@@ -54,22 +59,41 @@ XbcDataArray::line(const LineUse &lu, std::size_t set)
 }
 
 void
-XbcDataArray::accountSlots(const std::vector<UopSlot> &slots, int delta)
+XbcDataArray::accountSlots(std::span<const UopSlot> slots, int delta)
 {
     xbs_assert(code_ != nullptr, "XBC used before bindCode()");
     for (const auto &s : slots) {
-        UopId id = makeUopId(code_->inst(s.staticIdx).ip, s.seq);
+        uint32_t &copies = residency_[uopNumber(s)];
         if (delta > 0) {
-            ++residency_[id];
+            uniqueUops_ += copies++ == 0;
             ++filledUops_;
         } else {
-            auto it = residency_.find(id);
-            xbs_assert(it != residency_.end() && it->second > 0,
-                       "XBC residency underflow");
-            if (--it->second == 0)
-                residency_.erase(it);
+            xbs_assert(copies > 0, "XBC residency underflow");
+            uniqueUops_ -= --copies == 0;
             --filledUops_;
         }
+    }
+}
+
+void
+XbcDataArray::recount()
+{
+    filledUops_ = 0;
+    uniqueUops_ = 0;
+    residency_.assign(code_ ? code_->totalUops() : 0, 0);
+    for (const BankLine &l : lines_) {
+        if (!l.valid)
+            continue;
+        if (!code_) {
+            filledUops_ += l.slots.size();
+            continue;
+        }
+        for (const UopSlot &s : l.slots) {
+            xbs_assert(s.staticIdx >= 0 &&
+                       (std::size_t)s.staticIdx < code_->size(),
+                       "XBC slot outside the bound code");
+        }
+        accountSlots(l.slots, +1);
     }
 }
 
@@ -93,15 +117,15 @@ void
 XbcDataArray::dropVariantsUsing(uint64_t tag, std::size_t set,
                                 unsigned bank, unsigned way)
 {
-    auto it = directory_.find(tag);
-    if (it == directory_.end()) {
+    auto &vars = sets_[set];
+    auto of_tag = [tag](const Variant &v) { return v.tag == tag; };
+    if (std::none_of(vars.begin(), vars.end(), of_tag)) {
         // Line outlived every variant of its tag; still an eviction
         // for the structure-accounting heatmap.
         if (sink_)
             sink_->onEvict(tag, bank, set, false, false);
         return;
     }
-    auto &vars = it->second;
     bool head = false;
 
     // Paper section 3.10: evicting a head line still leaves the XB
@@ -109,6 +133,8 @@ XbcDataArray::dropVariantsUsing(uint64_t tag, std::size_t set,
     // surviving suffix (the lines after the evicted one); only a
     // variant losing its primary line dies entirely.
     for (auto &v : vars) {
+        if (v.tag != tag)
+            continue;
         std::size_t hit = v.lines.size();
         for (std::size_t i = 0; i < v.lines.size(); ++i) {
             if (v.lines[i].bank == bank && v.lines[i].way == way) {
@@ -129,30 +155,27 @@ XbcDataArray::dropVariantsUsing(uint64_t tag, std::size_t set,
             v.seq.clear();
             continue;
         }
-        v.lines.erase(v.lines.begin(),
-                      v.lines.begin() + (std::ptrdiff_t)hit + 1);
-        v.seq.erase(v.seq.begin(),
-                    v.seq.end() - (std::ptrdiff_t)keep_uops);
+        v.lines.erase(v.lines.begin(), v.lines.begin() + hit + 1);
+        v.seq.erase(v.seq.begin(), v.seq.end() - keep_uops);
         rebuildMask(v);
     }
-    vars.erase(std::remove_if(vars.begin(), vars.end(),
-                              [](const Variant &v) {
-                                  return v.lines.empty();
-                              }),
-               vars.end());
+    std::erase_if(vars, [tag](const Variant &v) {
+        return v.tag == tag && v.lines.empty();
+    });
 
-    // Truncation can leave duplicate suffix-only variants; keep one.
+    // Truncation can leave duplicate suffix-only variants; keep the
+    // earliest.
     for (std::size_t i = 0; i < vars.size(); ++i) {
+        if (vars[i].tag != tag)
+            continue;
         for (std::size_t j = vars.size(); j-- > i + 1;) {
-            if (vars[j].seq == vars[i].seq &&
+            if (vars[j].tag == tag && vars[j].seq == vars[i].seq &&
                 vars[j].mask == vars[i].mask) {
                 vars.erase(vars.begin() + (std::ptrdiff_t)j);
             }
         }
     }
-    bool last_gone = vars.empty();
-    if (last_gone)
-        directory_.erase(it);
+    bool last_gone = std::none_of(vars.begin(), vars.end(), of_tag);
     if (sink_)
         sink_->onEvict(tag, bank, set, head, last_gone);
 }
@@ -218,32 +241,28 @@ XbcDataArray::allocLine(uint64_t tag, std::size_t set,
     return std::nullopt;
 }
 
-std::optional<std::vector<XbcDataArray::LineUse>>
+bool
 XbcDataArray::placeChunks(const XbSeq &seq, std::size_t uops,
                           uint64_t tag, std::size_t set,
-                          uint32_t used_banks, uint32_t avoid_mask)
+                          uint32_t used_banks, uint32_t avoid_mask,
+                          LineList &placed)
 {
     xbs_assert(uops >= 1 && uops <= seq.size(), "bad chunk span");
 
     // Reverse-order fill: full bankUops chunks counted from the end
     // of the span; the head chunk takes the remainder, leaving free
     // space at the head line for later extension.
-    std::vector<std::size_t> sizes;
-    std::size_t head = uops % params_.bankUops;
-    if (head)
-        sizes.push_back(head);
-    for (std::size_t done = head; done < uops;
-         done += params_.bankUops) {
-        sizes.push_back(params_.bankUops);
-    }
+    const std::size_t head = uops % params_.bankUops;
+    const std::size_t chunks = uops / params_.bankUops + (head ? 1 : 0);
+    if (chunks > popCount(mask(params_.numBanks) & ~used_banks))
+        return false;
 
-    if (sizes.size() > popCount(mask(params_.numBanks) & ~used_banks))
-        return std::nullopt;
-
-    std::vector<LineUse> placed;
+    placed.clear();
     uint32_t banks = used_banks;
     std::size_t pos = 0;
-    for (std::size_t sz : sizes) {
+    for (std::size_t c = 0; c < chunks; ++c) {
+        const std::size_t sz = (c == 0 && head) ? head
+                                                : params_.bankUops;
         auto lu = allocLine(tag, set, banks, avoid_mask);
         if (!lu) {
             // Roll back lines placed so far.
@@ -253,7 +272,8 @@ XbcDataArray::placeChunks(const XbSeq &seq, std::size_t uops,
                 l.valid = false;
                 l.slots.clear();
             }
-            return std::nullopt;
+            placed.clear();
+            return false;
         }
         BankLine &l = line(*lu, set);
         l.slots.assign(seq.begin() + pos, seq.begin() + pos + sz);
@@ -263,7 +283,7 @@ XbcDataArray::placeChunks(const XbSeq &seq, std::size_t uops,
         banks |= 1u << lu->bank;
         pos += sz;
     }
-    return placed;
+    return true;
 }
 
 XbcDataArray::InsertOutcome
@@ -288,36 +308,34 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
         out->valid = false;
 
     // Find the resident variant with the longest common suffix.
-    // NOTE: evictions during line allocation can reshuffle the
-    // variant vector, so everything needed later is copied out and
-    // the variant is re-found by its sequence before mutation.
+    // NOTE: evictions during line allocation can reshuffle the set's
+    // variants, so everything needed later is copied out and the
+    // variant is re-found by its sequence before mutation.
+    auto &vars = sets_[set];
     unsigned best_common = 0;
-    XbSeq best_seq;
-    uint32_t best_mask = 0;
-    std::vector<LineUse> best_lines;
+    const Variant *best = nullptr;
     if (allow_match) {
-        auto it = directory_.find(end_ip);
-        if (it != directory_.end()) {
-            for (auto &v : it->second) {
-                unsigned c = commonSuffixLength(seq, v.seq);
-                if (c > best_common) {
-                    best_common = c;
-                    best_seq = v.seq;
-                    best_mask = v.mask;
-                    best_lines = v.lines;
-                }
+        for (const auto &v : vars) {
+            if (v.tag != end_ip)
+                continue;
+            unsigned c = commonSuffixLength(seq, v.seq);
+            if (c > best_common) {
+                best_common = c;
+                best = &v;
             }
         }
     }
-    bool have_best = best_common > 0;
+    const bool have_best = best != nullptr;
+    const XbImage best_seq = have_best ? best->seq : XbImage{};
+    const uint32_t best_mask = have_best ? best->mask : 0;
+    const LineList best_lines = have_best ? best->lines : LineList{};
 
     auto refind_best = [&]() -> Variant * {
-        auto it = directory_.find(end_ip);
-        if (it == directory_.end())
-            return nullptr;
-        for (auto &v : it->second) {
-            if (v.seq == best_seq && v.mask == best_mask)
+        for (auto &v : vars) {
+            if (v.tag == end_ip && v.seq == best_seq &&
+                v.mask == best_mask) {
                 return &v;
+            }
         }
         return nullptr;
     };
@@ -347,25 +365,18 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
         std::size_t take = std::min(free_slots, extra);
         std::size_t remaining = extra - take;
 
-        std::vector<LineUse> new_lines;
-        bool ok = true;
-        if (remaining) {
-            auto chunks = placeChunks(seq, remaining, end_ip, set,
-                                      best_mask, prev_mask);
-            if (chunks)
-                new_lines = std::move(*chunks);
-            else
-                ok = false;  // bank exhaustion; fall through below
-        }
-        if (ok) {
+        // On bank exhaustion fall through to a fresh allocation.
+        LineList new_lines;
+        if (!remaining ||
+            placeChunks(seq, remaining, end_ip, set, best_mask,
+                        prev_mask, new_lines)) {
             Variant *v = refind_best();
             xbs_assert(v != nullptr,
                        "case-2 variant vanished (lines protected)");
             if (take) {
                 BankLine &hl = line(v->lines.front(), set);
-                std::vector<UopSlot> prepend(
-                    seq.begin() + remaining,
-                    seq.begin() + remaining + take);
+                std::span<const UopSlot> prepend(
+                    seq.data() + remaining, take);
                 hl.slots.insert(hl.slots.begin(), prepend.begin(),
                                 prepend.end());
                 accountSlots(prepend, +1);
@@ -373,7 +384,7 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
             }
             v->lines.insert(v->lines.begin(), new_lines.begin(),
                             new_lines.end());
-            v->seq = seq;
+            v->seq.assign(seq.begin(), seq.end());
             rebuildMask(*v);
             // The XFU just wrote the whole extended image: re-stamp
             // the lines head-first so the section 3.10 aging order
@@ -400,7 +411,7 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
         // reverse-order storage).
         std::size_t m = best_lines.size();
         // cum[j] = uops covered by the last j lines of best.
-        std::vector<std::size_t> cum(m + 1, 0);
+        std::size_t cum[kMaxBanks + 1] = {};
         for (std::size_t j = 1; j <= m; ++j)
             cum[j] = cum[j - 1] + best_lines[m - j].count;
 
@@ -422,15 +433,14 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
             for (std::size_t j = 0; j < k_shared; ++j)
                 shared_banks |= 1u << best_lines[m - 1 - j].bank;
 
-            auto chunks = placeChunks(seq, prefix_uops, end_ip, set,
-                                      shared_banks, prev_mask);
-            if (!chunks)
+            Variant v;
+            if (!placeChunks(seq, prefix_uops, end_ip, set,
+                             shared_banks, prev_mask, v.lines)) {
                 continue;
+            }
             // The shared lines belong to best; they were excluded
             // from eviction via shared_banks, so they still hold.
-            Variant v;
             v.tag = end_ip;
-            v.lines = std::move(*chunks);
             for (std::size_t j = k_shared; j-- > 0;) {
                 LineUse lu = best_lines[m - 1 - j];
                 if (j == k_shared - 1) {
@@ -440,11 +450,10 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
                 }
                 v.lines.push_back(lu);
             }
-            v.seq = seq;
+            v.seq.assign(seq.begin(), seq.end());
             rebuildMask(v);
             ++complexAdds;
-            auto &vars = directory_[end_ip];
-            vars.push_back(std::move(v));
+            vars.push_back(v);
             // Head-first aging for the complex image too (the shared
             // suffix lines were just accessed by the store).
             refreshLru(vars.back());
@@ -456,24 +465,20 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
     // Fresh allocation (also the complex fallback and the
     // prefix-as-independent-XB policy when complex XBs are disabled).
     {
-        auto chunks = placeChunks(seq, seq.size(), end_ip, set, 0,
-                                  prev_mask);
-        if (!chunks) {
+        Variant v;
+        if (!placeChunks(seq, seq.size(), end_ip, set, 0, prev_mask,
+                         v.lines)) {
             if (out)
                 out->valid = false;
-            auto it = directory_.find(end_ip);
-            if (it != directory_.end() && it->second.empty())
-                directory_.erase(it);
             return InsertOutcome::IndependentAdded;
         }
-        Variant v;
         v.tag = end_ip;
-        v.lines = std::move(*chunks);
-        v.seq = seq;
+        v.seq.assign(seq.begin(), seq.end());
         rebuildMask(v);
-        auto &vars = directory_[end_ip];
-        bool fresh = vars.empty();
-        vars.push_back(std::move(v));
+        bool fresh = std::none_of(
+            vars.begin(), vars.end(),
+            [end_ip](const Variant &o) { return o.tag == end_ip; });
+        vars.push_back(v);
         if (fresh)
             ++allocs;
         else
@@ -489,11 +494,8 @@ XbcDataArray::lookup(uint64_t tag, uint32_t mask_bits,
                      int32_t entry_idx)
 {
     Access acc;
-    auto it = directory_.find(tag);
-    if (it == directory_.end())
-        return acc;
-    for (auto &v : it->second) {
-        if (v.mask != mask_bits)
+    for (const auto &v : sets_[setOf(tag)]) {
+        if (v.tag != tag || v.mask != mask_bits)
             continue;
         // Entry must sit at an instruction boundary in the sequence.
         for (std::size_t p = 0; p < v.seq.size(); ++p) {
@@ -511,10 +513,9 @@ XbcDataArray::Access
 XbcDataArray::findQuiet(uint64_t tag, int32_t entry_idx)
 {
     Access acc;
-    auto it = directory_.find(tag);
-    if (it == directory_.end())
-        return acc;
-    for (auto &v : it->second) {
+    for (const auto &v : sets_[setOf(tag)]) {
+        if (v.tag != tag)
+            continue;
         for (std::size_t p = 0; p < v.seq.size(); ++p) {
             if (v.seq[p].staticIdx == entry_idx && v.seq[p].seq == 0) {
                 acc.variant = &v;
@@ -529,12 +530,9 @@ XbcDataArray::findQuiet(uint64_t tag, int32_t entry_idx)
 const XbcDataArray::Variant *
 XbcDataArray::longestVariant(uint64_t tag) const
 {
-    auto it = directory_.find(tag);
-    if (it == directory_.end())
-        return nullptr;
     const Variant *best = nullptr;
-    for (const auto &v : it->second) {
-        if (!best || v.seq.size() > best->seq.size())
+    for (const auto &v : sets_[setOf(tag)]) {
+        if (v.tag == tag && (!best || v.seq.size() > best->seq.size()))
             best = &v;
     }
     return best;
@@ -575,7 +573,11 @@ XbcDataArray::noteConflict(const Variant &variant,
                            std::size_t line_pos,
                            uint32_t free_banks_mask)
 {
-    std::size_t set = setOf(variant.tag);
+    // An eviction below shifts the set's variants under @p variant,
+    // so copy out everything read from it.
+    const uint64_t tag = variant.tag;
+    const uint32_t variant_mask = variant.mask;
+    const std::size_t set = setOf(tag);
     const LineUse lu = variant.lines[line_pos];
     BankLine &l = line(lu, set);
     ++l.conflict;
@@ -587,7 +589,7 @@ XbcDataArray::noteConflict(const Variant &variant,
     }
     l.conflict = 0;
 
-    uint32_t candidates = free_banks_mask & ~variant.mask &
+    uint32_t candidates = free_banks_mask & ~variant_mask &
                           (uint32_t)mask(params_.numBanks);
     for (unsigned b = 0; b < params_.numBanks; ++b) {
         if (!(candidates & (1u << b)))
@@ -610,32 +612,30 @@ XbcDataArray::noteConflict(const Variant &variant,
 
             // Repoint every variant of this tag that used the old
             // line; drop any that would now collide on the bank.
-            auto it = directory_.find(variant.tag);
-            if (it != directory_.end()) {
-                auto &vars = it->second;
-                for (auto &v : vars) {
-                    for (auto &ref : v.lines) {
-                        if (ref.bank == lu.bank && ref.way == lu.way) {
-                            ref.bank = (uint8_t)b;
-                            ref.way = (uint8_t)w;
-                        }
+            auto &vars = sets_[set];
+            for (auto &v : vars) {
+                if (v.tag != tag)
+                    continue;
+                for (auto &ref : v.lines) {
+                    if (ref.bank == lu.bank && ref.way == lu.way) {
+                        ref.bank = (uint8_t)b;
+                        ref.way = (uint8_t)w;
                     }
-                    rebuildMask(v);
                 }
-                // Drop variants with duplicate banks (unreadable).
-                vars.erase(std::remove_if(vars.begin(), vars.end(),
-                    [&](const Variant &v) {
-                        uint32_t seen = 0;
-                        for (const auto &ref : v.lines) {
-                            if (seen & (1u << ref.bank))
-                                return true;
-                            seen |= 1u << ref.bank;
-                        }
-                        return false;
-                    }), vars.end());
-                if (vars.empty())
-                    directory_.erase(it);
+                rebuildMask(v);
             }
+            // Drop variants with duplicate banks (unreadable).
+            std::erase_if(vars, [tag](const Variant &v) {
+                if (v.tag != tag)
+                    return false;
+                uint32_t seen = 0;
+                for (const auto &ref : v.lines) {
+                    if (seen & (1u << ref.bank))
+                        return true;
+                    seen |= 1u << ref.bank;
+                }
+                return false;
+            });
             ++relocations;
             return true;
         }
@@ -646,12 +646,9 @@ XbcDataArray::noteConflict(const Variant &variant,
 void
 XbcDataArray::demoteLru(uint64_t tag, uint32_t mask_bits)
 {
-    auto it = directory_.find(tag);
-    if (it == directory_.end())
-        return;
     std::size_t set = setOf(tag);
-    for (auto &v : it->second) {
-        if (v.mask != mask_bits)
+    for (const auto &v : sets_[set]) {
+        if (v.tag != tag || v.mask != mask_bits)
             continue;
         for (const auto &lu : v.lines)
             line(lu, set).lru = 0;
@@ -661,12 +658,8 @@ XbcDataArray::demoteLru(uint64_t tag, uint32_t mask_bits)
 double
 XbcDataArray::redundancy() const
 {
-    uint64_t instances = 0;
-    for (const auto &[id, count] : residency_)
-        instances += count;
-    return residency_.empty()
-               ? 1.0
-               : (double)instances / (double)residency_.size();
+    return uniqueUops_ ? (double)filledUops_ / (double)uniqueUops_
+                       : 1.0;
 }
 
 double
@@ -695,14 +688,15 @@ XbcDataArray::auditStorage(
         report(AuditViolation::Kind::Structural, std::move(what));
     };
 
-    for (const auto &[tag, vars] : directory_) {
-        std::size_t set = setOf(tag);
-        std::string where =
-            "tag " + std::to_string(tag) + ": ";
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        const auto &vars = sets_[set];
         for (std::size_t vi = 0; vi < vars.size(); ++vi) {
             const Variant &v = vars[vi];
-            if (v.tag != tag) {
-                structural(where + "variant tag mismatch");
+            const uint64_t tag = v.tag;
+            std::string where =
+                "tag " + std::to_string(tag) + ": ";
+            if (setOf(tag) != set) {
+                structural(where + "variant filed in a foreign set");
                 continue;
             }
             if (v.lines.empty() || v.seq.empty()) {
@@ -881,7 +875,7 @@ XbcDataArray::auditStorage(
             // Uniqueness: truncation dedup and the three-case build
             // keep at most one variant per (mask, sequence) image.
             for (std::size_t vj = vi + 1; vj < vars.size(); ++vj) {
-                if (vars[vj].mask == v.mask &&
+                if (vars[vj].tag == tag && vars[vj].mask == v.mask &&
                     vars[vj].seq == v.seq) {
                     structural(where + "duplicate variant image");
                 }
@@ -893,7 +887,8 @@ XbcDataArray::auditStorage(
     // physical contents exactly (this is what redundancy() and the
     // paper's "(nearly) redundancy free" claim are computed from).
     uint64_t filled = 0;
-    std::unordered_map<UopId, uint32_t> counted;
+    uint64_t unique = 0;
+    std::vector<uint32_t> counted(residency_.size(), 0);
     for (const auto &l : lines_) {
         if (!l.valid)
             continue;
@@ -906,8 +901,7 @@ XbcDataArray::auditStorage(
             for (const auto &s : l.slots) {
                 if (s.staticIdx >= 0 &&
                     (std::size_t)s.staticIdx < code_->size()) {
-                    ++counted[makeUopId(
-                        code_->inst(s.staticIdx).ip, s.seq)];
+                    unique += counted[uopNumber(s)]++ == 0;
                 }
             }
         }
@@ -917,11 +911,11 @@ XbcDataArray::auditStorage(
                "filledUops counter " + std::to_string(filledUops_) +
                    " != physical " + std::to_string(filled));
     }
-    if (code_ && counted != residency_) {
+    if (code_ && (counted != residency_ || unique != uniqueUops_)) {
         report(AuditViolation::Kind::Accounting,
-               "residency map (" + std::to_string(residency_.size()) +
-                   " unique uops) disagrees with physical contents (" +
-                   std::to_string(counted.size()) + ")");
+               "residency counters (" + std::to_string(uniqueUops_) +
+                   " unique uops) disagree with physical contents (" +
+                   std::to_string(unique) + ")");
     }
 }
 
@@ -973,26 +967,23 @@ XbcDataArray::faultCorruptSlot(Rng &rng)
 
     std::size_t j = (std::size_t)rng.below(l.slots.size());
     UopSlot &slot = l.slots[j];
-    int32_t old_idx = slot.staticIdx;
-    int32_t new_idx = (int32_t)(((uint64_t)old_idx + 1 +
+    int32_t new_idx = (int32_t)(((uint64_t)slot.staticIdx + 1 +
                                  rng.below(code_->size() - 1)) %
                                 code_->size());
 
     // Keep the books balanced: the corruption changes *content*,
     // not structure, so the structural audit stays clean while the
     // frontend's match checks and the oracle see the damage.
-    UopId old_id = makeUopId(code_->inst(old_idx).ip, slot.seq);
-    auto it = residency_.find(old_id);
-    if (it != residency_.end() && --it->second == 0)
-        residency_.erase(it);
-    ++residency_[makeUopId(code_->inst(new_idx).ip, slot.seq)];
+    accountSlots({&slot, 1}, -1);
     slot.staticIdx = new_idx;
+    accountSlots({&slot, 1}, +1);
 
     // Mirror into every variant sequence that covers the slot (a
     // variant uses the trailing `count` slots of each line).
-    auto dit = directory_.find(l.tag);
-    if (dit != directory_.end() && setOf(l.tag) == set) {
-        for (auto &v : dit->second) {
+    if (setOf(l.tag) == set) {
+        for (auto &v : sets_[set]) {
+            if (v.tag != l.tag)
+                continue;
             std::size_t pos = 0;
             for (const auto &lu : v.lines) {
                 if (lu.bank == bank && lu.way == way) {
@@ -1010,7 +1001,7 @@ XbcDataArray::faultCorruptSlot(Rng &rng)
 bool
 XbcDataArray::tamperDuplicateVariant()
 {
-    for (auto &[tag, vars] : directory_) {
+    for (auto &vars : sets_) {
         if (!vars.empty()) {
             vars.push_back(vars.front());
             return true;
@@ -1022,7 +1013,7 @@ XbcDataArray::tamperDuplicateVariant()
 bool
 XbcDataArray::tamperSwapVariantLines()
 {
-    for (auto &[tag, vars] : directory_) {
+    for (auto &vars : sets_) {
         for (auto &v : vars) {
             if (v.lines.size() >= 2) {
                 std::swap(v.lines[0], v.lines[1]);
@@ -1037,9 +1028,8 @@ XbcDataArray::tamperSwapVariantLines()
 bool
 XbcDataArray::tamperStaleHeadLru()
 {
-    for (auto &[tag, vars] : directory_) {
-        std::size_t set = setOf(tag);
-        for (auto &v : vars) {
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        for (auto &v : sets_[set]) {
             if (v.lines.size() < 2)
                 continue;
             bool demoted = false;
@@ -1059,9 +1049,9 @@ XbcDataArray::reset()
 {
     for (auto &l : lines_)
         l = BankLine{};
-    directory_.clear();
-    residency_.clear();
-    filledUops_ = 0;
+    for (auto &vars : sets_)
+        vars.clear();
+    recount();
     clock_ = 0;
     resetStats();
 }
@@ -1069,8 +1059,9 @@ XbcDataArray::reset()
 namespace
 {
 
+template <typename Slots>
 void
-saveSlots(CkptSink &sink, const std::vector<UopSlot> &slots)
+saveSlots(CkptSink &sink, const Slots &slots)
 {
     sink.u64(slots.size());
     for (const UopSlot &slot : slots) {
@@ -1079,16 +1070,20 @@ saveSlots(CkptSink &sink, const std::vector<UopSlot> &slots)
     }
 }
 
+/** Load at most @p cap slots; a longer list fails @p src before
+ *  anything is written. */
+template <typename Slots>
 void
-loadSlots(CkptSource &src, std::vector<UopSlot> &slots)
+loadSlots(CkptSource &src, Slots &slots, unsigned cap)
 {
     uint64_t n = src.count(5);
+    src.require(n <= cap);
     slots.clear();
-    slots.reserve(src.ok() ? n : 0);
     for (uint64_t i = 0; src.ok() && i < n; ++i) {
         UopSlot slot;
         slot.staticIdx = src.i32();
         slot.seq = src.u8();
+        src.require(slot.staticIdx >= 0);
         if (src.ok())
             slots.push_back(slot);
     }
@@ -1108,17 +1103,26 @@ XbcDataArray::ckptSave(CkptSink &sink) const
         saveSlots(sink, l.slots);
     }
 
+    // The directory by ascending tag, each tag's variants in
+    // insertion order.
     std::vector<uint64_t> tags;
-    tags.reserve(directory_.size());
-    for (const auto &kv : directory_)
-        tags.push_back(kv.first);
+    for (const auto &vars : sets_) {
+        for (const Variant &v : vars)
+            tags.push_back(v.tag);
+    }
     std::sort(tags.begin(), tags.end());
+    tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
     sink.u64(tags.size());
     for (uint64_t tag : tags) {
-        const std::vector<Variant> &variants = directory_.at(tag);
+        const auto &vars = sets_[setOf(tag)];
         sink.u64(tag);
-        sink.u64(variants.size());
-        for (const Variant &v : variants) {
+        sink.u64(std::count_if(vars.begin(), vars.end(),
+                               [tag](const Variant &v) {
+                                   return v.tag == tag;
+                               }));
+        for (const Variant &v : vars) {
+            if (v.tag != tag)
+                continue;
             sink.u64(v.tag);
             sink.u32(v.mask);
             sink.u64(v.lines.size());
@@ -1132,29 +1136,6 @@ XbcDataArray::ckptSave(CkptSink &sink) const
     }
 
     sink.u64(clock_);
-
-    std::vector<uint64_t> uop_ids;
-    uop_ids.reserve(residency_.size());
-    for (const auto &kv : residency_)
-        uop_ids.push_back(kv.first);
-    std::sort(uop_ids.begin(), uop_ids.end());
-    sink.u64(uop_ids.size());
-    for (uint64_t id : uop_ids) {
-        sink.u64(id);
-        sink.u32(residency_.at(id));
-    }
-    sink.u64(filledUops_);
-
-    std::vector<int32_t> idxs;
-    idxs.reserve(ipOf_.size());
-    for (const auto &kv : ipOf_)
-        idxs.push_back(kv.first);
-    std::sort(idxs.begin(), idxs.end());
-    sink.u64(idxs.size());
-    for (int32_t idx : idxs) {
-        sink.i32(idx);
-        sink.u64(ipOf_.at(idx));
-    }
 }
 
 void
@@ -1168,22 +1149,22 @@ XbcDataArray::ckptLoad(CkptSource &src)
         l.tag = src.u64();
         l.lru = src.u64();
         l.conflict = src.u32();
-        loadSlots(src, l.slots);
+        loadSlots(src, l.slots, params_.bankUops);
     }
 
-    directory_.clear();
+    for (auto &vars : sets_)
+        vars.clear();
     uint64_t tags = src.count(16);
     for (uint64_t t = 0; src.ok() && t < tags; ++t) {
         uint64_t tag = src.u64();
         uint64_t num_variants = src.count(1);
-        std::vector<Variant> variants;
-        variants.reserve(src.ok() ? num_variants : 0);
         for (uint64_t v = 0; src.ok() && v < num_variants; ++v) {
             Variant var;
             var.tag = src.u64();
             var.mask = src.u32();
+            src.require(var.tag == tag);
             uint64_t num_lines = src.count(4);
-            var.lines.reserve(src.ok() ? num_lines : 0);
+            src.require(num_lines <= params_.numBanks);
             for (uint64_t lu = 0; src.ok() && lu < num_lines; ++lu) {
                 LineUse use;
                 use.bank = src.u8();
@@ -1194,34 +1175,14 @@ XbcDataArray::ckptLoad(CkptSource &src)
                 if (src.ok())
                     var.lines.push_back(use);
             }
-            loadSlots(src, var.seq);
+            loadSlots(src, var.seq, params_.xbQuotaUops);
             if (src.ok())
-                variants.push_back(std::move(var));
+                sets_[setOf(tag)].push_back(var);
         }
-        if (src.ok())
-            directory_[tag] = std::move(variants);
     }
 
     clock_ = src.u64();
-
-    residency_.clear();
-    uint64_t uop_ids = src.count(12);
-    for (uint64_t i = 0; src.ok() && i < uop_ids; ++i) {
-        uint64_t id = src.u64();
-        uint32_t count = src.u32();
-        if (src.ok())
-            residency_[id] = count;
-    }
-    filledUops_ = src.u64();
-
-    ipOf_.clear();
-    uint64_t idxs = src.count(12);
-    for (uint64_t i = 0; src.ok() && i < idxs; ++i) {
-        int32_t idx = src.i32();
-        uint64_t ip = src.u64();
-        if (src.ok())
-            ipOf_[idx] = ip;
-    }
+    recount();
 }
 
 } // namespace xbs

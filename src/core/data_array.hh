@@ -21,15 +21,23 @@
  * hardware's bank masks + order fields; the XBTB stores (tag, mask,
  * offset) pointers, and a stale pointer is repaired by set search
  * (section 3.9) exactly as in the paper.
+ *
+ * Storage is flat and, once warm, allocation-free: bank lines hold
+ * their slots inline, and each set keeps its variants (lines and uop
+ * image inline) in insertion order, so a tag's lookup scans only its
+ * own set and the first match wins. Residency is a dense counter per
+ * static uop of the bound code. Erasing any variant shifts the rest
+ * of its set, so no Variant reference survives a call that can evict.
  */
 
 #ifndef XBS_CORE_DATA_ARRAY_HH
 #define XBS_CORE_DATA_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "attrib/array_sink.hh"
@@ -61,13 +69,15 @@ class XbcDataArray : public StatGroup
         uint16_t count = 0;
     };
 
+    using LineList = InlineVec<LineUse, kMaxBanks>;
+
     /** One readable XB image. */
     struct Variant
     {
         uint64_t tag = 0;         ///< ending-instruction IP
         uint32_t mask = 0;        ///< banks used (derived from lines)
-        std::vector<LineUse> lines;  ///< head line first
-        XbSeq seq;                ///< cached logical uop sequence
+        XbImage seq;              ///< cached logical uop sequence
+        LineList lines;           ///< head line first
     };
 
     enum class InsertOutcome
@@ -139,7 +149,8 @@ class XbcDataArray : public StatGroup
      * Record a bank-conflict deferral of line @p line_pos of
      * @p variant while banks in @p free_banks_mask went unused
      * (section 3.10 dynamic placement); relocates the line once the
-     * conflict counter crosses the threshold.
+     * conflict counter crosses the threshold. A relocation can evict
+     * and so move @p variant; it is read only before that.
      *
      * @return true if a relocation happened
      */
@@ -153,7 +164,7 @@ class XbcDataArray : public StatGroup
     /// @{ Occupancy metrics.
     double redundancy() const;
     double fillFactor() const;
-    uint64_t uniqueUopsResident() const { return residency_.size(); }
+    uint64_t uniqueUopsResident() const { return uniqueUops_; }
     /// @}
 
     unsigned numSets() const { return numSets_; }
@@ -215,9 +226,11 @@ class XbcDataArray : public StatGroup
 
     void reset();
 
-    /// @{ Warm-state checkpointing (src/ckpt): bank lines, variant
-    ///    directory, residency/redundancy accounting. The code image
-    ///    is not serialized; bindCode() re-binds it on restore.
+    /// @{ Warm-state checkpointing (src/ckpt): bank lines and the
+    ///    variant directory. The fill and residency books are derived
+    ///    from the lines on load, and the code image is not
+    ///    serialized; bindCode() re-binds it on restore. A load that
+    ///    does not fit the geometry fails the source (Corrupt).
     void ckptSave(CkptSink &sink) const;
     void ckptLoad(CkptSource &src);
     /// @}
@@ -249,7 +262,8 @@ class XbcDataArray : public StatGroup
         uint64_t tag = 0;
         uint64_t lru = 0;
         uint32_t conflict = 0;
-        std::vector<UopSlot> slots;  ///< logical order, earliest first
+        /** Logical order, earliest first. */
+        InlineVec<UopSlot, kMaxBankUops> slots;
     };
 
     BankLine &line(unsigned bank, std::size_t set, unsigned way);
@@ -275,14 +289,26 @@ class XbcDataArray : public StatGroup
                                      uint32_t avoid_mask);
 
     /** Split the first @p uops of @p seq into head-partial chunks and
-     *  allocate lines for them; returns the lines (head first) or
-     *  nullopt on bank exhaustion. */
-    std::optional<std::vector<LineUse>>
-    placeChunks(const XbSeq &seq, std::size_t uops, uint64_t tag,
-                std::size_t set, uint32_t used_banks,
-                uint32_t avoid_mask);
+     *  allocate lines for them into @p placed (head first); false on
+     *  bank exhaustion. */
+    bool placeChunks(const XbSeq &seq, std::size_t uops, uint64_t tag,
+                     std::size_t set, uint32_t used_banks,
+                     uint32_t avoid_mask, LineList &placed);
 
-    void accountSlots(const std::vector<UopSlot> &slots, int delta);
+    /** Static uop number of @p s in the bound code. A corrupted
+     *  slot's foreign uop number is clamped to its instruction. */
+    std::size_t
+    uopNumber(const UopSlot &s) const
+    {
+        const StaticInst &si = code_->inst(s.staticIdx);
+        return si.firstUop + std::min<unsigned>(s.seq, si.numUops - 1u);
+    }
+
+    void accountSlots(std::span<const UopSlot> slots, int delta);
+
+    /** Derive the fill and residency books from the valid lines. */
+    void recount();
+
     void rebuildMask(Variant &v);
 
     /** Re-stamp a variant's lines head-to-primary with fresh LRU
@@ -293,21 +319,25 @@ class XbcDataArray : public StatGroup
     XbcParams params_;
     unsigned numSets_;
     std::vector<BankLine> lines_;   ///< [bank][set][way]
-    std::unordered_map<uint64_t, std::vector<Variant>> directory_;
+    /** Per set, its variants in insertion order. */
+    std::vector<std::vector<Variant>> sets_;
     uint64_t clock_ = 0;
 
-    std::unordered_map<UopId, uint32_t> residency_;
+    /** Resident copies per static uop number. */
+    std::vector<uint32_t> residency_;
+    uint64_t uniqueUops_ = 0;
     uint64_t filledUops_ = 0;
 
-    /** IP of the ending instruction of each resident uop's parent,
-     *  needed to translate slots to UopIds. Provided at insert time
-     *  via the sequences themselves; we keep ip per staticIdx. */
-    std::unordered_map<int32_t, uint64_t> ipOf_;
-
   public:
-    /** Register the code image so slots can be translated to uop ids
-     *  for redundancy accounting. Must be called before first use. */
-    void bindCode(const StaticCode *code) { code_ = code; }
+    /** Register the code image so slots can be translated to static
+     *  uop numbers for redundancy accounting, and recount residency
+     *  from the lines. Must be called before first use. */
+    void
+    bindCode(const StaticCode *code)
+    {
+        code_ = code;
+        recount();
+    }
 
   private:
     const StaticCode *code_ = nullptr;

@@ -12,11 +12,10 @@ OutMux::OutMux(const XbcParams &params, StatGroup *parent)
 {
 }
 
-std::vector<MuxSegment>
+MuxPlan
 OutMux::plan(const std::vector<MuxInput> &inputs)
 {
-    std::vector<MuxSegment> out;
-    out.reserve(inputs.size());
+    MuxPlan out;
 
     // A bank may appear more than once only when the priority
     // encoder granted a *shared* read (the same physical line
@@ -32,7 +31,6 @@ OutMux::plan(const std::vector<MuxInput> &inputs)
         seg.bank = in.bank;
         seg.count = in.count;
         seg.dstOffset = (uint8_t)dst;
-        out.push_back(seg);
 
         // Alignment shift: distance between the segment's natural
         // position (its bank's fixed slice of the raw 16-wide read)
@@ -43,6 +41,7 @@ OutMux::plan(const std::vector<MuxInput> &inputs)
         dst += in.count;
         xbs_assert(dst <= params_.xbQuotaUops,
                    "OUT_MUX width exceeded");
+        out.push_back(seg);  // in bounds: dst counts >= 1 per segment
     }
 
     ++cycles;

@@ -22,6 +22,7 @@
 
 #include "common/stats.hh"
 #include "core/params.hh"
+#include "core/xb.hh"
 
 namespace xbs
 {
@@ -41,6 +42,10 @@ struct MuxSegment
     uint8_t dstOffset = 0;  ///< position in the compacted sequence
 };
 
+/** One cycle's placement: every segment carries at least one uop of
+ *  the at most kMaxXbUops-wide output, so it fits inline. */
+using MuxPlan = InlineVec<MuxSegment, kMaxXbUops>;
+
 class OutMux : public StatGroup
 {
   public:
@@ -55,7 +60,7 @@ class OutMux : public StatGroup
      * @return dense placement; panics if the cycle is physically
      *         infeasible (width overflow)
      */
-    std::vector<MuxSegment> plan(const std::vector<MuxInput> &inputs);
+    MuxPlan plan(const std::vector<MuxInput> &inputs);
 
     ScalarStat cycles{this, "cycles", "cycles planned"};
     ScalarStat segments{this, "segments", "line segments routed"};

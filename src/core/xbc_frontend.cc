@@ -80,17 +80,18 @@ XbcFrontend::maybePromote(Xbtb::Entry &entry)
     const auto *xb0 = array_.longestVariant(entry.xbIp);
     if (!xb0)
         return;
-
-    XbSeq combined = xb0->seq;
-    combined.insert(combined.end(),
-                    sacc.variant->seq.begin() + sacc.entryPos,
-                    sacc.variant->seq.end());
-    if (combined.size() > xbcParams_.xbQuotaUops)
+    const XbImage &tail = sacc.variant->seq;
+    if (xb0->seq.size() + (tail.size() - sacc.entryPos) >
+        xbcParams_.xbQuotaUops) {
         return;  // does not fit the quota; stay unpromoted
+    }
 
+    promoteSeq_.assign(xb0->seq.begin(), xb0->seq.end());
+    promoteSeq_.insert(promoteSeq_.end(), tail.begin() + sacc.entryPos,
+                       tail.end());
     uint32_t xb0_mask = xb0->mask;
     XbPointer comb;
-    array_.insert(combined, succ.xbIp, 0, &comb);
+    array_.insert(promoteSeq_, succ.xbIp, 0, &comb);
     if (!comb.valid)
         return;
 

@@ -179,6 +179,8 @@ class XbcFrontend : public Frontend
 
     /** Per-cycle line contributions for the OUT_MUX model. */
     std::vector<MuxInput> cycleMux_;
+    /** XB_comb under construction, reused across promotions. */
+    XbSeq promoteSeq_;
 
     XbPointer cur_;
     bool curIsContinuation_ = false;

@@ -23,11 +23,12 @@ StaticCode::finalize()
     ipMap_.reserve(insts_.size());
     totalUops_ = 0;
     for (std::size_t i = 0; i < insts_.size(); ++i) {
-        const auto &inst = insts_[i];
+        auto &inst = insts_[i];
         auto [it, inserted] = ipMap_.emplace(inst.ip, (int32_t)i);
         (void)it;
         xbs_assert(inserted, "duplicate IP %llx",
                    (unsigned long long)inst.ip);
+        inst.firstUop = (uint32_t)totalUops_;
         totalUops_ += inst.numUops;
     }
     for (std::size_t i = 0; i < insts_.size(); ++i) {

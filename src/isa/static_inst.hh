@@ -51,6 +51,13 @@ struct StaticInst
      */
     int32_t behaviorId = kNoBehavior;
 
+    /**
+     * Static uop number of this instruction's first uop: the prefix
+     * sum of numUops over the code image, set by finalize(). It sits
+     * in the tail padding.
+     */
+    uint32_t firstUop = 0;
+
     /** @return the fall-through IP (the next sequential address). */
     uint64_t fallThroughIp() const { return ip + length; }
 
@@ -59,6 +66,7 @@ struct StaticInst
     bool endsTrace() const { return xbs::endsTrace(cls); }
     bool endsBasicBlock() const { return xbs::endsBasicBlock(cls); }
 };
+static_assert(sizeof(StaticInst) == 24, "StaticInst outgrew 24 bytes");
 
 /**
  * Immutable flattened code image. Instances are shared between the

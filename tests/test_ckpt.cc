@@ -3,7 +3,8 @@
  * Warm-state checkpoint/restore tests: container integrity (every
  * single-bit flip detected), the corrupt-file corpus, per-frontend
  * bit-exact restore via the divergence oracle, identity and build
- * gating, and ckpt-flip fault injection.
+ * gating, ckpt-flip fault injection, and the bounds of the XBC data
+ * array's inline storage.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <string>
 
 #include "ckpt/checkpoint.hh"
+#include "ckpt/serial.hh"
+#include "core/xbc_frontend.hh"
 #include "prof/build_info.hh"
 #include "sim/ckpt_io.hh"
 #include "sim/config.hh"
@@ -281,6 +284,112 @@ TEST(CkptInject, SeededFlipsAlwaysRejected)
         EXPECT_FALSE(file.ok()) << "seed " << seed << " undetected";
         if (!file.ok())
             EXPECT_EQ(file.status().code(), StatusCode::Corrupt);
+    }
+}
+
+/**
+ * An XBC data-array payload: @p lines cold lines (line 0 holding
+ * @p line0_slots slots) and one variant filed under @p key, with
+ * tag @p tag, @p num_lines line uses and @p seq_len uops.
+ */
+std::string
+arrayPayload(std::size_t lines, unsigned line0_slots, uint64_t key,
+             uint64_t tag, unsigned num_lines, unsigned seq_len)
+{
+    CkptSink s;
+    auto slots = [&s](unsigned n) {
+        s.u64(n);
+        for (unsigned i = 0; i < n; ++i) {
+            s.i32(0);
+            s.u8(0);
+        }
+    };
+    s.u64(lines);
+    for (std::size_t i = 0; i < lines; ++i) {
+        s.b(false);
+        s.u64(0);
+        s.u64(0);
+        s.u32(0);
+        slots(i == 0 ? line0_slots : 0);
+    }
+    s.u64(1);  // one directory key
+    s.u64(key);
+    s.u64(1);  // one variant
+    s.u64(tag);
+    s.u32(1);
+    s.u64(num_lines);
+    for (unsigned i = 0; i < num_lines; ++i) {
+        s.u8(0);
+        s.u8(0);
+        s.u16(1);
+    }
+    slots(seq_len);
+    s.u64(0);  // LRU clock
+    return s.take();
+}
+
+// The data array's storage is inline and fixed by the geometry, so a
+// checkpoint that does not fit it must fail as Corrupt before the
+// load writes anything: a container with valid CRCs whose 'xbc'
+// section carries an oversized line, variant or sequence, or a
+// variant filed under another tag.
+TEST(CkptBounds, OversizedXbcArrayStateRejected)
+{
+    const Trace trace = makeCatalogTrace("gcc", 30000);
+    const SimConfig config = SimConfig::xbcBaseline(8192, 2);
+    const RunSpec spec = specFor("xbc");
+    std::string bytes, array_bytes;
+    std::size_t lines = 0;
+    auto fe = makeFrontend(config);
+    fe->armCheckpoint(2000, [&](Frontend &f) -> Status {
+        bytes = encodeCheckpoint(
+            f, makeCkptMeta(spec, trace, f.metrics().cycles.value()));
+        const XbcDataArray &arr =
+            static_cast<XbcFrontend &>(f).dataArray();
+        CkptSink sink;
+        arr.ckptSave(sink);
+        array_bytes = sink.take();
+        lines = arr.lineCount();
+        return Status::ok();
+    });
+    fe->run(trace);
+    Expected<CheckpointFile> file = parseCheckpoint(bytes);
+    ASSERT_TRUE(file.ok());
+    const std::string &xbc = *file.value().section("xbc");
+    const std::size_t at = xbc.find(array_bytes);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(xbc.find(array_bytes, at + 1), std::string::npos);
+
+    // Splice @p payload in as the array's state, re-sealed.
+    auto restore_with = [&](const std::string &payload) {
+        std::string doctored = xbc;
+        doctored.replace(at, array_bytes.size(), payload);
+        CheckpointWriter w;
+        for (const auto &kv : file.value().sections())
+            w.addSection(kv.first,
+                         kv.first == "xbc" ? doctored : kv.second);
+        Expected<CheckpointFile> sealed = parseCheckpoint(w.encode());
+        EXPECT_TRUE(sealed.ok()) << sealed.status().toString();
+        auto warm = makeFrontend(config);
+        return restoreCheckpoint(*warm, sealed.value(), spec, trace);
+    };
+
+    const XbcParams &p = config.xbc;
+    const uint64_t key = 0x400000;
+    // Control: the same splice within every bound restores.
+    EXPECT_TRUE(restore_with(arrayPayload(lines, p.bankUops, key, key,
+                                          p.numBanks, p.xbQuotaUops))
+                    .isOk());
+    const std::string bad[] = {
+        arrayPayload(lines, p.bankUops + 1, key, key, 1, 1),
+        arrayPayload(lines, 0, key, key, p.numBanks + 1, 1),
+        arrayPayload(lines, 0, key, key, 1, p.xbQuotaUops + 1),
+        arrayPayload(lines, 0, key, key + 1, 1, 1),
+    };
+    for (const std::string &payload : bad) {
+        Status st = restore_with(payload);
+        EXPECT_FALSE(st.isOk());
+        EXPECT_EQ(st.code(), StatusCode::Corrupt) << st.toString();
     }
 }
 

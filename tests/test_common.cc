@@ -42,6 +42,25 @@ TEST(Bitops, Logarithms)
     EXPECT_EQ(floorLog2(1024), 10u);
     EXPECT_EQ(ceilLog2(1024), 10u);
     EXPECT_EQ(ceilLog2(1025), 11u);
+
+    // Edges: 0 keeps its historical results, 2^k +- 1 straddle the
+    // boundaries, and the top bit and all-ones use every bit.
+    EXPECT_EQ(floorLog2(0), 0u);
+    EXPECT_EQ(ceilLog2(0), 1u);
+    EXPECT_EQ(ceilLog2(1), 0u);
+    for (unsigned k = 2; k < 64; ++k) {
+        const uint64_t p = 1ULL << k;
+        EXPECT_EQ(floorLog2(p - 1), k - 1) << k;
+        EXPECT_EQ(floorLog2(p), k) << k;
+        EXPECT_EQ(floorLog2(p + 1), k) << k;
+        EXPECT_EQ(ceilLog2(p - 1), k) << k;
+        EXPECT_EQ(ceilLog2(p), k) << k;
+        EXPECT_EQ(ceilLog2(p + 1), k + 1) << k;
+    }
+    EXPECT_EQ(floorLog2(1ULL << 63), 63u);
+    EXPECT_EQ(ceilLog2(1ULL << 63), 63u);
+    EXPECT_EQ(floorLog2(UINT64_MAX), 63u);
+    EXPECT_EQ(ceilLog2(UINT64_MAX), 64u);
 }
 
 TEST(Bitops, MaskAndBits)
@@ -74,6 +93,10 @@ TEST(Bitops, PopCount)
     EXPECT_EQ(popCount(0), 0u);
     EXPECT_EQ(popCount(0xf), 4u);
     EXPECT_EQ(popCount(~0ULL), 64u);
+    EXPECT_EQ(popCount(1ULL << 63), 1u);
+    EXPECT_EQ(popCount((1ULL << 63) + 1), 2u);
+    EXPECT_EQ(popCount((1ULL << 32) - 1), 32u);
+    EXPECT_EQ(popCount(UINT64_MAX - 1), 63u);
 }
 
 TEST(Rng, Deterministic)

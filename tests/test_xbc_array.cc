@@ -3,14 +3,49 @@
  * Unit and property tests for the XBC data array: the three overlap
  * cases of the build algorithm, reverse-order extension, complex-XB
  * suffix sharing, eviction truncation (head-line rule), set search,
- * dynamic placement, and the redundancy bookkeeping.
+ * dynamic placement, the redundancy bookkeeping, insertion order
+ * within a set, and allocation-free steady-state operation.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "common/random.hh"
 #include "core/data_array.hh"
+#include "core/out_mux.hh"
 #include "test_helpers.hh"
+
+namespace
+{
+/** Heap allocations made through operator new so far. */
+uint64_t gHeapAllocs = 0;
+} // anonymous namespace
+
+// Counting replacements for this binary's global allocator. They
+// stay out of line: inlined, GCC sees malloc's pointer reach operator
+// delete (or new's reach free) and warns of a mismatch.
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    ++gHeapAllocs;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace xbs
 {
@@ -360,6 +395,176 @@ TEST_F(ArrayFixture, ResetClearsEverything)
     arr->checkInvariants();
 }
 
+TEST_F(ArrayFixture, FirstInsertedVariantWinsAfterForeignEviction)
+{
+    // One set of 2 banks x 3 ways: every tag shares it.
+    XbcParams p;
+    p.capacityUops = 24;
+    p.numBanks = 2;
+    p.bankUops = 4;
+    p.ways = 3;
+    p.xbQuotaUops = 8;
+    auto arr = makeArray(p);
+    ASSERT_EQ(arr->numSets(), 1u);
+
+    // Another tag first, then two complex variants of endIp that
+    // share the c d line and land on the same bank mask.
+    const uint64_t other = 0x1000;
+    XbPointer po, bcd, acd;
+    arr->insert(seqOf({a1, a2}), other, 0, &po);
+    arr->insert(seqOf({b1, b2, c, d}), endIp, 0, &bcd);
+    ASSERT_EQ(arr->insert(seqOf({a1, a2, c, d}), endIp, 0, &acd),
+              XbcDataArray::InsertOutcome::ComplexAdded);
+    ASSERT_EQ(bcd.mask, acd.mask);
+
+    // Fill the last free lines, then evict the other tag's line, the
+    // least recently used: both variants shift down in the set.
+    XbPointer px;
+    arr->insert(seqOf({b1, b2}), 0x2000, 0, &px);
+    arr->insert(seqOf({b1, b2}), 0x3000, 0, &px);
+    ASSERT_EQ(arr->evictions.value(), 0u);
+    arr->insert(seqOf({b1, b2}), 0x4000, 0, &px);
+    ASSERT_EQ(arr->evictions.value(), 1u);
+    EXPECT_EQ(arr->findQuiet(other, a1).variant, nullptr);
+
+    // Both variants contain c; the first inserted (b prefix) wins.
+    auto acc = arr->lookup(endIp, bcd.mask, c);
+    ASSERT_NE(acc.variant, nullptr);
+    EXPECT_EQ(acc.variant->seq.front().staticIdx, b1);
+    EXPECT_EQ(acc.entryPos, 4u);
+    auto quiet = arr->findQuiet(endIp, c);
+    ASSERT_NE(quiet.variant, nullptr);
+    EXPECT_EQ(quiet.variant->seq.front().staticIdx, b1);
+    const auto *longest = arr->longestVariant(endIp);
+    ASSERT_NE(longest, nullptr);
+    EXPECT_EQ(longest->seq.front().staticIdx, b1);
+    auto second = arr->lookup(endIp, acd.mask, a1);
+    ASSERT_NE(second.variant, nullptr);
+    EXPECT_EQ(second.variant->seq.front().staticIdx, a1);
+    arr->checkInvariants();
+}
+
+/** One operation of a replayable array workload. */
+struct StreamOp
+{
+    std::size_t seq;  ///< index into the stream's sequences
+    uint64_t tag;
+    uint32_t prevMask;
+};
+
+TEST(ArrayAllocations, WarmArraySecondPassAllocatesNothing)
+{
+    // Eight cond-ended blocks whose suffixes are stored as XBs in a
+    // small array, so the stream extends, shares, evicts, truncates
+    // and relocates.
+    CodeBuilder cb;
+    std::vector<std::vector<int32_t>> blocks(8);
+    for (auto &block : blocks) {
+        for (int i = 0; i < 6; ++i)
+            block.push_back(cb.seq(1 + i % 3));
+        block.push_back(cb.cond(0, 1));
+    }
+    auto code = cb.finalize();
+
+    XbcParams p;
+    p.capacityUops = 256;
+    p.dynamicPlacementThreshold = 2;
+    StatGroup root("alloc");
+    XbcDataArray arr(p, &root);
+    arr.bindCode(code.get());
+
+    std::vector<XbSeq> seqs;
+    std::vector<StreamOp> ops;
+    Rng rng(11);
+    for (int i = 0; i < 2000; ++i) {
+        const auto &block = blocks[rng.below(blocks.size())];
+        XbSeq seq;
+        for (std::size_t k = rng.below(block.size()); k < block.size();
+             ++k) {
+            appendInstUops(*code, block[k], seq);
+        }
+        if (seq.size() > p.xbQuotaUops)
+            continue;
+        seqs.push_back(seq);
+        ops.push_back({seqs.size() - 1, code->inst(block.back()).ip,
+                       (uint32_t)rng.below(16)});
+    }
+
+    auto pass = [&]() {
+        for (const StreamOp &op : ops) {
+            const XbSeq &seq = seqs[op.seq];
+            XbPointer ptr;
+            arr.insert(seq, op.tag, op.prevMask, &ptr);
+            if (!ptr.valid)
+                continue;
+            auto acc = arr.lookup(op.tag, ptr.mask, ptr.entryIdx);
+            if (!acc.variant)
+                continue;
+            arr.touch(*acc.variant, acc.entryPos);
+            arr.noteConflict(*acc.variant, 0, 0xf);
+            (void)arr.longestVariant(op.tag);
+            (void)arr.setSearch(op.tag, seq.back().staticIdx);
+        }
+    };
+    pass();
+    const uint64_t evictions = arr.evictions.value();
+    const uint64_t before = gHeapAllocs;
+    pass();
+    EXPECT_EQ(gHeapAllocs - before, 0u);
+    EXPECT_GT(arr.evictions.value(), evictions);
+    EXPECT_GT(arr.relocations.value(), 0u);
+    arr.checkInvariants();
+}
+
+TEST(ArrayAllocations, OutMuxPlanAllocatesNothing)
+{
+    StatGroup root("alloc");
+    OutMux mux(XbcParams{}, &root);
+    const std::vector<MuxInput> inputs = {{0, 4}, {2, 3}, {1, 4}, {3, 1}};
+    mux.plan(inputs);
+    const uint64_t before = gHeapAllocs;
+    std::size_t segments = 0;
+    for (int i = 0; i < 1000; ++i)
+        segments += mux.plan(inputs).size();
+    EXPECT_EQ(gHeapAllocs - before, 0u);
+    EXPECT_EQ(segments, 4000u);
+}
+
+TEST(ArrayFaults, CorruptSlotWithForeignUopStaysInBoundsAndBalanced)
+{
+    // The code's last instruction has one uop, so moving a later uop
+    // of the 4-uop instruction onto it pairs it with a uop number
+    // past the end of the code.
+    CodeBuilder cb;
+    int32_t wide = cb.seq(4);
+    int32_t last = cb.cond(0, 1);
+    auto code = cb.finalize();
+    StatGroup root("fault");
+    XbcDataArray arr(XbcParams{}, &root);
+    arr.bindCode(code.get());
+    XbSeq seq;
+    appendInstUops(*code, wide, seq);
+    appendInstUops(*code, last, seq);
+    const uint64_t tag = code->inst(last).ip;
+    XbPointer ptr;
+    arr.insert(seq, tag, 0, &ptr);
+
+    Rng rng(5);
+    bool foreign_seen = false;
+    for (int i = 0; i < 32; ++i) {
+        ASSERT_TRUE(arr.faultCorruptSlot(rng));
+        for (const UopSlot &s : arr.longestVariant(tag)->seq)
+            foreign_seen |= s.staticIdx == last && s.seq > 0;
+        std::size_t accounting = 0;
+        arr.auditStorage([&](AuditViolation v) {
+            accounting += v.kind == AuditViolation::Kind::Accounting;
+        });
+        EXPECT_EQ(accounting, 0u);
+        EXPECT_LE(arr.uniqueUopsResident(), code->totalUops());
+    }
+    EXPECT_TRUE(foreign_seen);
+}
+
 /**
  * Property test: random subsequence inserts over a long instruction
  * chain must keep every internal invariant across geometries.
@@ -424,7 +629,7 @@ TEST_P(ArrayFuzz, RandomInsertsKeepInvariants)
             if (acc.variant) {
                 // Every stored image must be a contiguous tail of
                 // the static chain, ending at the branch.
-                const XbSeq &vs = acc.variant->seq;
+                const XbImage &vs = acc.variant->seq;
                 ASSERT_FALSE(vs.empty());
                 EXPECT_EQ(vs.back().staticIdx, chain.back());
                 std::size_t ci = chain.size();
