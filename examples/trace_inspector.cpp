@@ -92,10 +92,16 @@ main(int argc, char **argv)
 
     // Round-trip through the binary format.
     std::string path = "/tmp/xbs_inspector_roundtrip.xbt";
-    writeTrace(trace, path);
-    Trace replay = readTrace(path);
+    Status st = writeTraceEx(trace, path);
+    Expected<Trace> replay =
+        st.isOk() ? readTraceEx(path) : Expected<Trace>(st);
     std::remove(path.c_str());
+    if (!replay.ok()) {
+        std::fprintf(stderr, "trace_inspector: %s\n",
+                     replay.status().toString().c_str());
+        return kExitData;
+    }
     std::printf("binary round-trip: %zu records re-read OK\n",
-                replay.numRecords());
+                replay.value().numRecords());
     return 0;
 }

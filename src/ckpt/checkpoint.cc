@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/crc32.hh"
 #include "common/fs.hh"
 #include "common/sha256.hh"
 
@@ -153,7 +154,7 @@ CheckpointWriter::encode() const
         out += body.bytes();
         out += kv.second;
         CkptSink crc;
-        crc.u32(ckptCrc32(kv.second));
+        crc.u32(crc32(0, kv.second.data(), kv.second.size()));
         out += crc.bytes();
     }
     // Sentinel + whole-file guard hash.
@@ -223,7 +224,7 @@ parseCheckpoint(const std::string &bytes)
         uint32_t stored = 0;
         for (int i = 0; i < 4; ++i)
             stored |= (uint32_t)(uint8_t)bytes[pos + i] << (8 * i);
-        if (stored != ckptCrc32(payload)) {
+        if (stored != crc32(0, payload.data(), payload.size())) {
             return corrupt("section '" + name + "' crc mismatch", pos);
         }
         pos += 4;

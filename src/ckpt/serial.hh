@@ -1,8 +1,7 @@
 /**
  * @file
  * Byte-level serialization primitives for the checkpoint format:
- * a little-endian Sink/Source pair and the CRC-32 used to guard
- * each checkpoint section.
+ * a little-endian Sink/Source pair.
  *
  * Source is deliberately paranoid: every read is bounds-checked
  * against the remaining payload and every structural expectation
@@ -23,16 +22,6 @@
 
 namespace xbs
 {
-
-/** CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320 — the zlib
- *  polynomial, so external tooling can produce compatible files). */
-uint32_t ckptCrc32(const void *data, std::size_t len);
-
-inline uint32_t
-ckptCrc32(const std::string &s)
-{
-    return ckptCrc32(s.data(), s.size());
-}
 
 /** Append-only little-endian byte sink. */
 class CkptSink

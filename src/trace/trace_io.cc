@@ -1,11 +1,12 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <unordered_set>
 
-#include "common/logging.hh"
+#include "common/crc32.hh"
 
 namespace xbs
 {
@@ -13,7 +14,7 @@ namespace xbs
 namespace
 {
 
-constexpr char kMagic[4] = {'X', 'B', 'T', '1'};
+constexpr char kMagic[4] = {'X', 'B', 'T', '2'};
 
 /** Serialized sizes (the structs are written field by field). */
 constexpr uint64_t kInstBytes = 8 + 1 + 1 + 1 + 4 + 4;
@@ -27,28 +28,53 @@ struct FileCloser
 using FilePtr = std::unique_ptr<FILE, FileCloser>;
 
 /**
- * Bounds-tracked reader over a stdio stream: every get knows the
- * current byte offset (for error context) and the total file size
- * (so section counts can be sanity-checked before any allocation).
+ * Bounds-tracked reader over the one kTraceBufBytes buffer: every get
+ * knows the current byte offset (for error context) and the total
+ * file size (so section counts can be sanity-checked before any
+ * allocation). The buffer is refilled as it drains, and the bytes it
+ * drops feed the running CRC, so the file is read in one pass.
  */
 struct Reader
 {
     FILE *f = nullptr;
     uint64_t offset = 0;
     uint64_t size = 0;
-    Status error;  ///< first failure; reads after it are no-ops
+    Status error;  ///< the first failure
+    std::unique_ptr<uint8_t[]> buf{new uint8_t[kTraceBufBytes]};
+    std::size_t pos = 0, len = 0;  ///< buf[pos, len) is not read yet
+    uint32_t crc = 0;              ///< of the file bytes before buf[0]
+
+    /** Make @p n <= kTraceBufBytes unread bytes available at
+     *  buf[pos], topping the buffer up once it runs low. */
+    bool
+    fill(std::size_t n, const char *what)
+    {
+        if (len - pos < n && error.isOk()) {
+            crc = crc32(crc, buf.get(), pos);
+            std::memmove(buf.get(), buf.get() + pos, len - pos);
+            len -= pos;
+            pos = 0;
+            len += std::fread(buf.get() + len, 1, kTraceBufBytes - len, f);
+            if (len < n)
+                fail(std::string("truncated ") + what);
+        }
+        return len - pos >= n;
+    }
+
+    void
+    skip(std::size_t n)
+    {
+        pos += n;
+        offset += n;
+    }
 
     bool
     read(void *dst, std::size_t n, const char *what)
     {
-        if (!error.isOk())
+        if (!fill(n, what))
             return false;
-        if (std::fread(dst, 1, n, f) != n) {
-            error = Status::error(std::string("truncated ") + what)
-                        .withOffset(offset);
-            return false;
-        }
-        offset += n;
+        std::memcpy(dst, buf.get() + pos, n);
+        skip(n);
         return true;
     }
 
@@ -66,17 +92,12 @@ struct Reader
     void
     fail(std::string cause)
     {
-        if (error.isOk())
-            error = Status::error(std::move(cause)).withOffset(offset);
+        if (error.isOk()) {
+            error = Status::error(StatusCode::Corrupt, std::move(cause))
+                        .withOffset(offset);
+        }
     }
 };
-
-template <typename T>
-bool
-put(FILE *f, const T &v)
-{
-    return std::fwrite(&v, sizeof(T), 1, f) == 1;
-}
 
 } // anonymous namespace
 
@@ -97,53 +118,55 @@ writeTraceEx(const Trace &trace, const std::string &path)
     if (!f)
         return Status::error("cannot open for writing").withFile(path);
 
-    uint64_t offset = 0;
-    auto fail = [&]() {
-        return Status::error("trace write failed")
-            .withFile(path).withOffset(offset);
+    // Pack the fields into the one buffer; each full buffer goes out
+    // in one fwrite, after feeding the running CRC.
+    std::unique_ptr<uint8_t[]> buf(new uint8_t[kTraceBufBytes]);
+    std::size_t len = 0;
+    uint64_t written = 0;
+    uint32_t crc = 0;
+    bool ok = true;
+    auto flush = [&]() {
+        crc = crc32(crc, buf.get(), len);
+        ok = ok && std::fwrite(buf.get(), 1, len, f.get()) == len;
+        written += ok ? len : 0;
+        len = 0;
     };
+    auto write = [&](const void *src, std::size_t n) {
+        if (len + n > kTraceBufBytes)
+            flush();
+        std::memcpy(buf.get() + len, src, n);
+        len += n;
+    };
+    auto put = [&](auto v) { write(&v, sizeof(v)); };
 
-    if (std::fwrite(kMagic, 1, 4, f.get()) != 4)
-        return fail();
-    offset += 4;
-    if (!put<uint32_t>(f.get(), (uint32_t)trace.name().size()))
-        return fail();
-    offset += 4;
-    if (std::fwrite(trace.name().data(), 1, trace.name().size(),
-                    f.get()) != trace.name().size()) {
-        return fail();
-    }
-    offset += trace.name().size();
+    write(kMagic, 4);
+    put(uint32_t(trace.name().size()));
+    write(trace.name().data(), trace.name().size());
 
     const auto &code = trace.code();
-    if (!put<uint64_t>(f.get(), code.size()))
-        return fail();
-    offset += 8;
+    put(uint64_t(code.size()));
     for (std::size_t i = 0; i < code.size(); ++i) {
         const auto &si = code.inst((int32_t)i);
-        if (!put<uint64_t>(f.get(), si.ip) ||
-            !put<uint8_t>(f.get(), si.length) ||
-            !put<uint8_t>(f.get(), si.numUops) ||
-            !put<uint8_t>(f.get(), (uint8_t)si.cls) ||
-            !put<int32_t>(f.get(), si.takenIdx) ||
-            !put<int32_t>(f.get(), si.behaviorId)) {
-            return fail();
-        }
-        offset += kInstBytes;
+        put(uint64_t(si.ip));
+        put(uint8_t(si.length));
+        put(uint8_t(si.numUops));
+        put(uint8_t(si.cls));
+        put(int32_t(si.takenIdx));
+        put(int32_t(si.behaviorId));
     }
 
-    if (!put<uint64_t>(f.get(), trace.numRecords()))
-        return fail();
-    offset += 8;
+    put(uint64_t(trace.numRecords()));
     for (std::size_t i = 0; i < trace.numRecords(); ++i) {
-        if (!put<int32_t>(f.get(), trace.record(i).staticIdx) ||
-            !put<uint8_t>(f.get(), trace.record(i).taken)) {
-            return fail();
-        }
-        offset += kRecordBytes;
+        put(int32_t(trace.record(i).staticIdx));
+        put(uint8_t(trace.record(i).taken));
     }
-    if (std::fflush(f.get()) != 0)
-        return fail();
+    flush();
+    put(crc);
+    flush();
+    if (!ok || std::fflush(f.get()) != 0 || std::fclose(f.release()) != 0) {
+        return Status::error("trace write failed")
+            .withFile(path).withOffset(written);
+    }
     return Status::ok();
 }
 
@@ -167,8 +190,8 @@ readTraceEx(const std::string &path)
     char magic[4] = {};
     if (!r.read(magic, 4, "header") ||
         std::memcmp(magic, kMagic, 4) != 0) {
-        return Status::error("'" + path +
-                             "' is not an XBT1 trace file")
+        return Status::error(StatusCode::Corrupt,
+                             "'" + path + "' is not an XBT2 trace file")
             .withOffset(0);
     }
 
@@ -227,7 +250,7 @@ readTraceEx(const std::string &path)
             return r.error.withFile(path);
 
         auto bad = [&](const std::string &what) {
-            r.error = Status::error("instruction " +
+            r.error = Status::error(StatusCode::Corrupt, "instruction " +
                                     std::to_string(i) + ": " + what)
                           .withOffset(inst_off).withFile(path);
             return r.error;
@@ -265,67 +288,51 @@ readTraceEx(const std::string &path)
                " bytes left in the file");
         return r.error.withFile(path);
     }
-    std::vector<TraceRecord> records;
-    records.reserve((std::size_t)num_records);
-    for (uint64_t i = 0; i < num_records; ++i) {
-        uint64_t rec_off = r.offset;
-        TraceRecord rec;
-        rec.staticIdx = r.get<int32_t>("record");
-        rec.taken = r.get<uint8_t>("record");
-        if (!r.error.isOk())
+    std::vector<TraceRecord> records((std::size_t)num_records);
+    for (uint64_t i = 0; i < num_records;) {
+        if (!r.fill(kRecordBytes, "record"))
             return r.error.withFile(path);
-        if (rec.staticIdx < 0 ||
-            (uint64_t)rec.staticIdx >= num_insts) {
-            return Status::error("record " + std::to_string(i) +
-                                 ": staticIdx " +
-                                 std::to_string(rec.staticIdx) +
-                                 " out of range")
-                .withOffset(rec_off).withFile(path);
+        // Decode every whole record in the buffer in one tight loop.
+        const uint8_t *p = r.buf.get() + r.pos;
+        const uint64_t n = std::min<uint64_t>(
+            (r.len - r.pos) / kRecordBytes, num_records - i);
+        for (uint64_t k = 0; k < n; ++k, ++i, p += kRecordBytes) {
+            TraceRecord &rec = records[i];
+            std::memcpy(&rec.staticIdx, p, 4);
+            rec.taken = p[4];
+            // A negative index wraps above num_insts (<= INT32_MAX).
+            const bool idx_ok = (uint32_t)rec.staticIdx < num_insts;
+            if (!idx_ok || rec.taken > 1) {
+                const std::string what =
+                    idx_ok ? "taken flag " + std::to_string(rec.taken) +
+                                 " is not 0/1"
+                           : "staticIdx " + std::to_string(rec.staticIdx) +
+                                 " out of range";
+                return Status::error(StatusCode::Corrupt,
+                                     "record " + std::to_string(i) + ": " +
+                                         what)
+                    .withOffset(r.offset + k * kRecordBytes)
+                    .withFile(path);
+            }
         }
-        if (rec.taken > 1) {
-            return Status::error("record " + std::to_string(i) +
-                                 ": taken flag " +
-                                 std::to_string(rec.taken) +
-                                 " is not 0/1")
-                .withOffset(rec_off).withFile(path);
-        }
-        records.push_back(rec);
+        r.skip(n * kRecordBytes);
     }
 
-    if (r.remaining() != 0) {
-        r.fail(std::to_string(r.remaining()) +
+    // The trailer ends the file. It holds the CRC of every byte
+    // before it and is checked only once the body has parsed.
+    const uint32_t computed = crc32(r.crc, r.buf.get(), r.pos);
+    if (r.remaining() > 4) {
+        r.fail(std::to_string(r.remaining() - 4) +
                " trailing bytes after the record section");
-        return r.error.withFile(path);
+    } else if (r.fill(4, "checksum trailer") &&
+               std::memcmp(r.buf.get() + r.pos, &computed, 4) != 0) {
+        r.fail("checksum mismatch");
     }
+    if (!r.error.isOk())
+        return r.error.withFile(path);
 
     return Trace(std::move(code), std::move(records),
                  std::move(name));
-}
-
-void
-writeTrace(const Trace &trace, const std::string &path)
-{
-    Status st = writeTraceEx(trace, path);
-    if (!st) {
-        // Attach the path before formatting: a few early failures
-        // (e.g. fopen) report only a cause, and the legacy callers
-        // have no Status to recover the context from, so the fatal
-        // message is their one chance to see file and byte offset.
-        st.withFile(path);
-        xbs_fatal("%s", st.toString().c_str());
-    }
-}
-
-Trace
-readTrace(const std::string &path)
-{
-    Expected<Trace> t = readTraceEx(path);
-    if (!t) {
-        Status st = t.status();
-        st.withFile(path);
-        xbs_fatal("%s", st.toString().c_str());
-    }
-    return t.take();
 }
 
 } // namespace xbs

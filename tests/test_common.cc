@@ -10,8 +10,10 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/bitops.hh"
+#include "common/crc32.hh"
 #include "common/histogram.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -451,6 +453,61 @@ TEST(Sha256, LengthBoundaryBlocks)
         h.update(a.substr(len / 2));
         EXPECT_EQ(h.hexDigest(), sha256Hex(a)) << "len " << len;
     }
+}
+
+// CRC-32 guards checkpoint sections and trace files; pin the
+// slicing-by-8 form to the standard check value and to a plain
+// bit-at-a-time reference.
+uint32_t
+crc32Reference(const uint8_t *p, std::size_t len)
+{
+    uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+TEST(Crc32, CheckValue)
+{
+    EXPECT_EQ(crc32(0, "123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(0, "", 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLength)
+{
+    Rng rng(11);
+    std::vector<uint8_t> buf(64 + 7);
+    for (std::size_t len = 0; len <= 64; ++len) {
+        // Every start alignment within an 8-byte slice.
+        for (std::size_t start = 0; start < 8; ++start) {
+            for (auto &b : buf)
+                b = (uint8_t)rng.next();
+            EXPECT_EQ(crc32(0, buf.data() + start, len),
+                      crc32Reference(buf.data() + start, len))
+                << "len " << len << " start " << start;
+        }
+    }
+}
+
+TEST(Crc32, IncrementalMatchesOneShot)
+{
+    Rng rng(5);
+    std::vector<uint8_t> buf(100);
+    for (auto &b : buf)
+        b = (uint8_t)rng.next();
+    const uint32_t whole = crc32(0, buf.data(), buf.size());
+    for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+        const uint32_t head = crc32(0, buf.data(), cut);
+        EXPECT_EQ(crc32(head, buf.data() + cut, buf.size() - cut), whole)
+            << "cut " << cut;
+    }
+    uint32_t bytewise = 0;
+    for (uint8_t b : buf)
+        bytewise = crc32(bytewise, &b, 1);
+    EXPECT_EQ(bytewise, whole);
 }
 
 } // anonymous namespace
