@@ -7,17 +7,6 @@
 namespace xbs
 {
 
-std::vector<std::string>
-JobSpec::argv(const std::string &xbsim) const
-{
-    std::vector<std::string> av;
-    av.push_back(xbsim);
-    for (std::string &flag : run.toArgv())
-        av.push_back(std::move(flag));
-    av.push_back("--json");
-    return av;
-}
-
 const char *
 jobClassName(JobClass cls)
 {

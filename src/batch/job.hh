@@ -31,10 +31,6 @@ struct JobSpec
 {
     int id = 0;
     RunSpec run;
-
-    /** Child argv: the xbsim binary, the run flags, and --json so
-     *  the supervisor can parse metrics off the child's stdout. */
-    std::vector<std::string> argv(const std::string &xbsim) const;
 };
 
 /** Terminal classification of one job attempt. */
@@ -47,7 +43,7 @@ enum class JobClass
     Interrupted,  ///< exit 5: child drained on supervisor shutdown
     Timeout,      ///< wall-clock deadline hit; watchdog killed it
     Crash,        ///< died on a signal (or an unknown exit code)
-    Spawn,        ///< fork/exec failed (exit 127 or pipe error)
+    Spawn,        ///< fork or exec failed (exit 127, pipe error)
     Resource,     ///< transient host exhaustion (ENOSPC/EAGAIN/...)
 };
 

@@ -73,7 +73,6 @@ SweepJournal::writeManifest(const std::string &dir,
         JsonWriter jw(os, /*pretty=*/true);
         jw.beginObject();
         jw.field("version", (uint64_t)manifest.version);
-        jw.field("xbsim", manifest.xbsim);
         jw.field("workers", (uint64_t)manifest.workers);
         jw.field("timeoutSec", manifest.timeoutSec);
         jw.field("maxRetries", (uint64_t)manifest.maxRetries);
@@ -122,8 +121,8 @@ SweepJournal::readManifest(const std::string &dir)
                              std::to_string(m.version))
             .withFile(path);
     }
-    if (const JsonValue *v = root.find("xbsim"))
-        m.xbsim = v->asString();
+    // Older manifests also name an xbsim binary; cells are forked,
+    // so that member is ignored.
     if (const JsonValue *v = root.find("workers"))
         m.workers = (unsigned)v->asUint();
     if (const JsonValue *v = root.find("timeoutSec"))

@@ -49,7 +49,6 @@ namespace xbs
 struct SweepManifest
 {
     int version = 1;
-    std::string xbsim;        ///< child binary path
     unsigned workers = 2;
     double timeoutSec = 300.0;
     unsigned maxRetries = 1;

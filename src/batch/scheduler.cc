@@ -15,7 +15,8 @@ namespace xbs
 namespace
 {
 
-/** Parse the metrics xbsim --json prints on stdout. */
+/** Parse the result JSON a cell prints on stdout (the members
+ *  `xbsim --json` prints). */
 bool
 parseChildMetrics(const std::string &out, JobMetrics *metrics)
 {
@@ -139,12 +140,12 @@ SweepScheduler::launch(std::size_t idx)
     ev.attempt = attempt;
     journalAppend(ev);
 
-    std::vector<std::string> argv = rec.spec.argv(opts_.xbsimPath);
-    if (opts_.extraArgs) {
-        for (std::string &flag : opts_.extraArgs(rec.spec))
-            argv.push_back(std::move(flag));
-    }
-    Expected<Child> child = spawnChild(argv);
+    prepare(&rec.spec);
+    const JobSpec &spec = rec.spec;
+    Expected<Child> child =
+        forkChild([this, &spec] { return opts_.cellBody(spec); });
+    // The deadline starts here: the supervisor's own preparation is
+    // never charged to the cell.
     const auto now = Clock::now();
     if (!child.ok()) {
         // fork/pipe failure. The typed status splits the verdict:
@@ -188,6 +189,19 @@ SweepScheduler::launch(std::size_t idx)
         now + std::chrono::microseconds(
                   (int64_t)(opts_.timeoutSec * 1e6));
     running_.push_back(std::move(run));
+}
+
+void
+SweepScheduler::prepare(const JobSpec *first)
+{
+    if (!opts_.prepare)
+        return;
+    std::vector<const JobSpec *> queue;
+    if (first)
+        queue.push_back(first);
+    for (std::size_t i : pending_)
+        queue.push_back(&records_[i].spec);
+    opts_.prepare(queue);
 }
 
 void
@@ -317,31 +331,46 @@ SweepScheduler::pickPending(Clock::time_point now)
 void
 SweepScheduler::step()
 {
-    const auto now = Clock::now();
     const auto grace = std::chrono::microseconds(
         (int64_t)(opts_.graceSec * 1e6));
 
     if (!draining_ && stopRequested()) {
         draining_ = true;
         interrupted_ = true;
+        const auto now = Clock::now();
         for (Running &run : running_) {
             signalChild(run.child, SIGTERM);
             run.termSent = true;
             run.killAt = now + grace;
         }
     }
+    poll();
+    if (draining_)
+        return;
 
-    // Launch into free slots.
-    if (!draining_) {
-        while (running_.size() < opts_.workers) {
-            const std::size_t idx = pickPending(now);
-            if (idx >= records_.size())
-                break;
-            launch(idx);
-        }
+    // Launch into free slots. A launch may wait on prepare(), so the
+    // children are polled after each one, and a stop requested
+    // meanwhile ends the launching; the next step drains.
+    while (running_.size() < opts_.workers && !stopRequested()) {
+        const std::size_t idx = pickPending(Clock::now());
+        if (idx >= records_.size())
+            break;
+        launch(idx);
+        poll();
     }
+    // No launch is possible now: prepare the next job's input while
+    // the workers run, so its fork does not wait.
+    if (opts_.prepare && !pending_.empty() && !stopRequested()) {
+        prepare(nullptr);
+        poll();
+    }
+}
 
-    // Poll workers: pump pipes, reap exits, enforce deadlines.
+void
+SweepScheduler::poll()
+{
+    const auto grace = std::chrono::microseconds(
+        (int64_t)(opts_.graceSec * 1e6));
     for (std::size_t i = 0; i < running_.size();) {
         Running &run = running_[i];
         pumpChild(run.child);
@@ -351,6 +380,7 @@ SweepScheduler::step()
             running_.erase(running_.begin() + (long)i);
             continue;
         }
+        const auto now = Clock::now();
         if (!run.termSent && now >= run.deadline) {
             // Watchdog: ask nicely first so the child can flush
             // partial output, then escalate.
@@ -386,6 +416,14 @@ SweepScheduler::allOk() const
                        [](const JobRecord &r) {
                            return r.done && r.cls == JobClass::Ok;
                        });
+}
+
+int
+SweepScheduler::exitCode() const
+{
+    if (interrupted_)
+        return kExitInterrupted;
+    return allOk() ? kExitOk : kExitDegraded;
 }
 
 std::size_t

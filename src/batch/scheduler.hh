@@ -3,6 +3,11 @@
  * The sweep supervisor: a bounded pool of isolated child processes
  * under a watchdog.
  *
+ * Every attempt of a job is a forked child that runs the cell body
+ * (SchedulerOptions::cellBody) and exits with its result. Before each
+ * fork the supervisor may make the job's input resident (prepare),
+ * so the child reads it copy-on-write instead of rebuilding it.
+ *
  * Lifecycle of one job (see docs/MODEL.md "Batch execution"):
  *
  *     pending -> running -> { ok | usage | data | audit }   final
@@ -13,16 +18,16 @@
  *                               re-queued by --resume)
  *
  * The watchdog enforces a per-job wall-clock deadline, the sweep's
- * only hang guard: SIGTERM first (a healthy xbsim drains at the next
- * cycle boundary and flushes partial output), SIGKILL after a grace
- * period for children too wedged to react. Either way the attempt is
- * a `timeout` and is retried like any transient failure. The deadline
- * does not care why a child is slow: one hung before main, one
- * wedged mid-run and one that is merely long all end the same way,
- * so --timeout must cover the slowest healthy job. SIGINT/SIGTERM on
- * the supervisor itself stops launching, TERMs the workers, waits
- * for them, and finalizes the journal — the sweep is resumable from
- * exactly that point.
+ * only hang guard: SIGTERM first (a healthy simulator cell drains at
+ * the next cycle boundary and flushes partial output), SIGKILL after
+ * a grace period for children too wedged to react. Either way the
+ * attempt is a `timeout` and is retried like any transient failure.
+ * The deadline starts at the fork and does not care why a child is
+ * slow: one hung at start, one wedged mid-run and one that is merely
+ * long all end the same way, so --timeout must cover the slowest
+ * healthy job. SIGINT/SIGTERM on the supervisor itself stops
+ * launching, TERMs the workers, waits for them, and finalizes the
+ * journal — the sweep is resumable from exactly that point.
  *
  * Every transition is journaled before the next action, so a SIGKILL
  * of the supervisor at any instant loses at most the in-flight
@@ -46,7 +51,6 @@ namespace xbs
 
 struct SchedulerOptions
 {
-    std::string xbsimPath;       ///< child binary
     unsigned workers = 2;        ///< --jobs N
     double timeoutSec = 300.0;   ///< per-job wall-clock deadline
     unsigned maxRetries = 1;     ///< extra attempts for transients
@@ -61,9 +65,17 @@ struct SchedulerOptions
     /** Progress callback, fired at each job's final transition. */
     std::function<void(const JobRecord &)> onFinal;
 
-    /** Extra child flags appended to every launch (e.g. interval
-     *  stats output paths); nullptr/empty disables. */
-    std::function<std::vector<std::string>(const JobSpec &)> extraArgs;
+    /** The cell: runs in the forked child of every attempt, and its
+     *  return value is the child's exit code. Required. */
+    std::function<int(const JobSpec &)> cellBody;
+
+    /** Supervisor side: make the input of @p queue's first job
+     *  resident. @p queue holds the jobs not yet forked, in launch
+     *  order: the job about to fork first, or, while no launch is
+     *  possible, the next one. Not called once the stop flag has
+     *  been seen; a watchdog poll follows every call. Optional. */
+    std::function<void(const std::vector<const JobSpec *> &queue)>
+        prepare;
 };
 
 class SweepScheduler
@@ -104,6 +116,14 @@ class SweepScheduler
 
     bool interrupted() const { return interrupted_; }
 
+    /**
+     * The sweep's exit code: kExitInterrupted after a drain, else
+     * kExitOk when every job is ok and kExitDegraded when some
+     * failed. Graceful degradation: failures degrade the exit code,
+     * never abort the matrix, and the report still covers it all.
+     */
+    int exitCode() const;
+
   private:
     using Clock = std::chrono::steady_clock;
 
@@ -120,10 +140,16 @@ class SweepScheduler
     };
 
     /** One supervisor iteration: honor the stop flag, launch
-     *  eligible pending jobs into free slots, and pump/reap/watchdog
-     *  the running children. run() is this in a sleep loop. */
+     *  eligible pending jobs into free slots, prepare the next one,
+     *  and poll the running children after each of these. run() is
+     *  this in a sleep loop. */
     void step();
+    /** Pump, reap and watchdog the running children. */
+    void poll();
     void launch(std::size_t idx);
+    /** Run opts_.prepare over @p first (if any) then the pending
+     *  jobs. */
+    void prepare(const JobSpec *first);
     std::size_t pickPending(Clock::time_point now);
     void handleExit(Running &run, int raw_status);
     void finalize(std::size_t idx, JobClass cls, bool has_metrics,

@@ -1,7 +1,10 @@
 #include "batch/subprocess.hh"
 
 #include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <iostream>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -10,6 +13,7 @@
 #include <unistd.h>
 
 #include "common/fs.hh"
+#include "common/signals.hh"
 
 namespace xbs
 {
@@ -60,11 +64,8 @@ drainFd(int fd, std::string &sink)
 } // anonymous namespace
 
 Expected<Child>
-spawnChild(const std::vector<std::string> &argv)
+forkChild(const std::function<int()> &body)
 {
-    if (argv.empty())
-        return Status::error("empty argv");
-
     int outPipe[2], errPipe[2];
     if (::pipe(outPipe) != 0)
         return errnoError("pipe failed");
@@ -74,6 +75,9 @@ spawnChild(const std::vector<std::string> &argv)
         return errnoError("pipe failed");
     }
 
+    // Whatever the supervisor has buffered is written once, by the
+    // supervisor, and never again by a child that inherited it.
+    std::fflush(nullptr);
     pid_t pid = ::fork();
     if (pid < 0) {
         for (int fd : {outPipe[0], outPipe[1], errPipe[0],
@@ -85,22 +89,26 @@ spawnChild(const std::vector<std::string> &argv)
 
     if (pid == 0) {
         // Child: own process group (kill escalation targets the
-        // group), pipes onto stdout/stderr, then exec.
+        // group), default stop signals, pipes onto stdout/stderr.
         ::setpgid(0, 0);
+        resetStopHandlers();
         ::dup2(outPipe[1], STDOUT_FILENO);
         ::dup2(errPipe[1], STDERR_FILENO);
         for (int fd : {outPipe[0], outPipe[1], errPipe[0],
                        errPipe[1]}) {
             ::close(fd);
         }
-        std::vector<char *> cargv;
-        for (const std::string &arg : argv)
-            cargv.push_back(const_cast<char *>(arg.c_str()));
-        cargv.push_back(nullptr);
-        ::execvp(cargv[0], cargv.data());
-        // exec failed: 127 is the shell convention the classifier
-        // maps to JobClass::Spawn.
-        _exit(127);
+        int code = 0;
+        try {
+            code = body();
+        } catch (...) {
+            // Never unwind into the supervisor's frames: die the
+            // way an exec'd program's uncaught exception would.
+            std::abort();
+        }
+        std::cout.flush();
+        std::fflush(nullptr);
+        ::_exit(code);
     }
 
     // Parent. Mirror the setpgid to close the race either way.
@@ -122,6 +130,23 @@ spawnChild(const std::vector<std::string> &argv)
         return st;
     }
     return child;
+}
+
+Expected<Child>
+spawnChild(const std::vector<std::string> &argv)
+{
+    if (argv.empty())
+        return Status::error("empty argv");
+    return forkChild([&argv] {
+        std::vector<char *> cargv;
+        for (const std::string &arg : argv)
+            cargv.push_back(const_cast<char *>(arg.c_str()));
+        cargv.push_back(nullptr);
+        ::execvp(cargv[0], cargv.data());
+        // exec failed: 127 is the shell convention the classifier
+        // maps to JobClass::Spawn.
+        return 127;
+    });
 }
 
 void

@@ -1,19 +1,22 @@
 /**
  * @file
- * Child-process management for the sweep supervisor: fork/exec with
+ * Child-process management for the sweep supervisor: fork with
  * captured stdout/stderr, non-blocking supervision, and the
  * SIGTERM-then-SIGKILL escalation the watchdog uses on hung jobs.
  *
  * Each job runs as its own process, so a crash, abort, runaway
  * allocation, or hang in one simulation cannot take the sweep (or
  * the other workers) down with it — the isolation boundary the whole
- * batch layer is built on.
+ * batch layer is built on. A sweep cell is a forked child running a
+ * function over the supervisor's memory (shared copy-on-write);
+ * spawnChild is the same fork followed by an exec.
  */
 
 #ifndef XBS_BATCH_SUBPROCESS_HH
 #define XBS_BATCH_SUBPROCESS_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,9 +50,19 @@ struct Child
 };
 
 /**
- * fork/exec @p argv with stdout and stderr piped back to the
- * supervisor. The child gets its own process group so an escalated
- * kill can target grandchildren too. If the exec itself fails the
+ * Fork a child that runs @p body and exits with its return value,
+ * with stdout and stderr piped back to the supervisor. The child gets
+ * its own process group so an escalated kill can target
+ * grandchildren too, and starts with SIGINT/SIGTERM at their default
+ * dispositions, as an exec'd program would. The caller's stdio
+ * buffers are flushed before the fork, so the child's stdout holds
+ * only what the body writes. The child leaves through _exit: no
+ * atexit handler or static destructor of the supervisor runs in it.
+ */
+Expected<Child> forkChild(const std::function<int()> &body);
+
+/**
+ * forkChild whose body execs @p argv. If the exec itself fails the
  * child exits 127 (classified as JobClass::Spawn).
  */
 Expected<Child> spawnChild(const std::vector<std::string> &argv);

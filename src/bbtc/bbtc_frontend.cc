@@ -354,6 +354,7 @@ BbtcFrontend::run(const Trace &trace)
                         restartFill();
                         attrib_.enterBuild(Cause::PartialHit);
                         --metrics_.deliveryCycles;
+                        --metrics_.cycles;  // re-issue as build
                         continue;
                     }
                     metrics_.deliveryUops += got;
@@ -364,6 +365,7 @@ BbtcFrontend::run(const Trace &trace)
                     restartFill();
                     attrib_.enterBuild(Cause::StructMiss);
                     --metrics_.deliveryCycles;
+                    --metrics_.cycles;  // re-issue this cycle as build
                     continue;
                 }
             }

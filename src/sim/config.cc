@@ -258,6 +258,27 @@ RunSpec::fromArgv(const std::vector<std::string> &args)
     return spec;
 }
 
+Expected<SimConfig>
+RunSpec::config() const
+{
+    Expected<FrontendKind> kind = parseFrontendKind(frontend);
+    if (!kind.ok())
+        return kind.status();
+    SimConfig c;
+    c.kind = kind.value();
+    c.tc.capacityUops = (unsigned)capacity;
+    c.xbc.capacityUops = (unsigned)capacity;
+    c.dc.capacityUops = (unsigned)capacity;
+    c.bbtc.blocks.capacityUops = (unsigned)capacity;
+    if (ways) {
+        c.tc.ways = (unsigned)ways;
+        c.xbc.ways = (unsigned)ways;
+        c.dc.ways = (unsigned)ways;
+        c.bbtc.blocks.ways = (unsigned)ways;
+    }
+    return c;
+}
+
 std::string
 RunSpec::label() const
 {

@@ -87,6 +87,10 @@ struct RunSpec
     /** xbsim flags for this run (no argv[0], no --json). */
     std::vector<std::string> toArgv() const;
 
+    /** The configuration xbsim builds from these flags (its other
+     *  flags at their defaults); fails on an unknown frontend. */
+    Expected<SimConfig> config() const;
+
     /** Inverse of toArgv (rejects unknown or malformed flags). */
     static Expected<RunSpec> fromArgv(
         const std::vector<std::string> &args);

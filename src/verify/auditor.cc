@@ -111,6 +111,23 @@ InvariantAuditor::finishRun(Frontend &fe)
         }
     }
 
+    // The per-cycle contract (docs/MODEL.md): every simulated cycle
+    // is exactly one of delivery, build or stall.
+    const FrontendMetrics &m = fe.metrics();
+    const uint64_t categorized = m.deliveryCycles.value() +
+                                 m.buildCycles.value() +
+                                 m.stallCycles.value();
+    if (categorized != m.cycles.value()) {
+        AuditViolation v;
+        v.kind = AuditViolation::Kind::Accounting;
+        v.where = "auditor";
+        v.what = "deliveryCycles + buildCycles + stallCycles = " +
+                 std::to_string(categorized) + ", cycles = " +
+                 std::to_string(m.cycles.value());
+        v.cycle = cycle;
+        add(std::move(v));
+    }
+
     // Merge the oracle's findings into the unified report.
     for (; mergedOracle_ < oracle_.violations().size();
          ++mergedOracle_) {

@@ -39,7 +39,6 @@ SweepManifest
 victimManifest()
 {
     SweepManifest m;
-    m.xbsim = "xbsim";
     m.jobs = buildJobMatrix({"crash-victim"},
                             {"ic", "dc", "tc", "bbtc", "xbc"}, {1024},
                             1000);

@@ -4,12 +4,16 @@
  * typed resource-exhaustion errors, journal round-trip and torn-tail
  * tolerance, timeout classification against a genuinely hung child,
  * retry/backoff accounting, resume semantics (no completed job
- * re-executed, no pending job lost), and the crash-point recovery
- * matrix (this test binary doubles as the victim process).
+ * re-executed, no pending job lost), simulator cells forked from a
+ * trace the supervisor built once or building their own, and the
+ * crash-point recovery matrix (this test binary doubles as the
+ * victim process).
  *
- * Children are tiny /bin/sh scripts the tests write themselves, so
- * each failure mode (hang, crash, deterministic exit code) is exact
- * and fast.
+ * Scripted children are tiny /bin/sh scripts the tests write
+ * themselves, exec'd from the forked cell body, so each failure mode
+ * (hang, crash, deterministic exit code) is exact and fast.
+ * Simulator cells run the real cell body, and their metrics are
+ * checked against the xbsim binary's.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +23,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <new>
 #include <string>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include "batch/cells.hh"
 #include "batch/job.hh"
 #include "batch/journal.hh"
 #include "batch/report.hh"
@@ -31,7 +40,11 @@
 #include "batch/subprocess.hh"
 #include "common/crashpoint.hh"
 #include "common/fs.hh"
+#include "common/json.hh"
+#include "sim/cell.hh"
 #include "verify/crash_matrix.hh"
+#include "verify/inject.hh"
+#include "workload/catalog.hh"
 
 using namespace xbs;
 
@@ -75,11 +88,28 @@ makeJobs(int n)
     return buildJobMatrix(workloads, {"tc"}, {32768}, 1000);
 }
 
+/** A cell body that execs @p script with the job's xbsim flags. */
+std::function<int(const JobSpec &)>
+execCell(const std::string &script)
+{
+    return [script](const JobSpec &job) {
+        std::vector<std::string> argv = {script};
+        for (std::string &flag : job.run.toArgv())
+            argv.push_back(std::move(flag));
+        std::vector<char *> cargv;
+        for (std::string &arg : argv)
+            cargv.push_back(arg.data());
+        cargv.push_back(nullptr);
+        ::execv(script.c_str(), cargv.data());
+        return 127;  // exec failed
+    };
+}
+
 SchedulerOptions
-fastOptions(const std::string &xbsim)
+fastOptions(const std::string &script)
 {
     SchedulerOptions opts;
-    opts.xbsimPath = xbsim;
+    opts.cellBody = execCell(script);
     opts.workers = 2;
     opts.timeoutSec = 5.0;
     opts.maxRetries = 0;
@@ -245,7 +275,6 @@ TEST(Journal, ManifestRoundTrip)
 {
     const std::string dir = makeTempDir();
     SweepManifest m;
-    m.xbsim = "/opt/bin/xbsim";
     m.workers = 7;
     m.timeoutSec = 12.5;
     m.maxRetries = 3;
@@ -255,7 +284,6 @@ TEST(Journal, ManifestRoundTrip)
 
     Expected<SweepManifest> back = SweepJournal::readManifest(dir);
     ASSERT_TRUE(back.ok()) << back.status().toString();
-    EXPECT_EQ(back.value().xbsim, m.xbsim);
     EXPECT_EQ(back.value().workers, 7u);
     EXPECT_EQ(back.value().timeoutSec, 12.5);
     EXPECT_EQ(back.value().maxRetries, 3u);
@@ -528,6 +556,32 @@ TEST(Scheduler, RetriesAreBounded)
     EXPECT_EQ(sched.totalRetries(), 2u);
 }
 
+TEST(Scheduler, StopDuringPrepareLaunchesNoMore)
+{
+    // A stop requested while the supervisor prepares a launch (a
+    // trace build, say) ends the launching: that job is forked and
+    // drained, and no other job is prepared or forked.
+    const std::string dir = makeTempDir();
+    volatile std::sig_atomic_t stop = 0;
+    SchedulerOptions opts =
+        fastOptions(writeScript(dir, "slow.sh", "sleep 10\n"));
+    opts.stopFlag = &stop;
+    int prepares = 0;
+    opts.prepare = [&](const std::vector<const JobSpec *> &) {
+        ++prepares;
+        stop = 1;
+    };
+    SweepScheduler sched(opts, makeJobs(4), nullptr);
+    EXPECT_FALSE(sched.run());
+    EXPECT_EQ(sched.exitCode(), kExitInterrupted);
+    EXPECT_EQ(prepares, 1);
+    EXPECT_EQ(sched.records()[0].termSignal, SIGTERM);
+    for (std::size_t i = 1; i < sched.records().size(); ++i) {
+        EXPECT_EQ(sched.records()[i].seconds, 0.0) << i;
+        EXPECT_FALSE(sched.records()[i].done) << i;
+    }
+}
+
 TEST(Scheduler, SpawnFailureIsFinal)
 {
     SweepScheduler sched(fastOptions("/no/such/binary"), makeJobs(1),
@@ -783,6 +837,414 @@ TEST(Subprocess, SignalKillsWholeProcessGroup)
         pumpChild(c);
     ASSERT_TRUE(WIFSIGNALED(raw));
     EXPECT_EQ(WTERMSIG(raw), SIGKILL);
+}
+
+TEST(Subprocess, ForkedChildStdoutHoldsOnlyItsOwnOutput)
+{
+    // Unflushed supervisor output must neither reach the child's
+    // pipe nor be lost: the fork flushes it first.
+    std::printf("[supervisor output before a fork]");
+    Expected<Child> child = forkChild([] {
+        std::printf("{\"cell\": 1}\n");
+        return 3;
+    });
+    std::printf("\n");
+    ASSERT_TRUE(child.ok()) << child.status().toString();
+    Child c = child.take();
+    int raw = 0;
+    while (!reapChild(c, &raw))
+        pumpChild(c);
+    ASSERT_TRUE(WIFEXITED(raw));
+    EXPECT_EQ(WEXITSTATUS(raw), 3);
+    EXPECT_EQ(c.out, "{\"cell\": 1}\n");
+}
+
+// ---------------------------------------------------------------
+// Simulator cells over shared and own traces
+// ---------------------------------------------------------------
+
+namespace
+{
+
+constexpr uint64_t kCellInsts = 200000;
+
+/** Counts trace builds per workload: the supervisor's, checking at
+ *  each that it holds no other trace, and the cells' (logged to a
+ *  file, since each cell is a process of its own). */
+struct CountingTraces
+{
+    const pid_t supervisor = ::getpid();
+    const std::string cellLog = makeTempDir() + "/cell-builds";
+    std::map<std::string, int> builds;
+    int overlaps = 0;
+    SweepTraces traces{[this](const RunSpec &spec) {
+        if (::getpid() == supervisor) {
+            ++builds[spec.workload];
+            overlaps += traces.resident() != nullptr;
+        } else {
+            std::ofstream(cellLog, std::ios::app)
+                << spec.workload << "\n";
+        }
+        return makeCatalogTrace(spec.workload, spec.insts);
+    }};
+
+    /** Trace builds by cells, per workload. */
+    std::map<std::string, int> cellBuilds() const
+    {
+        std::map<std::string, int> counts;
+        std::ifstream is(cellLog);
+        for (std::string workload; is >> workload;)
+            ++counts[workload];
+        return counts;
+    }
+};
+
+/** @p jobs as a prepare() queue, in order. */
+std::vector<const JobSpec *>
+queueOf(const std::vector<JobSpec> &jobs)
+{
+    std::vector<const JobSpec *> queue;
+    for (const JobSpec &job : jobs)
+        queue.push_back(&job);
+    return queue;
+}
+
+/** Fast supervision for simulator cells; SweepTraces::attach sets
+ *  the cell body. */
+SchedulerOptions
+cellOptions()
+{
+    SchedulerOptions opts = fastOptions("/bin/false");
+    opts.timeoutSec = 60.0;
+    return opts;
+}
+
+/** What `xbsim --json` reports for @p spec, parsed the way the
+ *  supervisor parses a cell's stdout. */
+JobMetrics
+xbsimMetrics(const RunSpec &spec)
+{
+    std::vector<std::string> argv = {XBS_XBSIM};
+    for (std::string &flag : spec.toArgv())
+        argv.push_back(std::move(flag));
+    argv.push_back("--json");
+    Expected<Child> child = spawnChild(argv);
+    EXPECT_TRUE(child.ok());
+    Child c = child.take();
+    int raw = 0;
+    while (!reapChild(c, &raw))
+        pumpChild(c);
+    EXPECT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 0) << c.err;
+    JsonValue v;
+    EXPECT_TRUE(parseJson(c.out, &v, nullptr)) << c.out;
+    return readJobMetricsFields(v);
+}
+
+void
+expectSameMetrics(const JobMetrics &a, const JobMetrics &b,
+                  const std::string &label)
+{
+    EXPECT_EQ(a.bandwidth, b.bandwidth) << label;
+    EXPECT_EQ(a.missRate, b.missRate) << label;
+    EXPECT_EQ(a.overallIpc, b.overallIpc) << label;
+    EXPECT_EQ(a.cycles, b.cycles) << label;
+    EXPECT_EQ(a.totalUops, b.totalUops) << label;
+    EXPECT_TRUE(a.attrib.has && b.attrib.has) << label;
+    EXPECT_EQ(a.attrib.buildUops, b.attrib.buildUops) << label;
+    EXPECT_EQ(a.attrib.silentCycles, b.attrib.silentCycles) << label;
+    EXPECT_EQ(a.attrib.uops, b.attrib.uops) << label;
+    EXPECT_EQ(a.attrib.cycles, b.attrib.cycles) << label;
+}
+
+/** Slows every cycle down, so a cell outlives a short deadline. */
+struct SlowCycles : CycleObserver
+{
+    void onCycle(Frontend &, uint64_t) override { ::usleep(100); }
+};
+
+/** Count of a summary class in a rendered report ("timeout": 1). */
+bool
+reportHas(const std::string &report, const std::string &member)
+{
+    return report.find(member) != std::string::npos;
+}
+
+} // anonymous namespace
+
+TEST(SimCells, SweepMatchesXbsimAndBuildsEachTraceOnce)
+{
+    CountingTraces counted;
+    SchedulerOptions opts = cellOptions();
+    counted.traces.attach(opts);
+    SweepScheduler sched(
+        opts,
+        buildJobMatrix({"gcc", "li"}, {"tc", "xbc"}, {32768},
+                       kCellInsts),
+        nullptr);
+    EXPECT_TRUE(sched.run());
+    ASSERT_TRUE(sched.allOk());
+
+    EXPECT_EQ(counted.builds,
+              (std::map<std::string, int>{{"gcc", 1}, {"li", 1}}));
+    EXPECT_EQ(counted.overlaps, 0);
+    EXPECT_TRUE(counted.cellBuilds().empty());
+
+    // report.json carries exactly what xbsim --json reports.
+    const std::string dir = makeTempDir();
+    ASSERT_TRUE(writeSweepReport(dir, sched.records(),
+                                 summarizeSweep(sched.records(), false,
+                                                0, 0.0))
+                    .isOk());
+    Expected<JsonValue> report = readJsonFile(dir + "/report.json");
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    const JsonValue *jobs = report.value().find("jobs");
+    ASSERT_TRUE(jobs && jobs->isArray());
+    ASSERT_EQ(jobs->items.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        const JsonValue *m = jobs->items[i].find("metrics");
+        ASSERT_TRUE(m) << i;
+        const RunSpec &spec = sched.records()[i].spec.run;
+        expectSameMetrics(readJobMetricsFields(*m), xbsimMetrics(spec),
+                          spec.label());
+    }
+}
+
+TEST(SimCells, SwitchingTracesDropsTheResidentOneFirst)
+{
+    CountingTraces counted;
+    const std::vector<JobSpec> gcc =
+        buildJobMatrix({"gcc"}, {"tc", "xbc"}, {32768}, 1000);
+    const std::vector<JobSpec> li =
+        buildJobMatrix({"li"}, {"tc", "xbc"}, {32768}, 1000);
+    counted.traces.prepare(queueOf(gcc));
+    ASSERT_NE(counted.traces.find(gcc[0].run), nullptr);
+    counted.traces.prepare(queueOf(li));
+    EXPECT_EQ(counted.traces.find(gcc[0].run), nullptr);
+    ASSERT_NE(counted.traces.find(li[0].run), nullptr);
+    counted.traces.prepare(queueOf(li));   // resident: not rebuilt
+    counted.traces.prepare(queueOf(gcc));  // dropped: rebuilt
+    EXPECT_EQ(counted.builds,
+              (std::map<std::string, int>{{"gcc", 2}, {"li", 1}}));
+    EXPECT_EQ(counted.overlaps, 0);
+
+    // A trace no other queued cell reads is left to its cell, and the
+    // resident one is dropped all the same.
+    counted.traces.prepare({&li[0], &gcc[1]});
+    EXPECT_EQ(counted.traces.resident(), nullptr);
+    EXPECT_EQ(counted.builds,
+              (std::map<std::string, int>{{"gcc", 2}, {"li", 1}}));
+}
+
+TEST(SimCells, LoneCellsBuildTheirOwnTraces)
+{
+    // One cell per workload: the supervisor builds nothing, so the
+    // workers build their traces in parallel, as exec'd simulators
+    // would, and report the same metrics.
+    CountingTraces counted;
+    SchedulerOptions opts = cellOptions();
+    counted.traces.attach(opts);
+    SweepScheduler sched(
+        opts,
+        buildJobMatrix({"gcc", "li"}, {"xbc"}, {32768}, kCellInsts),
+        nullptr);
+    EXPECT_TRUE(sched.run());
+    ASSERT_TRUE(sched.allOk());
+    EXPECT_TRUE(counted.builds.empty());
+    EXPECT_EQ(counted.cellBuilds(),
+              (std::map<std::string, int>{{"gcc", 1}, {"li", 1}}));
+    for (const JobRecord &rec : sched.records()) {
+        expectSameMetrics(rec.metrics, xbsimMetrics(rec.spec.run),
+                          rec.spec.run.label());
+    }
+}
+
+TEST(SimCells, ATraceThatCannotBeBuiltFailsOnlyItsCells)
+{
+    // Building go's trace throws, as an oversized one would
+    // (bad_alloc), in the supervisor and in each of go's cells. The
+    // supervisor survives and tries once; each go cell dies of the
+    // exception inside its own process and is retried and
+    // quarantined as a crash; the sweep ends degraded with every
+    // other cell ok.
+    struct rlimit core;
+    ASSERT_EQ(::getrlimit(RLIMIT_CORE, &core), 0);
+    core.rlim_cur = 0;  // no core file per aborted cell
+    ASSERT_EQ(::setrlimit(RLIMIT_CORE, &core), 0);
+
+    const pid_t supervisor = ::getpid();
+    int supervisor_tries = 0;
+    SweepTraces traces{[&](const RunSpec &spec) {
+        if (spec.workload == "go") {
+            supervisor_tries += ::getpid() == supervisor;
+            throw std::bad_alloc();
+        }
+        return makeCatalogTrace(spec.workload, spec.insts);
+    }};
+    SchedulerOptions opts = cellOptions();
+    traces.attach(opts);
+    opts.maxRetries = 1;
+    SweepScheduler sched(
+        opts,
+        buildJobMatrix({"gcc", "go", "li"}, {"tc", "xbc"}, {32768},
+                       kCellInsts),
+        nullptr);
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(sched.exitCode(), kExitDegraded);
+    EXPECT_EQ(supervisor_tries, 1);
+    for (const JobRecord &rec : sched.records()) {
+        const std::string label = rec.spec.run.label();
+        if (rec.spec.run.workload != "go") {
+            EXPECT_EQ(rec.cls, JobClass::Ok) << label;
+            continue;
+        }
+        EXPECT_EQ(rec.cls, JobClass::Crash) << label;
+        EXPECT_EQ(rec.attempts, 2) << label;
+        EXPECT_EQ(rec.termSignal, SIGABRT) << label;
+    }
+}
+
+TEST(SimCells, RetryAfterTheTraceWasDroppedRebuildsIt)
+{
+    const std::string dir = makeTempDir();
+    CountingTraces counted;
+    SchedulerOptions opts = cellOptions();
+    opts.maxRetries = 1;
+    counted.traces.attach(opts);
+    // gcc's TC cell crashes once; by its retry the supervisor has
+    // moved on to li's trace.
+    const std::string marker = dir + "/crashed";
+    auto cell = opts.cellBody;
+    opts.cellBody = [cell, marker](const JobSpec &job) {
+        if (job.run.label() == "tc/gcc@32768" &&
+            ::access(marker.c_str(), F_OK) != 0) {
+            std::ofstream(marker).put('x');
+            ::kill(::getpid(), SIGKILL);
+        }
+        return cell(job);
+    };
+    SweepScheduler sched(
+        opts,
+        buildJobMatrix({"gcc", "li"}, {"tc", "xbc"}, {32768},
+                       kCellInsts),
+        nullptr);
+    EXPECT_TRUE(sched.run());
+    ASSERT_TRUE(sched.allOk());
+    EXPECT_EQ(sched.totalRetries(), 1u);
+
+    const JobRecord &retried = sched.records()[0];
+    EXPECT_EQ(retried.spec.run.label(), "tc/gcc@32768");
+    EXPECT_EQ(retried.attempts, 2);
+    // The retry is gcc's only queued cell, so it rebuilds the trace
+    // itself.
+    EXPECT_EQ(counted.builds,
+              (std::map<std::string, int>{{"gcc", 1}, {"li", 1}}));
+    EXPECT_EQ(counted.cellBuilds(),
+              (std::map<std::string, int>{{"gcc", 1}}));
+    EXPECT_EQ(counted.overlaps, 0);
+    expectSameMetrics(retried.metrics, xbsimMetrics(retried.spec.run),
+                      "retried tc/gcc");
+}
+
+TEST(SimCells, WatchdogTermDrainsASimulatorCell)
+{
+    // TERM at the deadline: the cell stops at a cycle boundary,
+    // prints its partial result and exits 5 well inside the grace
+    // period. The attempt is still a timeout.
+    SweepTraces traces;
+    SchedulerOptions opts = cellOptions();
+    traces.attach(opts);
+    opts.timeoutSec = 0.5;
+    opts.graceSec = 30.0;
+    opts.cellBody = [&traces](const JobSpec &job) {
+        SlowCycles slow;
+        return traces.simulate(job.run, {}, &slow);
+    };
+    SweepScheduler sched(
+        opts, buildJobMatrix({"gcc"}, {"xbc"}, {32768}, kCellInsts),
+        nullptr);
+    EXPECT_TRUE(sched.run());
+    const JobRecord &rec = sched.records()[0];
+    EXPECT_EQ(rec.cls, JobClass::Timeout);
+    EXPECT_EQ(rec.exitCode, kExitInterrupted);
+    EXPECT_EQ(rec.termSignal, 0);
+    EXPECT_LT(rec.seconds, 10.0);
+}
+
+TEST(SimCells, HungCellIsKilledRetriedAndQuarantined)
+{
+    // One cell of three ignores SIGTERM and never finishes. The
+    // watchdog KILLs it after --grace, retries it once, quarantines
+    // it as a timeout, and the sweep ends degraded (exit 4) with
+    // the other two cells ok.
+    SweepTraces traces;
+    SchedulerOptions opts = cellOptions();
+    traces.attach(opts);
+    opts.timeoutSec = 2.0;
+    opts.maxRetries = 1;
+    auto cell = opts.cellBody;
+    opts.cellBody = [cell](const JobSpec &job) {
+        if (job.run.workload == "go") {
+            ::signal(SIGTERM, SIG_IGN);
+            for (;;)
+                ::pause();
+        }
+        return cell(job);
+    };
+    SweepScheduler sched(
+        opts,
+        buildJobMatrix({"gcc", "go", "li"}, {"xbc"}, {32768},
+                       kCellInsts),
+        nullptr);
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(sched.exitCode(), kExitDegraded);
+    const JobRecord &hung = sched.records()[1];
+    EXPECT_EQ(hung.cls, JobClass::Timeout);
+    EXPECT_EQ(hung.attempts, 2);
+    EXPECT_EQ(hung.termSignal, SIGKILL);
+
+    const std::string report = renderSweepReport(
+        sched.records(),
+        summarizeSweep(sched.records(), sched.interrupted(),
+                       sched.totalRetries(), 0.0));
+    EXPECT_TRUE(reportHas(report, "\"timeout\": 1")) << report;
+    EXPECT_TRUE(reportHas(report, "\"ok\": 2")) << report;
+    EXPECT_TRUE(reportHas(report, "\"retries\": 1")) << report;
+}
+
+TEST(SimCells, InjectedHangIsKilledAfterGraceAndRetried)
+{
+    // A simulator cell wedged mid-run (--inject=hang) sees no
+    // SIGTERM, so only the SIGKILL after --grace ends each attempt.
+    SweepTraces traces;
+    SchedulerOptions opts = cellOptions();
+    traces.attach(opts);
+    opts.workers = 1;
+    opts.timeoutSec = 1.0;
+    opts.maxRetries = 1;
+    opts.cellBody = [&traces](const JobSpec &job) -> int {
+        Expected<InjectPlan> plan = parseInjectSpec("hang@20000");
+        if (!plan.ok())
+            return kExitUsage;
+        FaultInjector hang(plan.take(), 1);
+        return traces.simulate(job.run, {}, &hang);
+    };
+    SweepScheduler sched(
+        opts, buildJobMatrix({"gcc"}, {"xbc"}, {32768}, kCellInsts),
+        nullptr);
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(sched.exitCode(), kExitDegraded);
+    const JobRecord &rec = sched.records()[0];
+    EXPECT_EQ(rec.cls, JobClass::Timeout);
+    EXPECT_EQ(rec.attempts, 2);
+    EXPECT_EQ(rec.termSignal, SIGKILL);
+    EXPECT_GE(rec.seconds, opts.timeoutSec + opts.graceSec);
+
+    const std::string report = renderSweepReport(
+        sched.records(),
+        summarizeSweep(sched.records(), sched.interrupted(),
+                       sched.totalRetries(), 0.0));
+    EXPECT_TRUE(reportHas(report, "\"timeout\": 1")) << report;
+    EXPECT_TRUE(reportHas(report, "\"retries\": 1")) << report;
 }
 
 // ---------------------------------------------------------------

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "bbtc/bbtc_frontend.hh"
 #include "core/xbc_frontend.hh"
 #include "dc/dc_frontend.hh"
@@ -14,6 +16,7 @@
 #include "prof/phase_profiler.hh"
 #include "sim/runner.hh"
 #include "tc/tc_frontend.hh"
+#include "verify/auditor.hh"
 #include "workload/catalog.hh"
 
 namespace xbs
@@ -183,6 +186,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<FiveWay> &info) {
         return info.param.workload +
                std::string(frontendKindName(info.param.kind));
+    });
+
+/** The per-cycle contract (docs/MODEL.md): every simulated cycle is
+ *  exactly one of delivery, build or stall, whatever the frontend's
+ *  delivery-to-build switch rule. The auditor's metrics crosscheck
+ *  asserts the same identity. */
+class CycleIdentity : public testing::TestWithParam<FrontendKind>
+{
+};
+
+TEST_P(CycleIdentity, EveryCycleIsDeliveryBuildOrStall)
+{
+    SimConfig config;
+    config.kind = GetParam();
+    auto fe = makeFrontend(config);
+    Trace trace = makeCatalogTrace("gcc", kLen);
+    InvariantAuditor auditor;
+    auditor.attach(*fe, trace);
+    fe->run(trace);
+    auditor.finishRun(*fe);
+
+    const auto &m = fe->metrics();
+    if (GetParam() != FrontendKind::Ic) {
+        EXPECT_GT(m.modeSwitches.value(), 0u);
+    }
+    EXPECT_EQ(m.deliveryCycles.value() + m.buildCycles.value() +
+                  m.stallCycles.value(),
+              m.cycles.value());
+    std::ostringstream report;
+    auditor.report(report);
+    EXPECT_TRUE(auditor.ok()) << report.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFive, CycleIdentity,
+    testing::Values(FrontendKind::Ic, FrontendKind::Dc,
+                    FrontendKind::Tc, FrontendKind::Bbtc,
+                    FrontendKind::Xbc),
+    [](const testing::TestParamInfo<FrontendKind> &info) {
+        return std::string(frontendKindName(info.param));
     });
 
 TEST(SurveyOrdering, DecodedStructuresBeatAddressIndexed)

@@ -1,10 +1,14 @@
 /**
  * @file
  * xbatch - fault-tolerant parallel sweep driver: runs the workload x
- * frontend (x capacity) matrix as isolated xbsim child processes
- * under a supervisor with a bounded worker pool, per-job timeouts,
- * bounded retries with exponential backoff, and a crash-safe journal
- * that makes an interrupted (or SIGKILLed) sweep resumable.
+ * frontend (x capacity) matrix as isolated child processes under a
+ * supervisor with a bounded worker pool, per-job timeouts, bounded
+ * retries with exponential backoff, and a crash-safe journal that
+ * makes an interrupted (or SIGKILLed) sweep resumable.
+ *
+ * The supervisor builds each workload's trace once and forks every
+ * cell from it (batch/cells.hh): a cell simulates the resident trace,
+ * shared copy-on-write, and prints what `xbsim --json` would.
  *
  * Examples:
  *   xbatch --workloads=gcc,go,li --frontends=tc,xbc --jobs=4
@@ -19,6 +23,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "batch/cells.hh"
 #include "batch/job.hh"
 #include "batch/journal.hh"
 #include "batch/report.hh"
@@ -36,17 +41,6 @@ namespace
 {
 
 volatile std::sig_atomic_t g_stop = 0;
-
-/** Default the child binary to a sibling of this one. */
-std::string
-siblingXbsim(const char *argv0)
-{
-    std::string self(argv0);
-    std::size_t slash = self.find_last_of('/');
-    if (slash == std::string::npos)
-        return "xbsim";  // rely on PATH
-    return self.substr(0, slash + 1) + "xbsim";
-}
 
 Expected<std::vector<uint64_t>>
 parseCapacityList(const std::string &csv)
@@ -88,7 +82,7 @@ main(int argc, char **argv)
     double grace = 2.0;
     std::string out_dir = "xbatch-out";
     std::string resume_dir;
-    std::string xbsim_path;
+    std::string ignored_xbsim;
     bool print_table = true;
 
     ArgParser args("xbatch",
@@ -119,8 +113,8 @@ main(int argc, char **argv)
                    "sweep directory (manifest, journal, report)");
     args.addString("resume", &resume_dir,
                    "resume an interrupted sweep from its directory");
-    args.addString("xbsim", &xbsim_path,
-                   "xbsim binary (default: next to xbatch)");
+    args.addString("xbsim", &ignored_xbsim,
+                   "ignored: cells are forked from xbatch, not exec'd");
     args.addBool("print", &print_table,
                  "print the per-job result table");
     if (!args.parse(argc, argv))
@@ -178,8 +172,6 @@ main(int argc, char **argv)
         if (capacities.value().empty())
             return fail(Status::error("--capacities is empty"));
 
-        manifest.xbsim = xbsim_path.empty() ? siblingXbsim(argv[0])
-                                            : xbsim_path;
         manifest.workers = (unsigned)jobs;
         manifest.timeoutSec = timeout;
         manifest.maxRetries = (unsigned)retries;
@@ -196,7 +188,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Interval capture: each child streams its windows to its own
+    // Interval capture: each cell streams its windows to its own
     // file under <dir>/intervals (resume reuses the manifest's
     // window so replayed and fresh jobs observe alike).
     if (manifest.intervalCycles) {
@@ -211,22 +203,14 @@ main(int argc, char **argv)
     installStopHandlers(&g_stop);
 
     SchedulerOptions opts;
-    opts.xbsimPath = manifest.xbsim;
     opts.workers = manifest.workers;
     opts.timeoutSec = manifest.timeoutSec;
     opts.maxRetries = manifest.maxRetries;
     opts.backoffMs = manifest.backoffMs;
     opts.graceSec = grace;
     opts.stopFlag = &g_stop;
-    if (manifest.intervalCycles) {
-        const uint64_t window = manifest.intervalCycles;
-        opts.extraArgs = [dir, window](const JobSpec &spec) {
-            return std::vector<std::string>{
-                "--interval-stats=" + std::to_string(window),
-                "--interval-out=" + dir + "/intervals/job-" +
-                    std::to_string(spec.id) + ".jsonl"};
-        };
-    }
+    SweepTraces traces;
+    traces.attach(opts, manifest.intervalCycles, dir + "/intervals");
     const std::size_t total = manifest.jobs.size();
     opts.onFinal = [total](const JobRecord &rec) {
         if (rec.replayed)
@@ -275,10 +259,5 @@ main(int argc, char **argv)
     if (print_table)
         printSweepSummary(std::cout, sched.records(), summary);
 
-    // Graceful degradation: a completed sweep always produces the
-    // full report; failures degrade the exit code, never abort the
-    // matrix.
-    if (sched.interrupted())
-        return kExitInterrupted;
-    return sched.allOk() ? kExitOk : kExitDegraded;
+    return sched.exitCode();
 }

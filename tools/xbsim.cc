@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -24,7 +23,6 @@
 #include "ckpt/checkpoint.hh"
 #include "common/args.hh"
 #include "common/fs.hh"
-#include "common/interval_stats.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/signals.hh"
@@ -32,6 +30,7 @@
 #include "prof/build_info.hh"
 #include "prof/host_counters.hh"
 #include "prof/phase_profiler.hh"
+#include "sim/cell.hh"
 #include "sim/ckpt_io.hh"
 #include "sim/config.hh"
 #include "sim/runner.hh"
@@ -173,22 +172,21 @@ main(int argc, char **argv)
     // first cycle and the partial-output path below still runs.
     installStopHandlers(&g_stop);
 
-    Expected<FrontendKind> kind = parseFrontendKind(frontend);
-    if (!kind.ok())
-        xbs_fatal("%s", kind.status().toString().c_str());
+    // The batch-layer identity of this run: a checkpoint carries it
+    // and a restore is verified against it. (A geometry mismatch in
+    // the other flags is still caught by the per-section size checks
+    // on restore.)
+    RunSpec spec;
+    spec.frontend = frontend;
+    spec.workload = trace_path.empty() ? workload : trace_path;
+    spec.insts = insts;
+    spec.capacity = capacity;
+    spec.ways = ways;
 
-    SimConfig config;
-    config.kind = kind.value();
-    config.tc.capacityUops = (unsigned)capacity;
-    config.xbc.capacityUops = (unsigned)capacity;
-    config.dc.capacityUops = (unsigned)capacity;
-    config.bbtc.blocks.capacityUops = (unsigned)capacity;
-    if (ways) {
-        config.tc.ways = (unsigned)ways;
-        config.xbc.ways = (unsigned)ways;
-        config.dc.ways = (unsigned)ways;
-        config.bbtc.blocks.ways = (unsigned)ways;
-    }
+    Expected<SimConfig> spec_config = spec.config();
+    if (!spec_config.ok())
+        xbs_fatal("%s", spec_config.status().toString().c_str());
+    SimConfig config = spec_config.take();
     config.xbc.xbtbEntries = (unsigned)xbtb_entries;
     config.xbc.fetchXbsPerCycle = (unsigned)fetch_xbs;
     config.xbc.promotionEnabled = promotion;
@@ -225,17 +223,14 @@ main(int argc, char **argv)
         fe->attachProfiler(&prof);
     }
 
-    // Observability: an opt-in interval sampler over the stat tree.
-    std::unique_ptr<IntervalSampler> sampler;
-    std::ofstream interval_os;
+    // Observability: opt-in interval windows over the stat tree,
+    // each with the host throughput since the meter's reset.
+    ThroughputMeter meter;
+    std::optional<IntervalStream> intervals;
     if (interval > 0) {
-        sampler = std::make_unique<IntervalSampler>(fe->statRoot(),
-                                                    interval);
-        interval_os.open(interval_out);
-        if (!interval_os)
+        intervals.emplace(*fe, interval, interval_out, meter);
+        if (!intervals->ok())
             xbs_fatal("cannot open '%s'", interval_out.c_str());
-        sampler->setOutput(&interval_os);
-        fe->attachSampler(sampler.get());
     }
 
     std::optional<Trace> trace_opt;
@@ -267,17 +262,6 @@ main(int argc, char **argv)
     const Trace &trace = *trace_opt;
     const std::string trace_name = trace.name();
     const uint64_t total_uops = trace.totalUops();
-
-    // The spec identity a checkpoint of this run carries, and a
-    // restored checkpoint is verified against. (Only the batch-layer
-    // flags; a geometry mismatch in the extra flags is still caught
-    // by the per-section size checks on restore.)
-    RunSpec spec;
-    spec.frontend = frontend;
-    spec.workload = trace_path.empty() ? workload : trace_path;
-    spec.insts = insts;
-    spec.capacity = capacity;
-    spec.ways = ways;
 
     // Divergence-oracle mode: a self-contained experiment (two full
     // in-process runs), not a simulation of this cell.
@@ -384,27 +368,6 @@ main(int argc, char **argv)
 
     fe->attachStopFlag(&g_stop);
 
-    // Simulated-progress-per-host-second rates, sampled on the
-    // interval-stats cadence: each window gets a "host" sub-object.
-    ThroughputMeter meter;
-    if (sampler) {
-        Frontend *fe_ptr = fe.get();
-        sampler->setAnnotator([&, fe_ptr](JsonWriter &jw) {
-            const FrontendMetrics &mm = fe_ptr->metrics();
-            ThroughputMeter::Rates r = meter.sample(
-                mm.cycles.value(),
-                mm.deliveryUops.value() + mm.buildUops.value(),
-                mm.traceRecords.value());
-            jw.beginObject("host");
-            jw.field("wallSeconds", r.wallSeconds);
-            jw.field("windowSeconds", r.windowSeconds);
-            jw.field("cyclesPerSec", r.cyclesPerSec);
-            jw.field("uopsPerSec", r.uopsPerSec);
-            jw.field("recordsPerSec", r.recordsPerSec);
-            jw.endObject();
-        });
-    }
-
     // Live-point cut: arm the run loop to serialize the complete
     // warm state the first time the cycle counter reaches the mark
     // (the write happens mid-run, atomically, without stopping the
@@ -473,7 +436,6 @@ main(int argc, char **argv)
     }
 
     const auto &m = fe->metrics();
-    const HostCounters hc = HostCounters::self();
     const ThroughputMeter::Rates overall = meter.overall(
         m.cycles.value(),
         m.deliveryUops.value() + m.buildUops.value(),
@@ -481,26 +443,8 @@ main(int argc, char **argv)
     if (json) {
         JsonWriter jw(std::cout);
         jw.beginObject();
-        jw.field("frontend", frontend);
-        jw.field("workload", trace_name);
-        jw.field("capacityUops", capacity);
-        jw.field("totalUops", total_uops);
-        jw.field("bandwidth", m.bandwidth());
-        jw.field("missRate", m.missRate());
-        jw.field("overallIpc", m.overallIpc());
-        jw.field("cycles", m.cycles.value());
-        jw.field("condMispredictRate", m.condMispredictRate());
-        fe->attrib().writeJson(jw, m.buildUops.value(),
-                               m.stallCycles.value(),
-                               fe->arrayAccounting());
-        writeBuildInfoJson(jw, buildInfo());
-        hc.writeJson(jw, "host");
-        jw.beginObject("throughput");
-        jw.field("wallSeconds", overall.wallSeconds);
-        jw.field("cyclesPerSec", overall.cyclesPerSec);
-        jw.field("uopsPerSec", overall.uopsPerSec);
-        jw.field("recordsPerSec", overall.recordsPerSec);
-        jw.endObject();
+        writeResultFields(jw, frontend, trace_name, capacity,
+                          total_uops, *fe, overall);
         if (profile) {
             jw.beginObject("profile");
             jw.field("totalEstimatedMs",
@@ -544,6 +488,7 @@ main(int argc, char **argv)
                         (unsigned long long)injector->injections(),
                         injector->summary().c_str());
         }
+        const HostCounters hc = HostCounters::self();
         std::printf("  host: %.2fs wall, %.2fs cpu, %llu KiB peak "
                     "RSS, %.2f Muops/s\n",
                     overall.wallSeconds, hc.cpuSec(),
