@@ -66,13 +66,86 @@ ArrayAccounting::ArrayAccounting(StatGroup *parent,
       buildToFirstHit_(kBuildToFirstHitMax),
       hitsBeforeEvict_(kHitsBeforeEvictMax)
 {
+    clearTables();
+}
+
+void
+ArrayAccounting::clearTables()
+{
+    constexpr unsigned kInitialSlotsLog2 = 10;
+    slots_.assign(std::size_t{1} << kInitialSlotsLog2, Slot{});
+    shift_ = 64 - kInitialSlotsLog2;
+    usedSlots_ = 0;
+    recs_.clear();
+    freeRec_ = kNone;
+    liveTags_ = 0;
+    shadowNewest_ = shadowOldest_ = kNone;
+    shadowSize_ = 0;
+}
+
+ArrayAccounting::Slot &
+ArrayAccounting::slotFor(uint64_t tag)
+{
+    if (2 * (usedSlots_ + 1) > slots_.size()) {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        --shift_;
+        const std::size_t m = slots_.size() - 1;
+        for (const Slot &s : old) {
+            if (!s.used)
+                continue;
+            std::size_t i = home(s.tag);
+            while (slots_[i].used)
+                i = (i + 1) & m;
+            slots_[i] = s;
+        }
+    }
+    const std::size_t m = slots_.size() - 1;
+    std::size_t i = home(tag);
+    while (slots_[i].used && slots_[i].tag != tag)
+        i = (i + 1) & m;
+    Slot &s = slots_[i];
+    if (!s.used) {
+        s.used = true;
+        s.tag = tag;
+        ++usedSlots_;
+    }
+    return s;
+}
+
+ArrayAccounting::Rec &
+ArrayAccounting::recFor(Slot &s)
+{
+    if (s.rec == kNone) {
+        if (freeRec_ != kNone) {
+            s.rec = freeRec_;
+            freeRec_ = recs_[freeRec_].older;
+        } else {
+            s.rec = (uint32_t)recs_.size();
+            recs_.emplace_back();
+        }
+        recs_[s.rec] = Rec{};
+        recs_[s.rec].tag = s.tag;
+    }
+    return recs_[s.rec];
+}
+
+void
+ArrayAccounting::releaseIfIdle(Slot &s)
+{
+    Rec &r = recs_[s.rec];
+    if (r.live || r.shadowed)
+        return;
+    r.older = freeRec_;
+    freeRec_ = s.rec;
+    s.rec = kNone;
 }
 
 void
 ArrayAccounting::onAlloc(uint64_t tag, unsigned bank, std::size_t set)
 {
     // Every fresh line of an XB opens (or refreshes) its lifetime
-    // record; try_emplace keeps the original build stamp for
+    // record; a live record keeps its original build stamp for
     // multi-line XBs and extensions.
     onBuild(tag);
     ++allocHeat_[cell(bank, set)];
@@ -91,16 +164,17 @@ ArrayAccounting::onEvict(uint64_t tag, unsigned bank, std::size_t set,
     if (!last_gone)
         return;
 
-    auto it = live_.find(tag);
-    if (it != live_.end()) {
-        uint64_t hits = it->second.hits;
+    Slot &s = slotFor(tag);
+    Rec &r = recFor(s);
+    if (r.live) {
         hitsBeforeEvict_.add(
-            (uint32_t)std::min<uint64_t>(hits, kHitsBeforeEvictMax));
-        if (hits == 0)
+            (uint32_t)std::min<uint64_t>(r.hits, kHitsBeforeEvictMax));
+        if (r.hits == 0)
             ++zeroHitEvictions;
-        live_.erase(it);
+        r.live = false;
+        --liveTags_;
     }
-    shadowInsert(tag);
+    shadowInsert(s);
 }
 
 void
@@ -112,60 +186,76 @@ ArrayAccounting::onConflict(unsigned bank, std::size_t set)
 void
 ArrayAccounting::onBuild(uint64_t tag)
 {
-    everBuilt_.insert(tag);
-    shadowErase(tag);
+    Slot &s = slotFor(tag);
+    s.built = true;
+    Rec &r = recFor(s);
+    if (r.shadowed)
+        shadowUnlink(r);
     // Rebuilding a resident tag extends it; keep the original
     // lifetime record so hits accumulate across extensions.
-    auto [it, inserted] = live_.try_emplace(tag);
-    if (inserted)
-        it->second.buildCycle = now();
+    if (!r.live) {
+        r.live = true;
+        r.buildCycle = now();
+        r.firstHitCycle = 0;
+        r.hits = 0;
+        ++liveTags_;
+    }
 }
 
 void
-ArrayAccounting::onHit(uint64_t tag)
+ArrayAccounting::noteFirstHit(uint64_t latency)
 {
-    auto it = live_.find(tag);
-    if (it == live_.end())
-        return;
-    if (it->second.hits == 0) {
-        it->second.firstHitCycle = now();
-        uint64_t lat = it->second.firstHitCycle - it->second.buildCycle;
-        buildToFirstHit_.add(
-            (uint32_t)std::min<uint64_t>(lat, kBuildToFirstHitMax));
-    }
-    ++it->second.hits;
+    buildToFirstHit_.add(
+        (uint32_t)std::min<uint64_t>(latency, kBuildToFirstHitMax));
 }
 
 Cause
 ArrayAccounting::classifyMiss(uint64_t tag) const
 {
-    if (!everBuilt(tag))
+    const Slot *s = findSlot(tag);
+    if (!s || !s->built)
         return Cause::XbcCompulsory;
-    if (inShadow(tag))
+    if (s->rec != kNone && recs_[s->rec].shadowed)
         return Cause::XbcConflict;
     return Cause::XbcCapacity;
 }
 
 void
-ArrayAccounting::shadowInsert(uint64_t tag)
+ArrayAccounting::shadowInsert(Slot &s)
 {
-    shadowErase(tag);
-    shadowLru_.push_front(tag);
-    shadowIndex_[tag] = shadowLru_.begin();
-    while (shadowLru_.size() > shadowCapacity_) {
-        shadowIndex_.erase(shadowLru_.back());
-        shadowLru_.pop_back();
+    Rec &r = recs_[s.rec];
+    if (r.shadowed)
+        shadowUnlink(r);
+    r.shadowed = true;
+    r.newer = kNone;
+    r.older = shadowNewest_;
+    if (shadowNewest_ != kNone)
+        recs_[shadowNewest_].newer = s.rec;
+    else
+        shadowOldest_ = s.rec;
+    shadowNewest_ = s.rec;
+    ++shadowSize_;
+    while (shadowSize_ > shadowCapacity_) {
+        Rec &oldest = recs_[shadowOldest_];
+        shadowUnlink(oldest);
+        releaseIfIdle(*findSlot(oldest.tag));
     }
 }
 
 void
-ArrayAccounting::shadowErase(uint64_t tag)
+ArrayAccounting::shadowUnlink(Rec &r)
 {
-    auto it = shadowIndex_.find(tag);
-    if (it == shadowIndex_.end())
-        return;
-    shadowLru_.erase(it->second);
-    shadowIndex_.erase(it);
+    if (r.newer != kNone)
+        recs_[r.newer].older = r.older;
+    else
+        shadowNewest_ = r.older;
+    if (r.older != kNone)
+        recs_[r.older].newer = r.newer;
+    else
+        shadowOldest_ = r.newer;
+    r.newer = r.older = kNone;
+    r.shadowed = false;
+    --shadowSize_;
 }
 
 void
@@ -175,7 +265,7 @@ ArrayAccounting::writeJson(JsonWriter &json) const
     json.field("banks", (uint64_t)banks_);
     json.field("sets", (uint64_t)sets_);
     json.field("shadowCapacity", (uint64_t)shadowCapacity_);
-    json.field("liveTags", (uint64_t)live_.size());
+    json.field("liveTags", (uint64_t)liveTags_);
     json.field("headEvictions", headEvictions.value());
     json.field("nonHeadEvictions", nonHeadEvictions.value());
     json.field("zeroHitEvictions", zeroHitEvictions.value());
@@ -216,34 +306,36 @@ ArrayAccounting::ckptSave(CkptSink &sink) const
     saveHeat(sink, evictHeat_);
     saveHeat(sink, conflictHeat_);
 
-    std::vector<uint64_t> keys;
-    keys.reserve(live_.size());
-    for (const auto &kv : live_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    sink.u64(keys.size());
-    for (uint64_t tag : keys) {
-        const LifeRec &rec = live_.at(tag);
-        sink.u64(tag);
-        sink.u64(rec.buildCycle);
-        sink.u64(rec.firstHitCycle);
-        sink.u64(rec.hits);
+    std::vector<const Rec *> live;
+    live.reserve(liveTags_);
+    for (const Rec &r : recs_) {
+        if (r.live)
+            live.push_back(&r);
+    }
+    std::sort(live.begin(), live.end(),
+              [](const Rec *a, const Rec *b) { return a->tag < b->tag; });
+    sink.u64(live.size());
+    for (const Rec *r : live) {
+        sink.u64(r->tag);
+        sink.u64(r->buildCycle);
+        sink.u64(r->firstHitCycle);
+        sink.u64(r->hits);
     }
 
-    keys.clear();
-    keys.reserve(everBuilt_.size());
-    for (uint64_t tag : everBuilt_)
-        keys.push_back(tag);
-    std::sort(keys.begin(), keys.end());
-    sink.u64(keys.size());
-    for (uint64_t tag : keys)
+    std::vector<uint64_t> built;
+    for (const Slot &s : slots_) {
+        if (s.built)
+            built.push_back(s.tag);
+    }
+    std::sort(built.begin(), built.end());
+    sink.u64(built.size());
+    for (uint64_t tag : built)
         sink.u64(tag);
 
-    // Shadow directory in LRU order (front = most recent), which is
-    // the canonical order already.
-    sink.u64(shadowLru_.size());
-    for (uint64_t tag : shadowLru_)
-        sink.u64(tag);
+    // Shadow directory in LRU order, most recent first.
+    sink.u64(shadowSize_);
+    for (uint32_t i = shadowNewest_; i != kNone; i = recs_[i].older)
+        sink.u64(recs_[i].tag);
 
     saveHistogram(buildToFirstHit_, sink);
     saveHistogram(hitsBeforeEvict_, sink);
@@ -256,38 +348,52 @@ ArrayAccounting::ckptLoad(CkptSource &src)
     loadHeat(src, evictHeat_);
     loadHeat(src, conflictHeat_);
 
-    live_.clear();
+    clearTables();
     uint64_t n = src.count(32);
     for (uint64_t i = 0; src.ok() && i < n; ++i) {
         uint64_t tag = src.u64();
-        LifeRec rec;
-        rec.buildCycle = src.u64();
-        rec.firstHitCycle = src.u64();
-        rec.hits = src.u64();
-        if (src.ok())
-            live_[tag] = rec;
+        uint64_t build_cycle = src.u64();
+        uint64_t first_hit_cycle = src.u64();
+        uint64_t hits = src.u64();
+        if (!src.ok())
+            break;
+        Rec &r = recFor(slotFor(tag));
+        if (!r.live)
+            ++liveTags_;
+        r.live = true;
+        r.buildCycle = build_cycle;
+        r.firstHitCycle = first_hit_cycle;
+        r.hits = hits;
     }
 
-    everBuilt_.clear();
     n = src.count(8);
     for (uint64_t i = 0; src.ok() && i < n; ++i) {
         uint64_t tag = src.u64();
         if (src.ok())
-            everBuilt_.insert(tag);
+            slotFor(tag).built = true;
     }
 
-    shadowLru_.clear();
-    shadowIndex_.clear();
     n = src.count(8);
     src.require(n <= shadowCapacity_);
     for (uint64_t i = 0; src.ok() && i < n; ++i) {
         uint64_t tag = src.u64();
-        if (src.ok()) {
-            shadowLru_.push_back(tag);
-            auto it = shadowLru_.end();
-            --it;
-            shadowIndex_[tag] = it;
-        }
+        if (!src.ok())
+            break;
+        Slot &s = slotFor(tag);
+        Rec &r = recFor(s);
+        src.require(!r.shadowed);
+        if (!src.ok())
+            break;
+        // Listed newest first: append at the old end.
+        r.shadowed = true;
+        r.newer = shadowOldest_;
+        r.older = kNone;
+        if (shadowOldest_ != kNone)
+            recs_[shadowOldest_].older = s.rec;
+        else
+            shadowNewest_ = s.rec;
+        shadowOldest_ = s.rec;
+        ++shadowSize_;
     }
 
     loadHistogram(buildToFirstHit_, src);

@@ -32,19 +32,6 @@ AttribRecorder::AttribRecorder(StatGroup *parent)
 }
 
 void
-AttribRecorder::noteDisruption(Cause cause)
-{
-    pending_ = cause;
-    fresh_ = true;
-}
-
-void
-AttribRecorder::clearDisruption()
-{
-    fresh_ = false;
-}
-
-void
 AttribRecorder::enterBuild(Cause fallback)
 {
     latched_ = fresh_ ? pending_ : fallback;
@@ -52,27 +39,10 @@ AttribRecorder::enterBuild(Cause fallback)
 }
 
 void
-AttribRecorder::chargeBuildUops(uint64_t n)
-{
-    *uops_[idx(latched_)] += n;
-}
-
-void
 AttribRecorder::noteStall(Cause cause, uint64_t n)
 {
     for (uint64_t i = 0; i < n; ++i)
         pendingStall_.push_back(cause);
-}
-
-void
-AttribRecorder::chargeSilentCycle()
-{
-    Cause c = Cause::Unattributed;
-    if (!pendingStall_.empty()) {
-        c = pendingStall_.front();
-        pendingStall_.pop_front();
-    }
-    ++*cycles_[idx(c)];
 }
 
 void

@@ -59,11 +59,16 @@ class AttribRecorder : public StatGroup
     /** Record the precise event that broke the delivery path. The
      *  cause stays pending until consumed by enterBuild() or cleared
      *  by a later structure hit. */
-    void noteDisruption(Cause cause);
+    void
+    noteDisruption(Cause cause)
+    {
+        pending_ = cause;
+        fresh_ = true;
+    }
 
     /** A structure hit resumed normal delivery: an earlier
      *  disruption did not cause a build entry after all. */
-    void clearDisruption();
+    void clearDisruption() { fresh_ = false; }
 
     /** Mode switch into build: latch the cause every subsequent
      *  build uop will be charged to — the pending disruption if one
@@ -72,7 +77,7 @@ class AttribRecorder : public StatGroup
 
     /** Charge @p n build uops to the latched cause. Call alongside
      *  every `metrics.buildUops += n`. */
-    void chargeBuildUops(uint64_t n);
+    void chargeBuildUops(uint64_t n) { *uops_[idx(latched_)] += n; }
 
     /// @}
     /// @{ Silent-cycle attribution.
@@ -84,7 +89,16 @@ class AttribRecorder : public StatGroup
     /** Charge one fetch-silent cycle: pops the oldest pending stall
      *  unit (Unattributed if none). Call alongside every
      *  `++metrics.stallCycles`. */
-    void chargeSilentCycle();
+    void
+    chargeSilentCycle()
+    {
+        Cause c = Cause::Unattributed;
+        if (!pendingStall_.empty()) {
+            c = pendingStall_.front();
+            pendingStall_.pop_front();
+        }
+        ++*cycles_[idx(c)];
+    }
 
     /** Bulk variant for frontends that add stall cycles in one shot
      *  (the IC baseline). */

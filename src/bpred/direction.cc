@@ -15,28 +15,6 @@ GsharePredictor::GsharePredictor(unsigned history_bits)
     table_.resize(1ULL << historyBits_);
 }
 
-std::size_t
-GsharePredictor::index(uint64_t ip) const
-{
-    // Drop the low bit (branches are at arbitrary byte addresses in
-    // x86, so no fixed alignment shift), fold, and XOR with history.
-    uint64_t folded = (ip >> 1) ^ (ip >> (1 + historyBits_));
-    return (std::size_t)((folded ^ history_) & mask(historyBits_));
-}
-
-bool
-GsharePredictor::predict(uint64_t ip) const
-{
-    return table_[index(ip)].taken();
-}
-
-void
-GsharePredictor::update(uint64_t ip, bool taken)
-{
-    table_[index(ip)].train(taken);
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) & mask(historyBits_);
-}
-
 void
 GsharePredictor::reset()
 {

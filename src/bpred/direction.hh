@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitops.hh"
+
 namespace xbs
 {
 
@@ -73,8 +75,17 @@ class GsharePredictor : public DirectionPredictor
      */
     explicit GsharePredictor(unsigned history_bits = 16);
 
-    bool predict(uint64_t ip) const override;
-    void update(uint64_t ip, bool taken) override;
+    bool predict(uint64_t ip) const override
+    {
+        return table_[index(ip)].taken();
+    }
+    void
+    update(uint64_t ip, bool taken) override
+    {
+        table_[index(ip)].train(taken);
+        history_ = ((history_ << 1) | (taken ? 1 : 0)) &
+                   mask(historyBits_);
+    }
     void reset() override;
 
     uint64_t history() const { return history_; }
@@ -85,7 +96,15 @@ class GsharePredictor : public DirectionPredictor
     /// @}
 
   private:
-    std::size_t index(uint64_t ip) const;
+    std::size_t
+    index(uint64_t ip) const
+    {
+        // Drop the low bit (branches are at arbitrary byte addresses
+        // in x86, so no fixed alignment shift), fold, and XOR with
+        // history.
+        uint64_t folded = (ip >> 1) ^ (ip >> (1 + historyBits_));
+        return (std::size_t)((folded ^ history_) & mask(historyBits_));
+    }
 
     unsigned historyBits_;
     uint64_t history_ = 0;

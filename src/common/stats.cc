@@ -55,24 +55,6 @@ DistributionStat::DistributionStat(StatGroup *group, std::string name,
     buckets_.assign(std::max<std::size_t>(n, 1), 0);
 }
 
-void
-DistributionStat::sample(double v, uint64_t count)
-{
-    samples_ += count;
-    sum_ += v * (double)count;
-    squares_ += v * v * (double)count;
-    if (v < min_) {
-        underflow_ += count;
-    } else if (v >= max_) {
-        overflow_ += count;
-    } else {
-        auto i = (std::size_t)((v - min_) / bucketSize_);
-        if (i >= buckets_.size())
-            i = buckets_.size() - 1;
-        buckets_[i] += count;
-    }
-}
-
 double
 DistributionStat::mean() const
 {

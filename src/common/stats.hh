@@ -163,7 +163,23 @@ class DistributionStat : public StatBase
                      std::string desc, double min, double max,
                      double bucket_size);
 
-    void sample(double v, uint64_t count = 1);
+    void
+    sample(double v, uint64_t count = 1)
+    {
+        samples_ += count;
+        sum_ += v * (double)count;
+        squares_ += v * v * (double)count;
+        if (v < min_) {
+            underflow_ += count;
+        } else if (v >= max_) {
+            overflow_ += count;
+        } else {
+            auto i = (std::size_t)((v - min_) / bucketSize_);
+            if (i >= buckets_.size())
+                i = buckets_.size() - 1;
+            buckets_[i] += count;
+        }
+    }
 
     uint64_t samples() const { return samples_; }
     double mean() const;

@@ -32,32 +32,6 @@ XbcDataArray::XbcDataArray(const XbcParams &params, StatGroup *parent)
     sets_.resize(numSets_);
 }
 
-std::size_t
-XbcDataArray::setOf(uint64_t tag) const
-{
-    return (std::size_t)foldedIndex(tag, numSets_, 0);
-}
-
-XbcDataArray::BankLine &
-XbcDataArray::line(unsigned bank, std::size_t set, unsigned way)
-{
-    return lines_[((std::size_t)bank * numSets_ + set) * params_.ways +
-                  way];
-}
-
-const XbcDataArray::BankLine &
-XbcDataArray::line(unsigned bank, std::size_t set, unsigned way) const
-{
-    return lines_[((std::size_t)bank * numSets_ + set) * params_.ways +
-                  way];
-}
-
-XbcDataArray::BankLine &
-XbcDataArray::line(const LineUse &lu, std::size_t set)
-{
-    return line(lu.bank, set, lu.way);
-}
-
 void
 XbcDataArray::accountSlots(std::span<const UopSlot> slots, int delta)
 {
@@ -294,6 +268,7 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
     xbs_assert(!seq.empty() && seq.size() <= params_.xbQuotaUops,
                "bad XB length %zu", seq.size());
     ++inserts;
+    ++version_;
     std::size_t set = setOf(end_ip);
 
     auto fill_out = [&](const Variant &v) {
@@ -490,26 +465,6 @@ XbcDataArray::insert(const XbSeq &seq, uint64_t end_ip,
 }
 
 XbcDataArray::Access
-XbcDataArray::lookup(uint64_t tag, uint32_t mask_bits,
-                     int32_t entry_idx)
-{
-    Access acc;
-    for (const auto &v : sets_[setOf(tag)]) {
-        if (v.tag != tag || v.mask != mask_bits)
-            continue;
-        // Entry must sit at an instruction boundary in the sequence.
-        for (std::size_t p = 0; p < v.seq.size(); ++p) {
-            if (v.seq[p].staticIdx == entry_idx && v.seq[p].seq == 0) {
-                acc.variant = &v;
-                acc.entryPos = p;
-                return acc;
-            }
-        }
-    }
-    return acc;
-}
-
-XbcDataArray::Access
 XbcDataArray::findQuiet(uint64_t tag, int32_t entry_idx)
 {
     Access acc;
@@ -548,26 +503,6 @@ XbcDataArray::setSearch(uint64_t tag, int32_t entry_idx)
     return acc;
 }
 
-void
-XbcDataArray::touch(const Variant &variant, std::size_t entry_pos)
-{
-    std::size_t set = setOf(variant.tag);
-    // Find the first line the entry falls into.
-    std::size_t pos = 0;
-    std::size_t start_line = 0;
-    for (std::size_t i = 0; i < variant.lines.size(); ++i) {
-        if (entry_pos < pos + variant.lines[i].count) {
-            start_line = i;
-            break;
-        }
-        pos += variant.lines[i].count;
-    }
-    // Touch head-to-primary so the primary ends most recent and a
-    // head line is always the first of the XB to age out.
-    for (std::size_t i = start_line; i < variant.lines.size(); ++i)
-        line(variant.lines[i], set).lru = ++clock_;
-}
-
 bool
 XbcDataArray::noteConflict(const Variant &variant,
                            std::size_t line_pos,
@@ -600,6 +535,7 @@ XbcDataArray::noteConflict(const Variant &variant,
             // ("only if its LRU is higher, or both gain").
             if (target.valid && target.lru >= l.lru)
                 continue;
+            ++version_;
             if (target.valid) {
                 ++evictions;
                 accountSlots(target.slots, -1);
@@ -937,6 +873,7 @@ XbcDataArray::faultInvalidateLine(std::size_t idx)
     std::size_t set = (idx / params_.ways) % numSets_;
     unsigned bank = (unsigned)(idx / ((std::size_t)params_.ways *
                                       numSets_));
+    ++version_;
     ++evictions;
     accountSlots(l.slots, -1);
     dropVariantsUsing(l.tag, set, bank, way);
@@ -974,6 +911,7 @@ XbcDataArray::faultCorruptSlot(Rng &rng)
     // Keep the books balanced: the corruption changes *content*,
     // not structure, so the structural audit stays clean while the
     // frontend's match checks and the oracle see the damage.
+    ++version_;
     accountSlots({&slot, 1}, -1);
     slot.staticIdx = new_idx;
     accountSlots({&slot, 1}, +1);
@@ -1003,6 +941,7 @@ XbcDataArray::tamperDuplicateVariant()
 {
     for (auto &vars : sets_) {
         if (!vars.empty()) {
+            ++version_;
             vars.push_back(vars.front());
             return true;
         }
@@ -1016,6 +955,7 @@ XbcDataArray::tamperSwapVariantLines()
     for (auto &vars : sets_) {
         for (auto &v : vars) {
             if (v.lines.size() >= 2) {
+                ++version_;
                 std::swap(v.lines[0], v.lines[1]);
                 rebuildMask(v);
                 return true;
@@ -1053,6 +993,7 @@ XbcDataArray::reset()
         vars.clear();
     recount();
     clock_ = 0;
+    ++version_;
     resetStats();
 }
 
@@ -1141,6 +1082,7 @@ XbcDataArray::ckptSave(CkptSink &sink) const
 void
 XbcDataArray::ckptLoad(CkptSource &src)
 {
+    ++version_;
     uint64_t n = src.count(1);
     src.require(n == lines_.size());
     for (std::size_t i = 0; src.ok() && i < lines_.size(); ++i) {

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "attrib/array_sink.hh"
+#include "common/bitops.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "core/params.hh"
@@ -119,7 +120,20 @@ class XbcDataArray : public StatGroup
      * instruction boundary. A failed lookup is an XBC miss; try
      * setSearch next.
      */
-    Access lookup(uint64_t tag, uint32_t mask, int32_t entry_idx);
+    Access
+    lookup(uint64_t tag, uint32_t mask_bits, int32_t entry_idx)
+    {
+        for (const auto &v : sets_[setOf(tag)]) {
+            if (v.tag != tag || v.mask != mask_bits)
+                continue;
+            // Entry must sit at an instruction boundary.
+            for (std::size_t p = 0; p < v.seq.size(); ++p) {
+                if (v.seq[p].staticIdx == entry_idx && v.seq[p].seq == 0)
+                    return Access{&v, p};
+            }
+        }
+        return Access{};
+    }
 
     /**
      * Set search (section 3.9): find any resident variant of @p tag
@@ -143,7 +157,25 @@ class XbcDataArray : public StatGroup
      *
      * @param entry_pos index into variant.seq where supply entered
      */
-    void touch(const Variant &variant, std::size_t entry_pos);
+    void
+    touch(const Variant &variant, std::size_t entry_pos)
+    {
+        const std::size_t set = setOf(variant.tag);
+        // Find the first line the entry falls into.
+        std::size_t pos = 0;
+        std::size_t start_line = 0;
+        for (std::size_t i = 0; i < variant.lines.size(); ++i) {
+            if (entry_pos < pos + variant.lines[i].count) {
+                start_line = i;
+                break;
+            }
+            pos += variant.lines[i].count;
+        }
+        // Touch head-to-primary so the primary ends most recent and a
+        // head line is always the first of the XB to age out.
+        for (std::size_t i = start_line; i < variant.lines.size(); ++i)
+            line(variant.lines[i], set).lru = ++clock_;
+    }
 
     /**
      * Record a bank-conflict deferral of line @p line_pos of
@@ -168,7 +200,16 @@ class XbcDataArray : public StatGroup
     /// @}
 
     unsigned numSets() const { return numSets_; }
-    std::size_t setOf(uint64_t tag) const;
+    std::size_t
+    setOf(uint64_t tag) const
+    {
+        return (std::size_t)foldedIndex(tag, numSets_, 0);
+    }
+
+    /** Changes on every call that may change a set's variants (an
+     *  insert, a relocation, a fault, reset, ckptLoad): an answer
+     *  read from the array at one version holds until it moves. */
+    uint64_t version() const { return version_; }
 
     /** Attach (or detach, with nullptr) a structural-event observer
      *  (src/attrib's ArrayAccounting): allocation, eviction, and
@@ -266,10 +307,23 @@ class XbcDataArray : public StatGroup
         InlineVec<UopSlot, kMaxBankUops> slots;
     };
 
-    BankLine &line(unsigned bank, std::size_t set, unsigned way);
-    const BankLine &line(unsigned bank, std::size_t set,
-                         unsigned way) const;
-    BankLine &line(const LineUse &lu, std::size_t set);
+    BankLine &
+    line(unsigned bank, std::size_t set, unsigned way)
+    {
+        return lines_[((std::size_t)bank * numSets_ + set) *
+                          params_.ways + way];
+    }
+    const BankLine &
+    line(unsigned bank, std::size_t set, unsigned way) const
+    {
+        return lines_[((std::size_t)bank * numSets_ + set) *
+                          params_.ways + way];
+    }
+    BankLine &
+    line(const LineUse &lu, std::size_t set)
+    {
+        return line(lu.bank, set, lu.way);
+    }
 
     /** Remove variants of @p tag that reference (bank, way). Called
      *  exactly once per line eviction, so it also fires the event
@@ -322,6 +376,7 @@ class XbcDataArray : public StatGroup
     /** Per set, its variants in insertion order. */
     std::vector<std::vector<Variant>> sets_;
     uint64_t clock_ = 0;
+    uint64_t version_ = 0;
 
     /** Resident copies per static uop number. */
     std::vector<uint32_t> residency_;

@@ -11,56 +11,66 @@
  * conditions (at most one line per bank, total width within the
  * 16-uop OUT_MUX) and gathers wiring statistics that a circuit
  * designer would care about (segments per cycle, alignment shift
- * distances).
+ * distances). The supply path routes each claimed line segment as it
+ * is granted and closes the cycle once; no per-cycle plan is built.
  */
 
 #ifndef XBS_CORE_OUT_MUX_HH
 #define XBS_CORE_OUT_MUX_HH
 
-#include <cstdint>
-#include <vector>
+#include <cstdlib>
 
 #include "common/stats.hh"
 #include "core/params.hh"
-#include "core/xb.hh"
 
 namespace xbs
 {
 
-/** One bank line's contribution to a cycle's output. */
-struct MuxInput
-{
-    uint8_t bank = 0;
-    uint8_t count = 0;  ///< uops read from this line
-};
-
-/** Where a contribution lands in the aligned output. */
-struct MuxSegment
-{
-    uint8_t bank = 0;
-    uint8_t count = 0;
-    uint8_t dstOffset = 0;  ///< position in the compacted sequence
-};
-
-/** One cycle's placement: every segment carries at least one uop of
- *  the at most kMaxXbUops-wide output, so it fits inline. */
-using MuxPlan = InlineVec<MuxSegment, kMaxXbUops>;
-
 class OutMux : public StatGroup
 {
   public:
-    OutMux(const XbcParams &params, StatGroup *parent);
+    OutMux(const XbcParams &params, StatGroup *parent)
+        : StatGroup("outmux", parent), params_(params)
+    {
+    }
 
     /**
-     * Compute the reorder+align plan for one cycle.
+     * Route one bank line's contribution of @p count uops into this
+     * cycle's aligned output. Segments arrive in supply order (the
+     * priority encoder's grant order); a repeated bank is a shared
+     * read that the mux fans out to a second segment.
      *
-     * @param inputs per-line contributions, already in supply order
-     *        (the priority encoder's output). A repeated bank means
-     *        a shared read fanned out to two segments.
-     * @return dense placement; panics if the cycle is physically
-     *         infeasible (width overflow)
+     * @return the segment's offset in the compacted sequence; panics
+     *         if the cycle is physically infeasible (width overflow)
      */
-    MuxPlan plan(const std::vector<MuxInput> &inputs);
+    unsigned
+    route(unsigned bank, unsigned count)
+    {
+        xbs_assert(bank < params_.numBanks, "bank out of range");
+        xbs_assert(count >= 1 && count <= params_.bankUops,
+                   "segment count out of range");
+        const unsigned dst = routed_;
+        // Alignment shift: distance between the segment's natural
+        // position (its bank's fixed slice of the raw 16-wide read)
+        // and its compacted position.
+        shift.sample(std::abs((int)(bank * params_.bankUops) - (int)dst));
+        routed_ += count;
+        xbs_assert(routed_ <= params_.xbQuotaUops,
+                   "OUT_MUX width exceeded");
+        ++segments;
+        return dst;
+    }
+
+    /** End the delivery cycle; one that routed a segment counts. */
+    void
+    closeCycle()
+    {
+        if (routed_ == 0)
+            return;
+        ++cycles;
+        occupancy.sample((double)routed_);
+        routed_ = 0;
+    }
 
     ScalarStat cycles{this, "cycles", "cycles planned"};
     ScalarStat segments{this, "segments", "line segments routed"};
@@ -71,6 +81,7 @@ class OutMux : public StatGroup
 
   private:
     XbcParams params_;
+    unsigned routed_ = 0;  ///< uops routed so far this cycle
 };
 
 } // namespace xbs

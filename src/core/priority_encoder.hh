@@ -29,23 +29,61 @@ namespace xbs
 class PriorityEncoder : public StatGroup
 {
   public:
-    PriorityEncoder(unsigned num_banks, StatGroup *parent);
+    PriorityEncoder(unsigned num_banks, StatGroup *parent)
+        : StatGroup("prioenc", parent), grants_(num_banks)
+    {
+        xbs_assert(num_banks >= 1, "need at least one bank");
+    }
 
     /** Start a new cycle: all banks free. */
-    void reset();
+    void
+    reset()
+    {
+        for (auto &g : grants_)
+            g.busy = false;
+    }
 
     /** Would a read of line (bank, set, way) be served this cycle? */
-    bool wouldGrant(unsigned bank, uint32_t set, uint8_t way) const;
+    bool
+    wouldGrant(unsigned bank, uint32_t set, uint8_t way) const
+    {
+        xbs_assert(bank < grants_.size(), "bank out of range");
+        const Grant &g = grants_[bank];
+        return !g.busy || (g.set == set && g.way == way);
+    }
 
     /**
      * Claim line (bank, set, way) for this cycle.
      * @return true if granted (also when it aliases an existing
      *         grant of the very same line)
      */
-    bool claim(unsigned bank, uint32_t set, uint8_t way);
+    bool
+    claim(unsigned bank, uint32_t set, uint8_t way)
+    {
+        xbs_assert(bank < grants_.size(), "bank out of range");
+        Grant &g = grants_[bank];
+        if (!g.busy) {
+            g = Grant{true, set, way};
+            ++grants;
+            return true;
+        }
+        if (g.set == set && g.way == way) {
+            ++shared;
+            return true;
+        }
+        ++conflicts;
+        return false;
+    }
 
     /** Banks with a grant this cycle. */
-    uint32_t busyMask() const;
+    uint32_t
+    busyMask() const
+    {
+        uint32_t mask_bits = 0;
+        for (std::size_t b = 0; b < grants_.size(); ++b)
+            mask_bits |= (uint32_t)grants_[b].busy << b;
+        return mask_bits;
+    }
 
     ScalarStat grants{this, "grants", "bank reads granted"};
     ScalarStat shared{this, "shared",

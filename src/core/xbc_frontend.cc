@@ -22,7 +22,8 @@ XbcFrontend::XbcFrontend(const FrontendParams &params,
       arrayAcct_(&attrib_, &metrics_.cycles, xbcParams_.numBanks,
                  array_.numSets(),
                  (std::size_t)xbcParams_.numBanks *
-                     array_.numSets() * xbcParams_.ways)
+                     array_.numSets() * xbcParams_.ways),
+      promoFailures_(xbtb_.entryCount())
 {
     pipe_.attachAttrib(&attrib_);
     array_.setEventSink(&arrayAcct_);
@@ -37,11 +38,11 @@ XbcFrontend::linkPrev(const XbPointer &ptr)
       case PrevLink::Kind::None:
         break;
       case PrevLink::Kind::Taken:
-        if (auto *e = xbtb_.find(prev_.xbIp))
+        if (auto *e = xbtb_.find(prev_.xbIp, prev_.entry))
             e->taken = ptr;
         break;
       case PrevLink::Kind::Fallthrough:
-        if (auto *e = xbtb_.find(prev_.xbIp))
+        if (auto *e = xbtb_.find(prev_.xbIp, prev_.entry))
             e->fallthrough = ptr;
         break;
       case PrevLink::Kind::Indirect:
@@ -49,7 +50,7 @@ XbcFrontend::linkPrev(const XbPointer &ptr)
         break;
       case PrevLink::Kind::ReturnLink:
         if (prev_.xbIp) {
-            if (auto *e = xbtb_.find(prev_.xbIp))
+            if (auto *e = xbtb_.find(prev_.xbIp, prev_.entry))
                 e->fallthrough = ptr;
         }
         break;
@@ -74,6 +75,14 @@ XbcFrontend::maybePromote(Xbtb::Entry &entry)
                                           : entry.fallthrough;
     if (!succ.valid)
         return;
+    // The checks below read nothing but the array, XB0's tag and
+    // succ, so a failure repeats until one of them changes.
+    PromoFailure &last = promoFailures_[xbtb_.indexOf(entry)];
+    const PromoFailure now{array_.version(), entry.xbIp, succ.xbIp,
+                           succ.entryIdx};
+    if (last == now)
+        return;
+    last = now;
     auto sacc = array_.findQuiet(succ.xbIp, succ.entryIdx);
     if (!sacc.variant)
         return;
@@ -104,7 +113,8 @@ XbcFrontend::maybePromote(Xbtb::Entry &entry)
 }
 
 XbcFrontend::EndResult
-XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
+XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec,
+                         Xbtb::Entry *hint)
 {
     EndResult r;
     const StaticInst &si = trace.inst(end_rec);
@@ -114,7 +124,7 @@ XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
             ? trace.record(end_rec + 1).staticIdx
             : kNoTarget;
 
-    Xbtb::Entry *e = xbtb_.lookup(si.ip);
+    Xbtb::Entry *e = xbtb_.lookup(si.ip, hint);
 
     // Root cause a build entry from this resolution would have: a
     // missing/stale XBTB pointer unless a predictor misfired first.
@@ -144,17 +154,15 @@ XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
             e->trainCounter(taken);
             maybePromote(*e);
         }
-        prev_.kind = taken ? PrevLink::Kind::Taken
-                           : PrevLink::Kind::Fallthrough;
-        prev_.xbIp = si.ip;
+        prev_ = {taken ? PrevLink::Kind::Taken
+                       : PrevLink::Kind::Fallthrough, si.ip, e};
         accept(e ? (taken ? e->taken : e->fallthrough) : XbPointer{});
         break;
       }
       case InstClass::DirectCall: {
         xrsb_.push(si.ip);
         preds_.rsb.push(si.fallThroughIp());
-        prev_.kind = PrevLink::Kind::Taken;
-        prev_.xbIp = si.ip;
+        prev_ = {PrevLink::Kind::Taken, si.ip, e};
         accept(e ? e->taken : XbPointer{});
         break;
       }
@@ -177,8 +185,7 @@ XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
             xrsb_.push(si.ip);
             preds_.rsb.push(si.fallThroughIp());
         }
-        prev_.kind = PrevLink::Kind::Indirect;
-        prev_.xbIp = si.ip;
+        prev_ = {PrevLink::Kind::Indirect, si.ip, e};
         break;
       }
       case InstClass::Return: {
@@ -199,16 +206,14 @@ XbcFrontend::handleXbEnd(const Trace &trace, std::size_t end_rec)
         } else {
             r.next = cand;
         }
-        prev_.kind = PrevLink::Kind::ReturnLink;
-        prev_.xbIp = call_ip;
+        prev_ = {PrevLink::Kind::ReturnLink, call_ip, ce};
         break;
       }
       case InstClass::Seq:
       case InstClass::DirectJump: {
         // Quota-ended XB or a PrefixSplit prefix: the successor is
         // unconditional, recorded in the taken slot.
-        prev_.kind = PrevLink::Kind::Taken;
-        prev_.xbIp = si.ip;
+        prev_ = {PrevLink::Kind::Taken, si.ip, e};
         accept(e ? e->taken : XbPointer{});
         break;
       }
@@ -234,7 +239,7 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
     // XB0's XBTB entry); XB0's original copy keeps serving only
     // until then.
     if (!curIsContinuation_) {
-        Xbtb::Entry *pe = xbtb_.find(cur_.xbIp);
+        Xbtb::Entry *pe = curEntry_ = xbtb_.find(cur_.xbIp);
         if (pe && pe->promoted && pe->promotedPtr.valid &&
             pe->promotedPtr.xbIp != cur_.xbIp) {
             auto calt = array_.findQuiet(pe->promotedPtr.xbIp,
@@ -318,7 +323,6 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
     std::size_t p = entry_pos;
     bool xb_ended = false;
     bool pending_end = false;   // resolve after v is done with
-    bool pending_wrong = false; // promoted wrong-path after v
 
     while (p < limit && rec < num_records && stall == 0) {
         const TraceRecord &record = trace.record(rec);
@@ -360,9 +364,9 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
                                   params_.mispredictPenalty);
                 bool br_taken = trace.record(rec - 1).taken != 0;
                 Xbtb::Entry *be = xbtb_.find(br.ip);
-                prev_.kind = br_taken ? PrevLink::Kind::Taken
-                                      : PrevLink::Kind::Fallthrough;
-                prev_.xbIp = br.ip;
+                prev_ = {br_taken ? PrevLink::Kind::Taken
+                                  : PrevLink::Kind::Fallthrough,
+                         br.ip, be};
                 XbPointer cand =
                     be ? (br_taken ? be->taken : be->fallthrough)
                        : XbPointer{};
@@ -433,8 +437,8 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
         }
     }
 
-    // Claim the granted banks and record their contributions for
-    // the OUT_MUX reorder/align plan.
+    // Claim the granted banks and route their segments through the
+    // OUT_MUX reorder/align network.
     {
         std::size_t pos = 0;
         for (const auto &lu : v.lines) {
@@ -444,19 +448,17 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
             if (hi > lo) {
                 bool granted = prio_.claim(lu.bank, vset, lu.way);
                 xbs_assert(granted, "claim after wouldGrant");
-                cycleMux_.push_back(
-                    MuxInput{lu.bank, (uint8_t)(hi - lo)});
+                outMux_.route(lu.bank, (unsigned)(hi - lo));
             }
             pos = line_end;
         }
     }
     array_.touch(v, entry_pos);
-    (void)pending_wrong;
 
     if (pending_end) {
         // Now that the variant reference is dead, resolve the XB end
         // (this may promote and restructure the data array).
-        EndResult er = handleXbEnd(trace, rec - 1);
+        EndResult er = handleXbEnd(trace, rec - 1, curEntry_);
         stall += er.penalty;
         if (er.next.valid) {
             cur_ = er.next;
@@ -504,33 +506,25 @@ XbcFrontend::handleCompletion(const Trace &trace,
             e->trainCounter(taken);
             maybePromote(*e);
         }
-        prev_.kind = taken ? PrevLink::Kind::Taken
-                           : PrevLink::Kind::Fallthrough;
-        prev_.xbIp = comp.endIp;
+        prev_ = {taken ? PrevLink::Kind::Taken
+                       : PrevLink::Kind::Fallthrough, comp.endIp, e};
         break;
       case InstClass::DirectCall:
         xrsb_.push(comp.endIp);
-        prev_.kind = PrevLink::Kind::Taken;
-        prev_.xbIp = comp.endIp;
+        prev_ = {PrevLink::Kind::Taken, comp.endIp, e};
         break;
       case InstClass::IndirectCall:
         xrsb_.push(comp.endIp);
-        prev_.kind = PrevLink::Kind::Indirect;
-        prev_.xbIp = comp.endIp;
+        prev_ = {PrevLink::Kind::Indirect, comp.endIp, e};
         break;
       case InstClass::IndirectJump:
-        prev_.kind = PrevLink::Kind::Indirect;
-        prev_.xbIp = comp.endIp;
+        prev_ = {PrevLink::Kind::Indirect, comp.endIp, e};
         break;
-      case InstClass::Return: {
-        uint64_t call_ip = xrsb_.pop();
-        prev_.kind = PrevLink::Kind::ReturnLink;
-        prev_.xbIp = call_ip;
+      case InstClass::Return:
+        prev_ = {PrevLink::Kind::ReturnLink, xrsb_.pop()};
         break;
-      }
       default:  // Seq / DirectJump (quota or prefix XBs)
-        prev_.kind = PrevLink::Kind::Taken;
-        prev_.xbIp = comp.endIp;
+        prev_ = {PrevLink::Kind::Taken, comp.endIp, e};
         break;
     }
 
@@ -642,11 +636,11 @@ XbcFrontend::restoreState(const CheckpointFile &f)
     fill_.ckptLoad(src);
     arrayAcct_.ckptLoad(src);
     cur_ = ckptLoadXbPointer(src);
+    curEntry_ = nullptr;
     curIsContinuation_ = src.b();
     uint8_t kind = src.u8();
     src.require(kind <= (uint8_t)PrevLink::Kind::ReturnLink);
-    prev_.kind = (PrevLink::Kind)kind;
-    prev_.xbIp = src.u64();
+    prev_ = {(PrevLink::Kind)kind, src.u64()};
     completionsSinceCheck_ = src.u32();
     if (!src.consumed()) {
         return Status::error(StatusCode::Corrupt,
@@ -720,7 +714,6 @@ XbcFrontend::run(const Trace &trace)
         }
 
         unsigned fetched = 0;
-        cycleMux_.clear();
         prio_.reset();
         {
             ScopedPhase arrayTimer(prof_, phArray_);
@@ -742,8 +735,7 @@ XbcFrontend::run(const Trace &trace)
             }
         }
 
-        if (!cycleMux_.empty())
-            outMux_.plan(cycleMux_);
+        outMux_.closeCycle();
 
         {
             unsigned drained = std::min(buffer, params_.renamerWidth);

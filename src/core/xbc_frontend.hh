@@ -122,6 +122,21 @@ class XbcFrontend : public Frontend
         };
         Kind kind = Kind::None;
         uint64_t xbIp = 0;
+        /** xbIp's XBTB entry when last seen: a lookup hint (host
+         *  cache, never checkpointed). */
+        Xbtb::Entry *entry = nullptr;
+    };
+
+    /** The inputs of a promotion attempt that failed before storing
+     *  XB_comb: the attempt fails again while they all hold. */
+    struct PromoFailure
+    {
+        uint64_t version = ~0ull;  ///< XbcDataArray::version()
+        uint64_t xbIp = 0;         ///< XB0's tag
+        uint64_t succIp = 0;
+        int32_t succIdx = kNoTarget;
+
+        bool operator==(const PromoFailure &) const = default;
     };
 
     /** Outcome of resolving an XB-ending control instruction. */
@@ -133,8 +148,10 @@ class XbcFrontend : public Frontend
     };
 
     /** Resolve the XB end at record @p end_rec: predict, train,
-     *  promote, set prev link, and produce the next pointer. */
-    EndResult handleXbEnd(const Trace &trace, std::size_t end_rec);
+     *  promote, set prev link, and produce the next pointer.
+     *  @p hint is a guess at the end's XBTB entry. */
+    EndResult handleXbEnd(const Trace &trace, std::size_t end_rec,
+                          Xbtb::Entry *hint);
 
     /** Write @p ptr into the previously executed XB's pointer slot. */
     void linkPrev(const XbPointer &ptr);
@@ -177,12 +194,16 @@ class XbcFrontend : public Frontend
     PriorityEncoder prio_;
     ArrayAccounting arrayAcct_;
 
-    /** Per-cycle line contributions for the OUT_MUX model. */
-    std::vector<MuxInput> cycleMux_;
     /** XB_comb under construction, reused across promotions. */
     XbSeq promoteSeq_;
+    /** Last failed promotion per XBTB entry (host cache, never
+     *  checkpointed: a restore bumps the array version). */
+    std::vector<PromoFailure> promoFailures_;
 
     XbPointer cur_;
+    /** cur_.xbIp's XBTB entry when its supply started, kept across
+     *  continuations: a lookup hint (host cache, never checkpointed). */
+    Xbtb::Entry *curEntry_ = nullptr;
     bool curIsContinuation_ = false;
     PrevLink prev_;
     unsigned completionsSinceCheck_ = 0;

@@ -1,7 +1,6 @@
 #include "core/xbtb.hh"
 
 #include "ckpt/serial.hh"
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace xbs
@@ -33,36 +32,6 @@ Xbtb::Xbtb(unsigned entries, unsigned ways, StatGroup *parent)
     xbs_assert(ways >= 1 && entries >= ways, "bad XBTB geometry");
     numSets_ = 1u << floorLog2(entries / ways);
     entries_.resize((std::size_t)numSets_ * ways_);
-}
-
-std::size_t
-Xbtb::setOf(uint64_t xb_ip) const
-{
-    return (std::size_t)foldedIndex(xb_ip, numSets_, 0);
-}
-
-Xbtb::Entry *
-Xbtb::lookup(uint64_t xb_ip)
-{
-    ++lookups;
-    Entry *e = find(xb_ip);
-    if (e) {
-        ++hits;
-        e->lru = ++clock_;
-    }
-    return e;
-}
-
-Xbtb::Entry *
-Xbtb::find(uint64_t xb_ip)
-{
-    std::size_t base = setOf(xb_ip) * ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Entry &e = entries_[base + w];
-        if (e.valid && e.xbIp == xb_ip)
-            return &e;
-    }
-    return nullptr;
 }
 
 Xbtb::Entry &
@@ -244,6 +213,15 @@ Xbtb::ckptLoad(CkptSource &src)
         e.promotedPtr = ckptLoadXbPointer(src);
     }
     clock_ = src.u64();
+
+    // find() returns the first way holding an IP; a second one would
+    // be unreachable, and an XBTB hint relies on there being none.
+    for (std::size_t i = 0; src.ok() && i < entries_.size(); ++i) {
+        const Entry &e = entries_[i];
+        const std::size_t set_end = (i / ways_ + 1) * ways_;
+        for (std::size_t j = i + 1; e.valid && j < set_end; ++j)
+            src.require(!(entries_[j].valid && entries_[j].xbIp == e.xbIp));
+    }
 }
 
 void

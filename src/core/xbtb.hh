@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/stats.hh"
 #include "core/params.hh"
 #include "core/xb.hh"
@@ -80,10 +81,38 @@ class Xbtb : public StatGroup
     Xbtb(unsigned entries, unsigned ways, StatGroup *parent);
 
     /** Predictive lookup (counted in hit/miss statistics). */
-    Entry *lookup(uint64_t xb_ip);
+    Entry *
+    lookup(uint64_t xb_ip, Entry *hint = nullptr)
+    {
+        ++lookups;
+        Entry *e = find(xb_ip, hint);
+        if (e) {
+            ++hits;
+            e->lru = ++clock_;
+        }
+        return e;
+    }
 
-    /** Silent lookup for updates/linking (no statistics). */
-    Entry *find(uint64_t xb_ip);
+    /**
+     * Silent lookup for updates/linking (no statistics).
+     *
+     * @param hint an entry an earlier probe returned (host cache). It
+     *        is returned without a probe while it still holds
+     *        @p xb_ip: entries never move and an IP holds at most one
+     *        entry, so it is then exactly what the probe would find.
+     */
+    Entry *
+    find(uint64_t xb_ip, Entry *hint = nullptr)
+    {
+        if (hint && hint->valid && hint->xbIp == xb_ip)
+            return hint;
+        Entry *set = &entries_[setOf(xb_ip) * ways_];
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].xbIp == xb_ip)
+                return &set[w];
+        }
+        return nullptr;
+    }
 
     /**
      * Find-or-allocate the entry for @p xb_ip (LRU victim on
@@ -98,11 +127,16 @@ class Xbtb : public StatGroup
     ///    corrupting an entry must only cost performance.
     std::size_t entryCount() const { return entries_.size(); }
     Entry &entryAt(std::size_t i) { return entries_[i]; }
+    std::size_t indexOf(const Entry &e) const
+    {
+        return (std::size_t)(&e - entries_.data());
+    }
     /// @}
 
     void reset();
 
-    /// @{ Warm-state checkpointing (src/ckpt).
+    /// @{ Warm-state checkpointing (src/ckpt). A load that files one
+    ///    IP in two valid ways of a set fails the source (Corrupt).
     void ckptSave(CkptSink &sink) const;
     void ckptLoad(CkptSource &src);
     /// @}
@@ -115,13 +149,21 @@ class Xbtb : public StatGroup
         "valid XBTB entries replaced"};
 
   private:
-    std::size_t setOf(uint64_t xb_ip) const;
+    std::size_t
+    setOf(uint64_t xb_ip) const
+    {
+        return (std::size_t)foldedIndex(xb_ip, numSets_, 0);
+    }
 
     unsigned numSets_;
     unsigned ways_;
     std::vector<Entry> entries_;
     uint64_t clock_ = 0;
 };
+
+// Host caches (lookup hints, the promotion memo) stay outside the
+// entry: find() scans a set's entries, so they must stay this dense.
+static_assert(sizeof(Xbtb::Entry) <= 112, "Xbtb::Entry outgrew 112 bytes");
 
 /** Indirect next-XB predictor: a tagged last-pointer table. */
 class XiBtb : public StatGroup

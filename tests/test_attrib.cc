@@ -12,16 +12,24 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "attrib/array_acct.hh"
 #include "attrib/recorder.hh"
 #include "attrib/rollup.hh"
 #include "bpred/btb.hh"
+#include "ckpt/checkpoint.hh"
+#include "ckpt/serial.hh"
 #include "common/json.hh"
+#include "common/random.hh"
 #include "core/xbc_frontend.hh"
 #include "sim/config.hh"
 #include "test_helpers.hh"
@@ -331,6 +339,280 @@ TEST(ArrayAccounting, RebuildKeepsOriginalBuildStamp)
     acct.onHit(0x5);
     // Latency measured from the *original* build, not the extension.
     EXPECT_EQ(acct.buildToFirstHit().count(50), 1u);
+}
+
+// ---------------------------------------------------------------
+// Differential test: the flat ArrayAccounting against the
+// list-and-map implementation it replaced, kept here as the oracle.
+
+/** The node-container 3C accounting (unordered_map of lifetime
+ *  records, unordered_set of built tags, std::list shadow LRU),
+ *  including its checkpoint encoding. */
+class ListAccounting
+{
+  public:
+    ListAccounting(const ScalarStat *cycles, unsigned banks,
+                   std::size_t sets, std::size_t lines)
+        : buildToFirstHit(4096), hitsBeforeEvict(512), cycles_(cycles),
+          sets_(sets), capacity_(lines), allocHeat_(banks * sets),
+          evictHeat_(banks * sets), conflictHeat_(banks * sets)
+    {
+    }
+
+    void
+    onAlloc(uint64_t tag, unsigned bank, std::size_t set)
+    {
+        onBuild(tag);
+        ++allocHeat_[bank * sets_ + set];
+    }
+
+    void
+    onEvict(uint64_t tag, unsigned bank, std::size_t set, bool head,
+            bool last_gone)
+    {
+        ++evictHeat_[bank * sets_ + set];
+        ++(head ? headEvictions : nonHeadEvictions);
+        if (!last_gone)
+            return;
+        auto it = live_.find(tag);
+        if (it != live_.end()) {
+            uint64_t hits = it->second.hits;
+            hitsBeforeEvict.add((uint32_t)std::min<uint64_t>(hits, 512));
+            if (hits == 0)
+                ++zeroHitEvictions;
+            live_.erase(it);
+        }
+        shadowErase(tag);
+        shadow_.push_front(tag);
+        index_[tag] = shadow_.begin();
+        while (shadow_.size() > capacity_) {
+            index_.erase(shadow_.back());
+            shadow_.pop_back();
+        }
+    }
+
+    void
+    onConflict(unsigned bank, std::size_t set)
+    {
+        ++conflictHeat_[bank * sets_ + set];
+    }
+
+    void
+    onHit(uint64_t tag)
+    {
+        auto it = live_.find(tag);
+        if (it == live_.end())
+            return;
+        if (it->second.hits == 0) {
+            it->second.firstHitCycle = cycles_->value();
+            buildToFirstHit.add((uint32_t)std::min<uint64_t>(
+                it->second.firstHitCycle - it->second.buildCycle, 4096));
+        }
+        ++it->second.hits;
+    }
+
+    Cause
+    classifyMiss(uint64_t tag) const
+    {
+        if (!built_.count(tag))
+            return Cause::XbcCompulsory;
+        return index_.count(tag) ? Cause::XbcConflict
+                                 : Cause::XbcCapacity;
+    }
+
+    std::size_t shadowSize() const { return shadow_.size(); }
+    std::size_t liveTags() const { return live_.size(); }
+
+    std::string
+    save() const
+    {
+        CkptSink sink;
+        for (const auto *heat : {&allocHeat_, &evictHeat_, &conflictHeat_}) {
+            sink.u64(heat->size());
+            for (uint64_t v : *heat)
+                sink.u64(v);
+        }
+        std::map<uint64_t, Life> live(live_.begin(), live_.end());
+        sink.u64(live.size());
+        for (const auto &[tag, rec] : live) {
+            sink.u64(tag);
+            sink.u64(rec.buildCycle);
+            sink.u64(rec.firstHitCycle);
+            sink.u64(rec.hits);
+        }
+        std::set<uint64_t> built(built_.begin(), built_.end());
+        sink.u64(built.size());
+        for (uint64_t tag : built)
+            sink.u64(tag);
+        sink.u64(shadow_.size());
+        for (uint64_t tag : shadow_)
+            sink.u64(tag);
+        saveHistogram(buildToFirstHit, sink);
+        saveHistogram(hitsBeforeEvict, sink);
+        return sink.take();
+    }
+
+    uint64_t headEvictions = 0;
+    uint64_t nonHeadEvictions = 0;
+    uint64_t zeroHitEvictions = 0;
+    Histogram buildToFirstHit;
+    Histogram hitsBeforeEvict;
+
+  private:
+    struct Life
+    {
+        uint64_t buildCycle = 0;
+        uint64_t firstHitCycle = 0;
+        uint64_t hits = 0;
+    };
+
+    void
+    onBuild(uint64_t tag)
+    {
+        built_.insert(tag);
+        shadowErase(tag);
+        auto [it, inserted] = live_.try_emplace(tag);
+        if (inserted)
+            it->second.buildCycle = cycles_->value();
+    }
+
+    void
+    shadowErase(uint64_t tag)
+    {
+        auto it = index_.find(tag);
+        if (it == index_.end())
+            return;
+        shadow_.erase(it->second);
+        index_.erase(it);
+    }
+
+    const ScalarStat *cycles_;
+    std::size_t sets_;
+    std::size_t capacity_;
+    std::vector<uint64_t> allocHeat_, evictHeat_, conflictHeat_;
+    std::unordered_map<uint64_t, Life> live_;
+    std::unordered_set<uint64_t> built_;
+    std::list<uint64_t> shadow_;
+    std::unordered_map<uint64_t, std::list<uint64_t>::iterator> index_;
+};
+
+void
+expectSameHistogram(const Histogram &a, const Histogram &b)
+{
+    EXPECT_EQ(a.bins(), b.bins());
+    EXPECT_EQ(a.total(), b.total());
+    EXPECT_EQ(a.sumValue(), b.sumValue());
+}
+
+/** Every observable of @p flat matches @p ref for @p probes. */
+::testing::AssertionResult
+sameAccounting(const ArrayAccounting &flat, const ListAccounting &ref,
+               const std::vector<uint64_t> &probes)
+{
+    for (uint64_t tag : probes) {
+        if (flat.classifyMiss(tag) != ref.classifyMiss(tag))
+            return ::testing::AssertionFailure()
+                   << "classifyMiss(" << tag << ") differs";
+    }
+    if (flat.shadowSize() != ref.shadowSize() ||
+        flat.liveTags() != ref.liveTags())
+        return ::testing::AssertionFailure() << "shadow/live sizes";
+    if (flat.headEvictions.value() != ref.headEvictions ||
+        flat.nonHeadEvictions.value() != ref.nonHeadEvictions ||
+        flat.zeroHitEvictions.value() != ref.zeroHitEvictions)
+        return ::testing::AssertionFailure() << "eviction counters";
+    expectSameHistogram(flat.buildToFirstHit(), ref.buildToFirstHit);
+    expectSameHistogram(flat.hitsBeforeEvict(), ref.hitsBeforeEvict);
+    return ::testing::AssertionSuccess();
+}
+
+TEST(ArrayAccounting, MatchesListImplementationOnRandomStreams)
+{
+    constexpr unsigned kBanks = 2;
+    constexpr std::size_t kSets = 4;
+    for (std::size_t capacity : {1, 2, 7}) {
+        SCOPED_TRACE("shadow capacity " + std::to_string(capacity));
+        StatGroup root("attrib"), restored_root("restored");
+        ScalarStat cycles(&root, "cycles", "clock");
+        ArrayAccounting flat(&root, &cycles, kBanks, kSets, capacity);
+        std::unique_ptr<ArrayAccounting> restored;
+        ListAccounting ref(&cycles, kBanks, kSets, capacity);
+
+        // A small hot pool keeps tags cycling through live, shadow
+        // and capacity states; fresh tags grow the flat table.
+        Rng rng(0x3c + capacity);
+        std::vector<uint64_t> pool;
+        for (uint64_t i = 0; i < 12; ++i)
+            pool.push_back(0x400000 + 37 * i);
+        uint64_t next_fresh = 0x900000;
+        std::vector<uint64_t> probes = pool;
+        probes.push_back(0x123456789abcull);  // never seen
+
+        bool full_shadow = false;
+        constexpr int kEvents = 6000;
+        for (int ev = 0; ev < kEvents; ++ev) {
+            cycles.set(cycles.value() + rng.below(40));
+            uint64_t tag = pool[rng.below(pool.size())];
+            if (rng.chance(0.3)) {
+                tag = next_fresh++;
+                if (probes.size() < 64)
+                    probes.push_back(tag);
+            }
+            const unsigned bank = (unsigned)rng.below(kBanks);
+            const std::size_t set = rng.below(kSets);
+            const uint64_t kind = rng.below(10);
+            const bool head = rng.chance(0.5);
+            const bool last_gone = rng.chance(0.5);
+            auto drive = [&](auto &acct) {
+                if (kind < 3)
+                    acct.onAlloc(tag, bank, set);
+                else if (kind < 6)
+                    acct.onEvict(tag, bank, set, head, last_gone);
+                else if (kind < 9)
+                    acct.onHit(tag);
+                else
+                    acct.onConflict(bank, set);
+            };
+            drive(flat);
+            drive(ref);
+            full_shadow |= ref.shadowSize() == capacity;
+            ASSERT_TRUE(sameAccounting(flat, ref, probes)) << "event " << ev;
+            if (restored) {
+                drive(*restored);
+                ASSERT_TRUE(sameAccounting(*restored, ref, probes))
+                    << "restored, event " << ev;
+            }
+
+            if (ev == kEvents / 2) {
+                // The checkpoint keeps the list implementation's
+                // encoding byte for byte, and a restored copy
+                // continues in lockstep.
+                CkptSink sink;
+                flat.ckptSave(sink);
+                const std::string bytes = sink.take();
+                ASSERT_EQ(bytes, ref.save());
+                restored = std::make_unique<ArrayAccounting>(
+                    &restored_root, &cycles, kBanks, kSets, capacity);
+                CkptSource src(bytes);
+                restored->ckptLoad(src);
+                ASSERT_TRUE(src.ok() && src.consumed());
+                // The counters travel with the frontend's stat tree.
+                for (ScalarStat ArrayAccounting::*c :
+                     {&ArrayAccounting::headEvictions,
+                      &ArrayAccounting::nonHeadEvictions,
+                      &ArrayAccounting::zeroHitEvictions}) {
+                    ((*restored).*c).set((flat.*c).value());
+                }
+            }
+        }
+        CkptSink a, b;
+        flat.ckptSave(a);
+        restored->ckptSave(b);
+        EXPECT_EQ(a.take(), ref.save());
+        EXPECT_EQ(b.take(), ref.save());
+        EXPECT_GT(ref.zeroHitEvictions, 0u);
+        EXPECT_TRUE(full_shadow);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serial.hh"
+#include "common/bitops.hh"
 #include "core/xbc_frontend.hh"
 #include "prof/build_info.hh"
 #include "sim/ckpt_io.hh"
@@ -234,6 +237,24 @@ TEST(CkptDivergence, RestoreIsBitExactOnEveryFrontend)
     }
 }
 
+// The XBC's host caches (XBTB hints, the promotion memo) are not
+// checkpointed, so the restored run starts without them while the
+// original keeps its own: the two must still finish bit-identical.
+// compress retries, after the cut, promotions that failed before it;
+// a memo that outlived an array change would skip those retries.
+TEST(CkptDivergence, XbcHostCachesDoNotChangeResults)
+{
+    RunSpec spec = specFor("xbc");
+    spec.workload = "compress";
+    spec.insts = 700000;
+    spec.capacity = 32768;
+    const Trace trace = makeCatalogTrace(spec.workload, spec.insts);
+    Expected<DivergenceReport> rep = runDivergenceOracle(
+        SimConfig::xbcBaseline(), spec, trace, 100000);
+    ASSERT_TRUE(rep.ok()) << rep.status().toString();
+    EXPECT_TRUE(rep.value().identical) << rep.value().detail;
+}
+
 TEST(CkptDivergence, UnreachableCheckpointCycleIsAnError)
 {
     const Trace trace = makeCatalogTrace("gcc", 2000);
@@ -282,8 +303,9 @@ TEST(CkptInject, SeededFlipsAlwaysRejected)
         EXPECT_NE(bad, good);
         Expected<CheckpointFile> file = parseCheckpoint(bad);
         EXPECT_FALSE(file.ok()) << "seed " << seed << " undetected";
-        if (!file.ok())
+        if (!file.ok()) {
             EXPECT_EQ(file.status().code(), StatusCode::Corrupt);
+        }
     }
 }
 
@@ -328,6 +350,64 @@ arrayPayload(std::size_t lines, unsigned line0_slots, uint64_t key,
     return s.take();
 }
 
+/**
+ * A real XBC checkpoint (gcc, 8K, cut at cycle 2000) and the place in
+ * its 'xbc' section where one unit's state sits, so a test can splice
+ * in a crafted payload re-sealed with valid CRCs.
+ */
+struct XbcSplice
+{
+    using SaveUnit = std::function<void(const XbcFrontend &, CkptSink &)>;
+
+    explicit XbcSplice(const SaveUnit &save_unit)
+        : trace(makeCatalogTrace("gcc", 30000)),
+          config(SimConfig::xbcBaseline(8192, 2)), spec(specFor("xbc"))
+    {
+        std::string bytes;
+        auto fe = makeFrontend(config);
+        fe->armCheckpoint(2000, [&](Frontend &f) -> Status {
+            bytes = encodeCheckpoint(
+                f, makeCkptMeta(spec, trace, f.metrics().cycles.value()));
+            CkptSink sink;
+            save_unit(static_cast<XbcFrontend &>(f), sink);
+            unit = sink.take();
+            return Status::ok();
+        });
+        fe->run(trace);
+        Expected<CheckpointFile> parsed = parseCheckpoint(bytes);
+        EXPECT_TRUE(parsed.ok());
+        file = parsed.take();
+        xbc = *file.section("xbc");
+        at = xbc.find(unit);
+        EXPECT_NE(at, std::string::npos);
+        EXPECT_EQ(xbc.find(unit, at + 1), std::string::npos);
+    }
+
+    /** Restore a fresh frontend with @p payload as the unit's state. */
+    Status
+    restoreWith(const std::string &payload) const
+    {
+        std::string doctored = xbc;
+        doctored.replace(at, unit.size(), payload);
+        CheckpointWriter w;
+        for (const auto &kv : file.sections())
+            w.addSection(kv.first,
+                         kv.first == "xbc" ? doctored : kv.second);
+        Expected<CheckpointFile> sealed = parseCheckpoint(w.encode());
+        EXPECT_TRUE(sealed.ok()) << sealed.status().toString();
+        auto warm = makeFrontend(config);
+        return restoreCheckpoint(*warm, sealed.value(), spec, trace);
+    }
+
+    Trace trace;
+    SimConfig config;
+    RunSpec spec;
+    CheckpointFile file;
+    std::string xbc;   ///< the 'xbc' section as saved
+    std::string unit;  ///< the unit's state within it
+    std::size_t at = 0;
+};
+
 // The data array's storage is inline and fixed by the geometry, so a
 // checkpoint that does not fit it must fail as Corrupt before the
 // load writes anything: a container with valid CRCs whose 'xbc'
@@ -335,50 +415,18 @@ arrayPayload(std::size_t lines, unsigned line0_slots, uint64_t key,
 // variant filed under another tag.
 TEST(CkptBounds, OversizedXbcArrayStateRejected)
 {
-    const Trace trace = makeCatalogTrace("gcc", 30000);
-    const SimConfig config = SimConfig::xbcBaseline(8192, 2);
-    const RunSpec spec = specFor("xbc");
-    std::string bytes, array_bytes;
     std::size_t lines = 0;
-    auto fe = makeFrontend(config);
-    fe->armCheckpoint(2000, [&](Frontend &f) -> Status {
-        bytes = encodeCheckpoint(
-            f, makeCkptMeta(spec, trace, f.metrics().cycles.value()));
-        const XbcDataArray &arr =
-            static_cast<XbcFrontend &>(f).dataArray();
-        CkptSink sink;
-        arr.ckptSave(sink);
-        array_bytes = sink.take();
-        lines = arr.lineCount();
-        return Status::ok();
+    XbcSplice splice([&](const XbcFrontend &fe, CkptSink &sink) {
+        fe.dataArray().ckptSave(sink);
+        lines = fe.dataArray().lineCount();
     });
-    fe->run(trace);
-    Expected<CheckpointFile> file = parseCheckpoint(bytes);
-    ASSERT_TRUE(file.ok());
-    const std::string &xbc = *file.value().section("xbc");
-    const std::size_t at = xbc.find(array_bytes);
-    ASSERT_NE(at, std::string::npos);
-    ASSERT_EQ(xbc.find(array_bytes, at + 1), std::string::npos);
 
-    // Splice @p payload in as the array's state, re-sealed.
-    auto restore_with = [&](const std::string &payload) {
-        std::string doctored = xbc;
-        doctored.replace(at, array_bytes.size(), payload);
-        CheckpointWriter w;
-        for (const auto &kv : file.value().sections())
-            w.addSection(kv.first,
-                         kv.first == "xbc" ? doctored : kv.second);
-        Expected<CheckpointFile> sealed = parseCheckpoint(w.encode());
-        EXPECT_TRUE(sealed.ok()) << sealed.status().toString();
-        auto warm = makeFrontend(config);
-        return restoreCheckpoint(*warm, sealed.value(), spec, trace);
-    };
-
-    const XbcParams &p = config.xbc;
+    const XbcParams &p = splice.config.xbc;
     const uint64_t key = 0x400000;
     // Control: the same splice within every bound restores.
-    EXPECT_TRUE(restore_with(arrayPayload(lines, p.bankUops, key, key,
-                                          p.numBanks, p.xbQuotaUops))
+    EXPECT_TRUE(splice
+                    .restoreWith(arrayPayload(lines, p.bankUops, key, key,
+                                              p.numBanks, p.xbQuotaUops))
                     .isOk());
     const std::string bad[] = {
         arrayPayload(lines, p.bankUops + 1, key, key, 1, 1),
@@ -387,10 +435,65 @@ TEST(CkptBounds, OversizedXbcArrayStateRejected)
         arrayPayload(lines, 0, key, key + 1, 1, 1),
     };
     for (const std::string &payload : bad) {
-        Status st = restore_with(payload);
+        Status st = splice.restoreWith(payload);
         EXPECT_FALSE(st.isOk());
         EXPECT_EQ(st.code(), StatusCode::Corrupt) << st.toString();
     }
+}
+
+/** An XBTB payload of @p entries cold entries except the first two
+ *  ways of set 0, valid with tags @p ip0 and @p ip1. */
+std::string
+xbtbPayload(std::size_t entries, uint64_t ip0, uint64_t ip1)
+{
+    CkptSink s;
+    auto pointer = [&s] {
+        s.b(false);
+        s.u64(0);
+        s.u32(0);
+        s.i32(kNoTarget);
+    };
+    s.u64(entries);
+    for (std::size_t i = 0; i < entries; ++i) {
+        s.b(i < 2);
+        s.u64(i == 0 ? ip0 : i == 1 ? ip1 : 0);
+        s.u64(i < 2 ? i + 1 : 0);  // LRU stamp
+        s.u8((uint8_t)InstClass::CondBranch);
+        pointer();
+        pointer();
+        s.u8(64);  // bias counter
+        s.b(false);
+        s.b(false);
+        pointer();
+    }
+    s.u64(2);  // LRU clock
+    return s.take();
+}
+
+// An XBTB hint is valid only because one IP holds at most one entry:
+// a restore that files an IP in two ways of a set (where find() would
+// silently pick the first) fails as Corrupt.
+TEST(CkptBounds, DuplicateXbtbTagRejected)
+{
+    std::size_t entries = 0;
+    unsigned sets = 0;
+    XbcSplice splice([&](const XbcFrontend &fe, CkptSink &sink) {
+        fe.xbtbUnit().ckptSave(sink);
+        entries = fe.xbtbUnit().entryCount();
+        sets = fe.xbtbUnit().numSets();
+    });
+    // Two IPs that index set 0, where the payload files them.
+    std::vector<uint64_t> ips;
+    for (uint64_t ip = 0x400000; ips.size() < 2; ++ip) {
+        if (foldedIndex(ip, sets) == 0)
+            ips.push_back(ip);
+    }
+    // Control: two different tags in one set restore.
+    EXPECT_TRUE(
+        splice.restoreWith(xbtbPayload(entries, ips[0], ips[1])).isOk());
+    Status st = splice.restoreWith(xbtbPayload(entries, ips[0], ips[0]));
+    EXPECT_FALSE(st.isOk());
+    EXPECT_EQ(st.code(), StatusCode::Corrupt) << st.toString();
 }
 
 // A checkpoint must only restore the exact cell it was cut from:

@@ -191,19 +191,23 @@ TEST_F(OutMuxFixture, CompactsSegments)
 {
     // XB1 in banks 0 (2 uops, head) and 3 (4 uops, primary); XB2's
     // prefix in bank 2 (3 uops).
-    auto plan = mux.plan({{0, 2}, {3, 4}, {2, 3}});
-    ASSERT_EQ(plan.size(), 3u);
-    EXPECT_EQ(plan[0].dstOffset, 0u);
-    EXPECT_EQ(plan[1].dstOffset, 2u);
-    EXPECT_EQ(plan[2].dstOffset, 6u);
+    EXPECT_EQ(mux.route(0, 2), 0u);
+    EXPECT_EQ(mux.route(3, 4), 2u);
+    EXPECT_EQ(mux.route(2, 3), 6u);
+    mux.closeCycle();
     EXPECT_EQ(mux.segments.value(), 3u);
+    EXPECT_EQ(mux.cycles.value(), 1u);
     EXPECT_DOUBLE_EQ(mux.occupancy.mean(), 9.0);
+    // A cycle that routed nothing is not counted.
+    mux.closeCycle();
+    EXPECT_EQ(mux.cycles.value(), 1u);
 }
 
 TEST_F(OutMuxFixture, ShiftDistances)
 {
     // bank1's natural slice starts at uop 4; compacted to offset 0.
-    mux.plan({{1, 4}});
+    mux.route(1, 4);
+    mux.closeCycle();
     EXPECT_EQ(mux.shift.samples(), 1u);
     EXPECT_DOUBLE_EQ(mux.shift.mean(), 4.0);
 }
@@ -212,16 +216,20 @@ TEST_F(OutMuxFixture, SharedReadFansOut)
 {
     // The priority encoder can grant the same line twice (shared
     // read); the mux routes the one read to two segments.
-    auto plan = mux.plan({{1, 2}, {1, 2}});
-    ASSERT_EQ(plan.size(), 2u);
-    EXPECT_EQ(plan[0].dstOffset, 0u);
-    EXPECT_EQ(plan[1].dstOffset, 2u);
+    EXPECT_EQ(mux.route(1, 2), 0u);
+    EXPECT_EQ(mux.route(1, 2), 2u);
+    mux.closeCycle();
+    EXPECT_EQ(mux.segments.value(), 2u);
 }
 
 TEST_F(OutMuxFixture, RejectsOverflow)
 {
-    EXPECT_DEATH(mux.plan({{0, 4}, {1, 4}, {2, 4}, {3, 4}, {0, 4}}),
-                 "OUT_MUX width");
+    EXPECT_DEATH(
+        {
+            for (unsigned bank : {0, 1, 2, 3, 0})
+                mux.route(bank, 4);
+        },
+        "OUT_MUX width");
 }
 
 struct PrioFixture : public testing::Test

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "ckpt/serial.hh"
 #include "common/random.hh"
 #include "core/data_array.hh"
 #include "core/out_mux.hh"
@@ -395,6 +396,75 @@ TEST_F(ArrayFixture, ResetClearsEverything)
     arr->checkInvariants();
 }
 
+// version() is what a caller's memo of a lookup answer is checked
+// against, so it must move on every call that can change a set's
+// variants and stay put on the read and LRU paths.
+TEST_F(ArrayFixture, VersionMovesOnlyWhenVariantsMayChange)
+{
+    XbcParams p;
+    p.dynamicPlacementThreshold = 2;
+    auto arr = makeArray(p);
+    uint64_t seen = arr->version();
+    auto moved = [&] {
+        const bool m = arr->version() != seen;
+        seen = arr->version();
+        return m;
+    };
+
+    XbPointer ptr;
+    arr->insert(seqOf({b1, b2, c, d}), endIp, 0, &ptr);
+    EXPECT_TRUE(moved());
+
+    auto acc = arr->lookup(endIp, ptr.mask, b1);
+    ASSERT_NE(acc.variant, nullptr);
+    arr->touch(*acc.variant, acc.entryPos);
+    EXPECT_NE(arr->findQuiet(endIp, c).variant, nullptr);
+    EXPECT_NE(arr->setSearch(endIp, b1).variant, nullptr);
+    EXPECT_NE(arr->longestVariant(endIp), nullptr);
+    arr->demoteLru(endIp, ptr.mask);
+    // A conflict below the relocation threshold only counts.
+    EXPECT_FALSE(arr->noteConflict(*acc.variant, 1, ~ptr.mask & 0xf));
+    EXPECT_FALSE(moved());
+
+    acc = arr->lookup(endIp, ptr.mask, b1);
+    ASSERT_NE(acc.variant, nullptr);
+    EXPECT_TRUE(arr->noteConflict(*acc.variant, 1, ~ptr.mask & 0xf));
+    EXPECT_TRUE(moved());
+
+    std::size_t valid_line = 0;
+    while (!arr->faultInvalidateLine(valid_line))
+        ++valid_line;
+    EXPECT_TRUE(moved());
+    Rng rng(3);
+    ASSERT_TRUE(arr->faultCorruptSlot(rng));
+    EXPECT_TRUE(moved());
+
+    CkptSink sink;
+    arr->ckptSave(sink);
+    const std::string bytes = sink.take();
+    CkptSource src(bytes);
+    arr->ckptLoad(src);
+    ASSERT_TRUE(src.ok());
+    EXPECT_TRUE(moved());
+    arr->reset();
+    EXPECT_TRUE(moved());
+
+    // An insert whose line allocation evicts: one set of 2 banks x
+    // 1 way, filled by the 4-line XB's successor.
+    XbcParams tiny;
+    tiny.capacityUops = 8;
+    tiny.numBanks = 2;
+    tiny.bankUops = 4;
+    tiny.ways = 1;
+    tiny.xbQuotaUops = 8;
+    arr = makeArray(tiny);
+    arr->insert(seqOf({b1, b2, c, d}), endIp, 0, &ptr);
+    seen = arr->version();
+    arr->insert(seqOf({a1, a2}), code->inst(a2).ip, 0, &ptr);
+    EXPECT_GT(arr->evictions.value(), 0u);
+    EXPECT_TRUE(moved());
+}
+
 TEST_F(ArrayFixture, FirstInsertedVariantWinsAfterForeignEviction)
 {
     // One set of 2 banks x 3 ways: every tag shares it.
@@ -516,18 +586,23 @@ TEST(ArrayAllocations, WarmArraySecondPassAllocatesNothing)
     arr.checkInvariants();
 }
 
-TEST(ArrayAllocations, OutMuxPlanAllocatesNothing)
+TEST(ArrayAllocations, OutMuxRouteAllocatesNothing)
 {
     StatGroup root("alloc");
     OutMux mux(XbcParams{}, &root);
-    const std::vector<MuxInput> inputs = {{0, 4}, {2, 3}, {1, 4}, {3, 1}};
-    mux.plan(inputs);
+    const unsigned inputs[][2] = {{0, 4}, {2, 3}, {1, 4}, {3, 1}};
+    auto cycle = [&] {
+        for (const auto &in : inputs)
+            mux.route(in[0], in[1]);
+        mux.closeCycle();
+    };
+    cycle();
     const uint64_t before = gHeapAllocs;
-    std::size_t segments = 0;
     for (int i = 0; i < 1000; ++i)
-        segments += mux.plan(inputs).size();
+        cycle();
     EXPECT_EQ(gHeapAllocs - before, 0u);
-    EXPECT_EQ(segments, 4000u);
+    EXPECT_EQ(mux.segments.value(), 4004u);
+    EXPECT_EQ(mux.cycles.value(), 1001u);
 }
 
 TEST(ArrayFaults, CorruptSlotWithForeignUopStaysInBoundsAndBalanced)

@@ -2,11 +2,13 @@
  * @file
  * Tests for the full XBC frontend: conservation, mode behavior,
  * branch promotion / de-promotion dynamics, set search, the
- * complex-XB storage modes, and parameterized invariant sweeps.
+ * complex-XB storage modes, parameterized invariant sweeps, and the
+ * XBTB's lookup hints.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "core/xbc_frontend.hh"
 #include "test_helpers.hh"
 #include "workload/catalog.hh"
@@ -312,13 +314,13 @@ TEST(XbcFrontend, SingleXbPerCycleLowersBandwidth)
     EXPECT_LT(f1.metrics().bandwidth(), f2.metrics().bandwidth());
 }
 
-TEST(XbcFrontend, OutMuxPlansEveryDeliveryCycle)
+TEST(XbcFrontend, OutMuxRoutesEveryDeliveryCycle)
 {
     Trace trace = makeCatalogTrace("compress", 30000);
     FrontendParams fp;
     XbcFrontend fe(fp, XbcParams{});
     fe.run(trace);
-    // Hot loops mean plenty of delivery cycles, each planned once.
+    // Hot loops mean plenty of delivery cycles, each closed once.
     EXPECT_GT(fe.outMux().cycles.value(), 1000u);
     EXPECT_GE(fe.outMux().segments.value(),
               fe.outMux().cycles.value());
@@ -355,6 +357,83 @@ TEST(XbcFrontend, DeterministicRuns)
     EXPECT_EQ(a.metrics().deliveryUops.value(),
               b.metrics().deliveryUops.value());
     EXPECT_EQ(a.promotions.value(), b.promotions.value());
+}
+
+// ---------------------------------------------------------------
+// XBTB lookup hints: a host cache that never changes what a probe
+// returns, counts or ages.
+
+TEST(XbtbHint, StaleHintIsIgnored)
+{
+    StatGroup root("t");
+    Xbtb xbtb(2, 2, &root);  // one set of two ways
+    Xbtb::Entry *hint = &xbtb.allocate(0x100, InstClass::CondBranch);
+    EXPECT_EQ(xbtb.find(0x100, hint), hint);
+    xbtb.allocate(0x200, InstClass::CondBranch);
+
+    // The LRU way is reallocated to another IP.
+    xbtb.allocate(0x300, InstClass::CondBranch);
+    ASSERT_EQ(hint->xbIp, 0x300u);
+    EXPECT_EQ(xbtb.find(0x100, hint), nullptr);
+    EXPECT_EQ(xbtb.lookup(0x100, hint), xbtb.lookup(0x100));
+    EXPECT_EQ(xbtb.lookup(0x200, hint), xbtb.lookup(0x200));
+    EXPECT_NE(xbtb.find(0x200, hint), nullptr);
+
+    // reset() clears the entry the hint names, leaving IP 0 in it.
+    Xbtb::Entry *h200 = xbtb.find(0x200);
+    xbtb.reset();
+    EXPECT_EQ(xbtb.find(0x200, h200), nullptr);
+    EXPECT_EQ(xbtb.lookup(0x200, h200), nullptr);
+    EXPECT_EQ(xbtb.find(0, h200), nullptr);
+    EXPECT_EQ(xbtb.hits.value(), 0u);
+}
+
+TEST(XbtbHint, HintedTwinCountsAndAgesAlike)
+{
+    // Two XBTBs see one random stream of allocations, lookups and
+    // finds over more IPs than they hold. One passes each IP's last
+    // returned entry (or a random other IP's) as the hint; the other
+    // passes none.
+    StatGroup root_a("a"), root_b("b");
+    Xbtb hinted(64, 4, &root_a), plain(64, 4, &root_b);
+    std::vector<Xbtb::Entry *> last(300, nullptr);
+    auto slot = [](const Xbtb &t, const Xbtb::Entry *e) {
+        return e ? (long)t.indexOf(*e) : -1L;
+    };
+    Rng rng(11);
+    for (int i = 0; i < 20000; ++i) {
+        const std::size_t k = rng.below(last.size());
+        const uint64_t ip = 0x1000 + 3 * k;
+        Xbtb::Entry *hint =
+            rng.chance(0.2) ? last[rng.below(last.size())] : last[k];
+        switch (rng.below(3)) {
+          case 0:
+            hinted.allocate(ip, InstClass::CondBranch);
+            plain.allocate(ip, InstClass::CondBranch);
+            break;
+          case 1: {
+            Xbtb::Entry *a = hinted.lookup(ip, hint);
+            ASSERT_EQ(slot(hinted, a), slot(plain, plain.lookup(ip)));
+            last[k] = a;
+            break;
+          }
+          default: {
+            Xbtb::Entry *a = hinted.find(ip, hint);
+            ASSERT_EQ(slot(hinted, a), slot(plain, plain.find(ip)));
+            last[k] = a;
+            break;
+          }
+        }
+    }
+    EXPECT_EQ(hinted.lookups.value(), plain.lookups.value());
+    EXPECT_EQ(hinted.hits.value(), plain.hits.value());
+    EXPECT_GT(hinted.hits.value(), 0u);
+    EXPECT_GT(hinted.entryEvictions.value(), 0u);
+    for (std::size_t i = 0; i < hinted.entryCount(); ++i) {
+        EXPECT_EQ(hinted.entryAt(i).valid, plain.entryAt(i).valid);
+        EXPECT_EQ(hinted.entryAt(i).xbIp, plain.entryAt(i).xbIp);
+        EXPECT_EQ(hinted.entryAt(i).lru, plain.entryAt(i).lru);
+    }
 }
 
 } // anonymous namespace
