@@ -45,13 +45,6 @@ AttribRecorder::noteStall(Cause cause, uint64_t n)
         pendingStall_.push_back(cause);
 }
 
-void
-AttribRecorder::chargeSilentCycles(uint64_t n)
-{
-    for (uint64_t i = 0; i < n; ++i)
-        chargeSilentCycle();
-}
-
 uint64_t
 AttribRecorder::chargedUops() const
 {

@@ -100,10 +100,6 @@ class AttribRecorder : public StatGroup
         ++*cycles_[idx(c)];
     }
 
-    /** Bulk variant for frontends that add stall cycles in one shot
-     *  (the IC baseline). */
-    void chargeSilentCycles(uint64_t n);
-
     /** Build-mode residency: call alongside `++metrics.buildCycles`. */
     void chargeBuildCycle() { ++buildResidency; }
 

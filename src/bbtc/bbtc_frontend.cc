@@ -66,14 +66,6 @@ BbtcFrontend::ttInsert(uint64_t start_ip,
     victim->lru = ++ttClock_;
 }
 
-void
-BbtcFrontend::restartFill()
-{
-    fillBlock_.clear();
-    fillPtrs_.clear();
-    fillStartIp_ = 0;
-}
-
 bool
 BbtcFrontend::feedFill(const Trace &trace, std::size_t rec)
 {
@@ -304,95 +296,36 @@ BbtcFrontend::restoreState(const CheckpointFile &f)
     return Status::ok();
 }
 
+inline Frontend::Supply
+BbtcFrontend::deliver(const Trace &trace, std::size_t &rec,
+                      unsigned &stall, unsigned)
+{
+    ++traceLookups;
+    TraceEntry *e = ttFind(trace.inst(rec).ip);
+    if (!e)
+        return {0, true, Cause::StructMiss};
+    ++traceHits;
+    e->lru = ++ttClock_;
+    const unsigned got = supplyTrace(trace, *e, rec, stall);
+    // A hit with nothing usable rebuilds.
+    return {got, got == 0 && stall == 0, Cause::PartialHit};
+}
+
+inline bool
+BbtcFrontend::fill(const Trace &trace, std::size_t first,
+                   std::size_t end)
+{
+    bool completed = false;
+    for (std::size_t i = first; i < end; ++i)
+        completed |= feedFill(trace, i);
+    return completed && end < trace.numRecords() &&
+           ttFind(trace.inst(end).ip);
+}
+
 void
 BbtcFrontend::run(const Trace &trace)
 {
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned buffer = 0;
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        buffer = resume->buffer;
-        stall = resume->stall;
-    } else {
-        restartFill();
-        attrib_.enterBuild(Cause::ColdStart);
-    }
-
-    while ((rec < num_records || buffer > 0) && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, buffer,
-                        stall);
-        ++metrics_.cycles;
-        metrics_.traceRecords.set(rec);
-        observeCycle();
-
-        if (stall > 0) {
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            buffer -= std::min(buffer, params_.renamerWidth);
-            continue;
-        }
-
-        if (mode == Mode::Delivery) {
-            ++metrics_.deliveryCycles;
-            if (buffer < params_.renamerWidth && rec < num_records) {
-                ScopedPhase arrayTimer(prof_, phArray_);
-                ++traceLookups;
-                TraceEntry *e = ttFind(trace.inst(rec).ip);
-                if (e) {
-                    ++traceHits;
-                    e->lru = ++ttClock_;
-                    unsigned got = supplyTrace(trace, *e, rec, stall);
-                    if (got == 0 && stall == 0 && buffer == 0) {
-                        // Hit with nothing usable: rebuild.
-                        mode = Mode::Build;
-                        ++metrics_.modeSwitches;
-                        restartFill();
-                        attrib_.enterBuild(Cause::PartialHit);
-                        --metrics_.deliveryCycles;
-                        --metrics_.cycles;  // re-issue as build
-                        continue;
-                    }
-                    metrics_.deliveryUops += got;
-                    buffer += got;
-                } else if (buffer == 0) {
-                    mode = Mode::Build;
-                    ++metrics_.modeSwitches;
-                    restartFill();
-                    attrib_.enterBuild(Cause::StructMiss);
-                    --metrics_.deliveryCycles;
-                    --metrics_.cycles;  // re-issue this cycle as build
-                    continue;
-                }
-            }
-            unsigned drained = std::min(buffer, params_.renamerWidth);
-            metrics_.renamedUops += drained;
-            buffer -= drained;
-        } else {
-            ++metrics_.buildCycles;
-            attrib_.chargeBuildCycle();
-            std::size_t prev = rec;
-            ScopedPhase buildTimer(prof_, phBuild_);
-            LegacyPipe::Result r = pipe_.cycle(trace, rec);
-            metrics_.buildUops += r.uops;
-            attrib_.chargeBuildUops(r.uops);
-            stall += r.stall;
-            bool completed = false;
-            for (std::size_t i = prev; i < rec; ++i) {
-                oracleConsume(i, kNoTarget, 0);
-                completed |= feedFill(trace, i);
-            }
-            if (completed && rec < num_records &&
-                ttFind(trace.inst(rec).ip)) {
-                mode = Mode::Delivery;
-            }
-        }
-    }
-    metrics_.traceRecords.set(rec);
+    runCycles(*this, trace, phArray_);
 }
 
 double

@@ -68,7 +68,7 @@ class BbtcFrontend : public Frontend
     }
 
   private:
-    enum class Mode { Build, Delivery };
+    friend class Frontend;  // runCycles drives the steps below
 
     struct TraceEntry
     {
@@ -101,7 +101,27 @@ class BbtcFrontend : public Frontend
     uint64_t fillStartIp_ = 0;
     /// @}
 
-    void restartFill();
+    /// @{ Cycle-loop steps (Frontend::runCycles); deliver() and
+    ///    fill() are defined inline in the .cc.
+    bool
+    coldStart()
+    {
+        restartFill();
+        return true;
+    }
+    inline Supply deliver(const Trace &trace, std::size_t &rec,
+                          unsigned &stall, unsigned buffer);
+    void
+    restartFill()
+    {
+        fillBlock_.clear();
+        fillPtrs_.clear();
+        fillStartIp_ = 0;
+    }
+    inline bool fill(const Trace &trace, std::size_t first,
+                     std::size_t end);
+    /// @}
+
     /** Feed one instruction; returns true when a trace completed. */
     bool feedFill(const Trace &trace, std::size_t rec);
 };

@@ -488,11 +488,10 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
     return supplied;
 }
 
-void
+bool
 XbcFrontend::handleCompletion(const Trace &trace,
                               const XbcFillUnit::Completion &comp,
-                              std::size_t rec, bool can_exit,
-                              Mode &mode)
+                              std::size_t rec, bool can_exit)
 {
     // Chain the previously executed XB to the freshly stored one.
     linkPrev(comp.startPtr);
@@ -531,7 +530,7 @@ XbcFrontend::handleCompletion(const Trace &trace,
     // Build-mode exit check: delivery resumes when the successor
     // pointer resolves to a resident XB (XBTB hit + XBC hit).
     if (!can_exit || rec >= trace.numRecords())
-        return;
+        return false;
     const int32_t actual_next = trace.record(rec).staticIdx;
 
     XbPointer cand;
@@ -562,36 +561,10 @@ XbcFrontend::handleCompletion(const Trace &trace,
         array_.findQuiet(cand.xbIp, cand.entryIdx).variant) {
         cur_ = cand;
         curIsContinuation_ = false;
-        mode = Mode::Delivery;
         ++buildExits;
+        return true;
     }
-}
-
-void
-XbcFrontend::buildCycle(const Trace &trace, std::size_t &rec,
-                        unsigned &stall, Mode &mode)
-{
-    ++metrics_.buildCycles;
-    attrib_.chargeBuildCycle();
-    std::size_t prev_rec = rec;
-    ScopedPhase buildTimer(prof_, phBuild_);
-    LegacyPipe::Result r = pipe_.cycle(trace, rec);
-    metrics_.buildUops += r.uops;
-    attrib_.chargeBuildUops(r.uops);
-    stall += r.stall;
-    for (std::size_t i = prev_rec; i < rec; ++i) {
-        oracleConsume(i, kNoTarget, 0);
-        auto comp = fill_.feed(trace, i);
-        if (comp.completed) {
-            handleCompletion(trace, comp, i + 1, i + 1 == rec, mode);
-            if (xbcParams_.checkInvariantsEveryN &&
-                ++completionsSinceCheck_ >=
-                    xbcParams_.checkInvariantsEveryN) {
-                completionsSinceCheck_ = 0;
-                array_.checkInvariants();
-            }
-        }
-    }
+    return false;
 }
 
 void
@@ -649,101 +622,64 @@ XbcFrontend::restoreState(const CheckpointFile &f)
     return Status::ok();
 }
 
+inline Frontend::Supply
+XbcFrontend::deliver(const Trace &trace, std::size_t &rec,
+                     unsigned &stall, unsigned buffer)
+{
+    // The exit check in handleCompletion switched us here with a
+    // valid cur_; once cur_ has gone invalid (XBC/XBTB miss), fall
+    // back to build mode. The real cause was noted at the
+    // invalidating event; Unattributed only backstops an unnoted
+    // invalidation.
+    if (!cur_.valid)
+        return {0, true, Cause::Unattributed};
+
+    unsigned supplied = 0;
+    unsigned fetched = 0;
+    prio_.reset();
+    for (unsigned slot = 0; slot < xbcParams_.fetchXbsPerCycle &&
+                            rec < trace.numRecords();
+         ++slot) {
+        if (!cur_.valid || stall > 0)
+            break;
+        if (buffer + supplied >= params_.renamerWidth)
+            break;
+        if (fetched >= xbcParams_.xbQuotaUops)
+            break;
+        const unsigned got = supplySlot(trace, rec, fetched, stall);
+        supplied += got;
+        if (got == 0)
+            break;
+    }
+    outMux_.closeCycle();
+    return {supplied};
+}
+
+inline bool
+XbcFrontend::fill(const Trace &trace, std::size_t first,
+                  std::size_t end)
+{
+    bool resume = false;
+    for (std::size_t i = first; i < end; ++i) {
+        auto comp = fill_.feed(trace, i);
+        if (!comp.completed)
+            continue;
+        resume |= handleCompletion(trace, comp, i + 1, i + 1 == end);
+        if (xbcParams_.checkInvariantsEveryN &&
+            ++completionsSinceCheck_ >=
+                xbcParams_.checkInvariantsEveryN) {
+            completionsSinceCheck_ = 0;
+            array_.checkInvariants();
+        }
+    }
+    return resume;
+}
+
 void
 XbcFrontend::run(const Trace &trace)
 {
     array_.bindCode(&trace.code());
-
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned buffer = 0;
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        buffer = resume->buffer;
-        stall = resume->stall;
-    } else {
-        cur_ = XbPointer{};
-        curIsContinuation_ = false;
-        prev_ = PrevLink{};
-        fill_.restart();
-        attrib_.enterBuild(Cause::ColdStart);
-    }
-
-    while ((rec < num_records || buffer > 0) && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, buffer,
-                        stall);
-        ++metrics_.cycles;
-        metrics_.traceRecords.set(rec);
-        observeCycle();
-
-        if (stall > 0) {
-            // Fetch-silent bubble; the buffer keeps draining, but
-            // neither the uops nor the cycle count toward the
-            // steady-state bandwidth metric.
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            buffer -= std::min(buffer, params_.renamerWidth);
-            continue;
-        }
-
-        if (mode == Mode::Build) {
-            buildCycle(trace, rec, stall, mode);
-            continue;
-        }
-
-        // Delivery cycle.
-        ++metrics_.deliveryCycles;
-
-        // The exit check in handleCompletion switched us here with a
-        // valid cur_; if cur_ has gone invalid (XBC/XBTB miss), wait
-        // for the buffer to drain, then fall back to build mode.
-        if (!cur_.valid && buffer == 0 && rec < num_records) {
-            --metrics_.deliveryCycles;
-            ++metrics_.modeSwitches;
-            fill_.restart();
-            // The real cause was noted at the invalidating event;
-            // Unattributed only backstops an unnoted invalidation.
-            attrib_.enterBuild(Cause::Unattributed);
-            mode = Mode::Build;
-            buildCycle(trace, rec, stall, mode);
-            continue;
-        }
-
-        unsigned fetched = 0;
-        prio_.reset();
-        {
-            ScopedPhase arrayTimer(prof_, phArray_);
-            for (unsigned slot = 0;
-                 slot < xbcParams_.fetchXbsPerCycle &&
-                 rec < num_records;
-                 ++slot) {
-                if (!cur_.valid || stall > 0)
-                    break;
-                if (buffer >= params_.renamerWidth)
-                    break;
-                if (fetched >= xbcParams_.xbQuotaUops)
-                    break;
-                unsigned got = supplySlot(trace, rec, fetched, stall);
-                metrics_.deliveryUops += got;
-                buffer += got;
-                if (got == 0)
-                    break;
-            }
-        }
-
-        outMux_.closeCycle();
-
-        {
-            unsigned drained = std::min(buffer, params_.renamerWidth);
-            metrics_.renamedUops += drained;
-            buffer -= drained;
-        }
-    }
-    metrics_.traceRecords.set(rec);
+    runCycles(*this, trace, phArray_);
 }
 
 } // namespace xbs

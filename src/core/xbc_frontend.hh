@@ -106,7 +106,7 @@ class XbcFrontend : public Frontend
     }
 
   private:
-    enum class Mode { Build, Delivery };
+    friend class Frontend;  // runCycles drives the steps below
 
     /** Which pointer of the previously executed XB the next XB's
      *  location must be written into (paper's XBTB update chain). */
@@ -160,12 +160,13 @@ class XbcFrontend : public Frontend
     void maybePromote(Xbtb::Entry &entry);
 
     /** Handle an XFU completion in build mode (linking, XRSB,
-     *  counters, and the build->delivery exit check). The exit is
-     *  only legal for the completion at the cycle's final consumed
-     *  record, so the delivery cursor and cur_ agree. */
-    void handleCompletion(const Trace &trace,
+     *  counters, and the build->delivery exit check); true when
+     *  delivery resumes. The exit is only legal for the completion at
+     *  the cycle's final consumed record, so the delivery cursor and
+     *  cur_ agree. */
+    bool handleCompletion(const Trace &trace,
                           const XbcFillUnit::Completion &comp,
-                          std::size_t rec, bool can_exit, Mode &mode);
+                          std::size_t rec, bool can_exit);
 
     /**
      * Supply one XB (or its continuation) in a delivery cycle.
@@ -178,9 +179,23 @@ class XbcFrontend : public Frontend
     unsigned supplySlot(const Trace &trace, std::size_t &rec,
                         unsigned &fetched, unsigned &stall);
 
-    /** One build-mode cycle (legacy fetch + XFU feeding). */
-    void buildCycle(const Trace &trace, std::size_t &rec,
-                    unsigned &stall, Mode &mode);
+    /// @{ Cycle-loop steps (Frontend::runCycles); deliver() and
+    ///    fill() are defined inline in the .cc.
+    bool
+    coldStart()
+    {
+        cur_ = XbPointer{};
+        curIsContinuation_ = false;
+        prev_ = PrevLink{};
+        restartFill();
+        return true;
+    }
+    inline Supply deliver(const Trace &trace, std::size_t &rec,
+                          unsigned &stall, unsigned buffer);
+    void restartFill() { fill_.restart(); }
+    inline bool fill(const Trace &trace, std::size_t first,
+                     std::size_t end);
+    /// @}
 
     XbcParams xbcParams_;
     PredictorBank preds_;   ///< gshare doubles as the XBP

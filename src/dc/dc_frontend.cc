@@ -15,11 +15,11 @@ DcFrontend::DcFrontend(const FrontendParams &params,
     pipe_.attachAttrib(&attrib_);
 }
 
-unsigned
+Frontend::Supply
 DcFrontend::supplyRun(const Trace &trace, std::size_t &rec,
-                      unsigned &stall, bool &miss)
+                      unsigned &stall)
 {
-    miss = false;
+    bool miss = false;
     unsigned supplied = 0;
     const DecodedCache::Line *line = nullptr;
     uint64_t cur_window = ~0ULL;
@@ -77,7 +77,7 @@ DcFrontend::supplyRun(const Trace &trace, std::size_t &rec,
         if (redirects || stall > 0)
             break;
     }
-    return supplied;
+    return {supplied, miss, Cause::StructMiss};
 }
 
 void
@@ -113,74 +113,23 @@ DcFrontend::restoreState(const CheckpointFile &f)
     return Status::ok();
 }
 
+inline bool
+DcFrontend::fill(const Trace &trace, std::size_t first,
+                 std::size_t end)
+{
+    for (std::size_t i = first; i < end; ++i)
+        dc_.fill(trace.inst(i), trace.record(i).staticIdx);
+    // Return to delivery as soon as the next instruction's window is
+    // cached (no trace/XB build boundary here).
+    return end < trace.numRecords() &&
+           dc_.lookup(trace.inst(end).ip, trace.record(end).staticIdx)
+               .first;
+}
+
 void
 DcFrontend::run(const Trace &trace)
 {
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        stall = resume->stall;
-    } else {
-        attrib_.enterBuild(Cause::ColdStart);
-    }
-
-    while (rec < num_records && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, 0, stall);
-        ++metrics_.cycles;
-        observeCycle();
-        if (stall > 0) {
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            continue;
-        }
-
-        if (mode == Mode::Delivery) {
-            bool miss = false;
-            unsigned got;
-            {
-                ScopedPhase timer(prof_, phArray_);
-                got = supplyRun(trace, rec, stall, miss);
-            }
-            metrics_.traceRecords.set(rec);
-            if (miss) {
-                mode = Mode::Build;
-                ++metrics_.modeSwitches;
-                attrib_.enterBuild(Cause::StructMiss);
-                --metrics_.cycles;  // re-issue this cycle as build
-                continue;
-            }
-            ++metrics_.deliveryCycles;
-            metrics_.deliveryUops += got;
-            metrics_.renamedUops += got;
-        } else {
-            ++metrics_.buildCycles;
-            attrib_.chargeBuildCycle();
-            std::size_t prev = rec;
-            ScopedPhase timer(prof_, phBuild_);
-            LegacyPipe::Result r = pipe_.cycle(trace, rec);
-            metrics_.buildUops += r.uops;
-            attrib_.chargeBuildUops(r.uops);
-            stall += r.stall;
-            for (std::size_t i = prev; i < rec; ++i) {
-                oracleConsume(i, kNoTarget, 0);
-                dc_.fill(trace.inst(i), trace.record(i).staticIdx);
-            }
-            metrics_.traceRecords.set(rec);
-            // Return to delivery as soon as the next instruction's
-            // window is cached (no trace/XB build boundary here).
-            if (rec < num_records &&
-                dc_.lookup(trace.inst(rec).ip,
-                           trace.record(rec).staticIdx)
-                    .first) {
-                mode = Mode::Delivery;
-            }
-        }
-    }
+    runCycles(*this, trace, phArray_);
 }
 
 } // namespace xbs

@@ -42,14 +42,26 @@ class DcFrontend : public Frontend
     }
 
   private:
-    enum class Mode { Build, Delivery };
+    friend class Frontend;  // runCycles drives the steps below
 
-    /**
-     * Supply one sequential run from the decoded cache.
-     * @return uops supplied; 0 with @p miss set on a lookup miss
-     */
-    unsigned supplyRun(const Trace &trace, std::size_t &rec,
-                       unsigned &stall, bool &miss);
+    /// @{ Cycle-loop steps (Frontend::runCycles); fill() is defined
+    ///    inline in the .cc. The DC has no fill unit to restart.
+    bool coldStart() { return true; }
+    Supply
+    deliver(const Trace &trace, std::size_t &rec, unsigned &stall,
+            unsigned)
+    {
+        return supplyRun(trace, rec, stall);
+    }
+    void restartFill() {}
+    inline bool fill(const Trace &trace, std::size_t first,
+                     std::size_t end);
+    /// @}
+
+    /** Supply one sequential run (at most renamerWidth uops) from
+     *  the decoded cache; a miss when a lookup fails first. */
+    Supply supplyRun(const Trace &trace, std::size_t &rec,
+                     unsigned &stall);
 
     DecodedCacheParams dcParams_;
     PredictorBank preds_;

@@ -2,7 +2,8 @@
  * @file
  * Abstract frontend interface: a structure that consumes a dynamic
  * trace and reports cycle/uop metrics. Concrete implementations are
- * IcFrontend, TcFrontend, and XbcFrontend.
+ * IcFrontend, DcFrontend, TcFrontend, BbtcFrontend and XbcFrontend,
+ * and all five run the one cycle loop below (runCycles).
  *
  * The simulator is trace-driven with oracle resteer: the frontend
  * always follows the actual dynamic path, consults its predictors
@@ -42,10 +43,10 @@ namespace xbs
 class Frontend;
 
 /**
- * Per-cycle observer ticked from every frontend's run loop right
- * after the cycle counter advances. The invariant auditor and the
- * fault injectors (src/verify) hang off this; with none attached the
- * cost is one branch per cycle.
+ * Per-cycle observer ticked by the cycle loop (runCycles) right
+ * after the cycle counter advances: exactly once per simulated cycle.
+ * The invariant auditor and the fault injectors (src/verify) hang off
+ * this; with none attached the cost is one branch per cycle.
  */
 class CycleObserver
 {
@@ -55,17 +56,15 @@ class CycleObserver
 };
 
 /**
- * Snapshot of a frontend run loop's scalar state at a checkpoint
- * cycle boundary. The field meanings are frontend-specific (each
- * run() documents its encoding); the base class only stores and
- * round-trips them.
+ * Snapshot of the cycle loop's scalar state (Frontend::runCycles) at
+ * a checkpoint cycle boundary; one encoding for every frontend.
  */
 struct RunLoopState
 {
     uint64_t rec = 0;     ///< next trace record to process
-    uint32_t mode = 0;    ///< mode-FSM state (frontend encoding)
-    uint32_t buffer = 0;  ///< buffered uops / auxiliary counter
-    uint32_t stall = 0;   ///< pending stall cycles
+    uint32_t mode = 0;    ///< 1: delivery mode, 0: build mode
+    uint32_t buffer = 0;  ///< uops in the decoupling buffer
+    uint32_t stall = 0;   ///< pending stall (bubble) cycles
 };
 
 class Frontend
@@ -115,7 +114,7 @@ class Frontend
 
     /**
      * Attach an external stop request (typically a sig_atomic_t set
-     * by a SIGINT/SIGTERM handler; see common/signals.hh). Every run
+     * by a SIGINT/SIGTERM handler; see common/signals.hh). The cycle
      * loop polls it at the cycle boundary and returns early when it
      * goes nonzero, leaving metrics and observation state consistent
      * so a supervisor-terminated job still flushes usable partial
@@ -194,17 +193,16 @@ class Frontend
 
     /// @{ Warm-state checkpoint/restore (src/ckpt).
 
-    /** Callback fired at the checkpoint cycle, with the run loop
+    /** Callback fired at the checkpoint cycle, with the cycle loop
      *  parked at a cycle boundary; typically serializes the frontend
      *  via saveState() and writes the container to disk. */
     using CkptHook = std::function<Status(Frontend &)>;
 
     /**
      * Arm a one-shot checkpoint: the first cycle boundary at or
-     * after @p cycle fires @p hook (">=", not "==": run loops may
-     * advance the cycle counter by more than one). The run then
-     * continues normally — cutting a live-point does not perturb
-     * the simulated outcome.
+     * after @p cycle fires @p hook (at once in a run restored past
+     * it). The run then continues normally — cutting a live-point
+     * does not perturb the simulated outcome.
      */
     void
     armCheckpoint(uint64_t cycle, CkptHook hook)
@@ -228,11 +226,11 @@ class Frontend
      * Serialize the complete warm state into @p w. The base class
      * contributes the sections every frontend shares — "stats" (the
      * whole stat tree, including cycle/uop metrics), "attrib" (the
-     * attribution recorder) and "loop" (the parked run-loop scalars);
+     * attribution recorder) and "loop" (the parked RunLoopState);
      * overrides call this first and then append one frontend-specific
      * section holding predictors, pipes, and storage structures.
      *
-     * Only valid while the run loop is parked at a cycle boundary
+     * Only valid while the cycle loop is parked at a cycle boundary
      * (inside a checkpoint hook) or before/after run().
      */
     virtual void
@@ -333,50 +331,114 @@ class Frontend
      *  detach so components drop their phase handles too. */
     virtual void registerPhases(PhaseProfiler *prof) { (void)prof; }
 
-    /** Per-cycle observation hook; run loops call this right after
-     *  advancing metrics_.cycles. One branch when nothing attached. */
-    void
-    observeCycle()
+    /** One delivery cycle's supply from a frontend's structure. */
+    struct Supply
     {
-        if (sampler_)
-            sampler_->tick(metrics_.cycles.value());
-        if (!observers_.empty()) {
-            for (CycleObserver *obs : observers_)
-                obs->onCycle(*this, metrics_.cycles.value());
-        }
-    }
+        unsigned uops = 0;  ///< uops supplied into the buffer
+        bool miss = false;  ///< nothing to supply: build mode next
+        Cause cause = Cause::StructMiss;  ///< fallback for enterBuild
+    };
 
     /**
-     * Checkpoint trigger, called by every run loop at the top of the
-     * cycle loop (before the cycle counter advances) with the loop's
-     * live scalars. When the armed cycle has been reached the scalars
-     * are parked in loopState_, the hook runs, and the trigger
-     * disarms; the run loop then continues unchanged.
+     * The per-cycle contract of docs/MODEL.md, once for every
+     * frontend: the cycle counter, the observers, the checkpoint
+     * trigger, the stop flag, the fetch-silent bubble, the renamer
+     * drain, the delivery->build switch and the build cycle. Each
+     * cycle advances the counter by one and is exactly one of
+     * delivery, build or stall.
+     *
+     * @p fe supplies the paper-specific steps, defined inline next to
+     * its run() so that they inline here:
+     *  - `bool coldStart()`: reset per-run state; true to start in
+     *    build mode;
+     *  - `Supply deliver(trace, rec, stall, buffer)`: one delivery
+     *    cycle's supply, advancing @c rec and adding any penalty to
+     *    @c stall; called while records remain and @c buffer holds
+     *    fewer than renamerWidth uops;
+     *  - `void restartFill()`: a delivery->build switch;
+     *  - `bool fill(trace, first, end)`: feed records [first, end),
+     *    just fetched by the legacy pipe @c pipe_, to the fill unit;
+     *    true when delivery resumes.
+     *
+     * @param ph_deliver phase timing the delivery step
      */
+    template <class Fe>
     void
-    maybeCheckpoint(uint64_t rec, uint32_t mode, uint32_t buffer,
-                    uint32_t stall)
+    runCycles(Fe &fe, const Trace &trace, unsigned ph_deliver)
     {
-        if (!ckptArmed_ || metrics_.cycles.value() < ckptAt_)
-            return;
-        ckptArmed_ = false;
-        loopState_.rec = rec;
-        loopState_.mode = mode;
-        loopState_.buffer = buffer;
-        loopState_.stall = stall;
-        ckptTaken_ = true;
-        if (ckptHook_)
-            ckptStatus_ = ckptHook_(*this);
-    }
+        const std::size_t num_records = trace.numRecords();
+        std::size_t rec = 0;
+        bool delivery = false;
+        unsigned buffer = 0;  // undelivered uops in the decoupling
+                              // buffer, drained renamerWidth per cycle
+        unsigned stall = 0;
+        if (std::optional<RunLoopState> resume = takeResume()) {
+            rec = (std::size_t)resume->rec;
+            delivery = resume->mode != 0;
+            buffer = resume->buffer;
+            stall = resume->stall;
+        } else {
+            delivery = !fe.coldStart();
+            if (!delivery)
+                attrib_.enterBuild(Cause::ColdStart);
+        }
 
-    /** Consume the queued resume point (run() entry: present after a
-     *  successful restoreState, in place of cold-start init). */
-    std::optional<RunLoopState>
-    takeResume()
-    {
-        std::optional<RunLoopState> r = std::move(resume_);
-        resume_.reset();
-        return r;
+        while ((rec < num_records || buffer > 0) && !stopRequested()) {
+            maybeCheckpoint(rec, delivery ? 1 : 0, buffer, stall);
+            ++metrics_.cycles;
+            metrics_.traceRecords.set(rec);
+            observeCycle();
+
+            if (stall > 0) {
+                // Fetch-silent bubble; the buffer keeps draining, but
+                // neither the uops nor the cycle count toward the
+                // steady-state bandwidth metric.
+                --stall;
+                ++metrics_.stallCycles;
+                attrib_.chargeSilentCycle();
+                buffer -= std::min(buffer, params_.renamerWidth);
+                continue;
+            }
+
+            if (delivery) {
+                // Fetch waits while the buffer holds a renamer's worth.
+                Supply s;
+                if (buffer < params_.renamerWidth && rec < num_records) {
+                    ScopedPhase timer(prof_, ph_deliver);
+                    s = fe.deliver(trace, rec, stall, buffer);
+                }
+                if (!s.miss || buffer > 0) {
+                    ++metrics_.deliveryCycles;
+                    metrics_.deliveryUops += s.uops;
+                    buffer += s.uops;
+                    const unsigned drained =
+                        std::min(buffer, params_.renamerWidth);
+                    metrics_.renamedUops += drained;
+                    buffer -= drained;
+                    continue;
+                }
+                // The one switch rule: a delivery cycle with nothing
+                // to supply and nothing buffered is the first build
+                // cycle.
+                delivery = false;
+                ++metrics_.modeSwitches;
+                fe.restartFill();
+                attrib_.enterBuild(s.cause);
+            }
+
+            ++metrics_.buildCycles;
+            attrib_.chargeBuildCycle();
+            const std::size_t first = rec;
+            ScopedPhase timer(prof_, phBuild_);
+            const auto r = fe.pipe_.cycle(trace, rec);
+            metrics_.buildUops += r.uops;
+            attrib_.chargeBuildUops(r.uops);
+            stall += r.stall;
+            for (std::size_t i = first; i < rec; ++i)
+                oracleConsume(i, kNoTarget, 0);
+            delivery = fe.fill(trace, first, rec);
+        }
+        metrics_.traceRecords.set(rec);
     }
 
     /** Report a delivered record to the oracle, if attached. See
@@ -403,17 +465,62 @@ class Frontend
     unsigned phArray_ = PhaseProfiler::kNoPhase;
     /// @}
 
+  private:
+    /** Per-cycle observation hook, called right after the cycle
+     *  counter advances. One branch when nothing is attached. */
+    void
+    observeCycle()
+    {
+        if (sampler_)
+            sampler_->tick(metrics_.cycles.value());
+        if (!observers_.empty()) {
+            for (CycleObserver *obs : observers_)
+                obs->onCycle(*this, metrics_.cycles.value());
+        }
+    }
+
+    /**
+     * Checkpoint trigger, called at the top of every cycle (before
+     * the cycle counter advances) with the loop's live scalars. When
+     * the armed cycle has been reached the scalars are parked in
+     * loopState_, the hook runs, and the trigger disarms; the loop
+     * then continues unchanged.
+     */
+    void
+    maybeCheckpoint(uint64_t rec, uint32_t mode, uint32_t buffer,
+                    uint32_t stall)
+    {
+        if (!ckptArmed_ || metrics_.cycles.value() < ckptAt_)
+            return;
+        ckptArmed_ = false;
+        loopState_.rec = rec;
+        loopState_.mode = mode;
+        loopState_.buffer = buffer;
+        loopState_.stall = stall;
+        ckptTaken_ = true;
+        if (ckptHook_)
+            ckptStatus_ = ckptHook_(*this);
+    }
+
+    /** Consume the queued resume point (loop entry: present after a
+     *  successful restoreState, in place of cold-start init). */
+    std::optional<RunLoopState>
+    takeResume()
+    {
+        std::optional<RunLoopState> r = std::move(resume_);
+        resume_.reset();
+        return r;
+    }
+
     /// @{ Checkpoint plumbing (see armCheckpoint/maybeCheckpoint).
     RunLoopState loopState_;
     std::optional<RunLoopState> resume_;
-    /// @}
-
-  private:
     uint64_t ckptAt_ = 0;
     CkptHook ckptHook_;
     bool ckptArmed_ = false;
     bool ckptTaken_ = false;
     Status ckptStatus_;
+    /// @}
 
     IntervalSampler *sampler_ = nullptr;
     std::vector<CycleObserver *> observers_;

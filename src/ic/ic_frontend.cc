@@ -41,34 +41,24 @@ IcFrontend::restoreState(const CheckpointFile &f)
     return Status::ok();
 }
 
+inline Frontend::Supply
+IcFrontend::deliver(const Trace &trace, std::size_t &rec,
+                    unsigned &stall, unsigned)
+{
+    const std::size_t first = rec;
+    LegacyPipe::Result r = pipe_.cycle(trace, rec);
+    for (std::size_t i = first; i < rec; ++i)
+        oracleConsume(i, kNoTarget, 0);
+    stall += r.stall;
+    // The IC baseline has no decoded-cache structure; count its
+    // supply as "delivery" so bandwidth() reports its uops/cycle.
+    return {r.uops};
+}
+
 void
 IcFrontend::run(const Trace &trace)
 {
-    std::size_t rec = 0;
-    if (auto resume = takeResume())
-        rec = (std::size_t)resume->rec;
-    while (rec < trace.numRecords() && !stopRequested()) {
-        maybeCheckpoint(rec, 0, 0, 0);
-        std::size_t prev = rec;
-        LegacyPipe::Result r;
-        {
-            ScopedPhase timer(prof_, phFetch_);
-            r = pipe_.cycle(trace, rec);
-        }
-        for (std::size_t i = prev; i < rec; ++i)
-            oracleConsume(i, kNoTarget, 0);
-        metrics_.traceRecords.set(rec);
-        ++metrics_.cycles;
-        // The IC baseline has no decoded-cache structure; count its
-        // supply as "delivery" so bandwidth() reports its uops/cycle.
-        ++metrics_.deliveryCycles;
-        metrics_.deliveryUops += r.uops;
-        metrics_.renamedUops += r.uops;
-        metrics_.cycles += r.stall;
-        metrics_.stallCycles += r.stall;
-        attrib_.chargeSilentCycles(r.stall);
-        observeCycle();
-    }
+    runCycles(*this, trace, phFetch_);
 }
 
 } // namespace xbs

@@ -39,6 +39,18 @@ class IcFrontend : public Frontend
     }
 
   private:
+    friend class Frontend;  // runCycles drives the steps below
+
+    /// @{ Cycle-loop steps (Frontend::runCycles); deliver() is
+    ///    defined inline in the .cc. The IC never switches: every
+    ///    cycle delivers from the legacy pipe.
+    bool coldStart() { return false; }
+    inline Supply deliver(const Trace &trace, std::size_t &rec,
+                          unsigned &stall, unsigned buffer);
+    void restartFill() {}
+    bool fill(const Trace &, std::size_t, std::size_t) { return true; }
+    /// @}
+
     PredictorBank preds_;
     LegacyPipe pipe_;
 };

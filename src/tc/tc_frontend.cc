@@ -144,132 +144,48 @@ TcFrontend::restoreState(const CheckpointFile &f)
     return Status::ok();
 }
 
+inline bool
+TcFrontend::feedFill(const Trace &trace, std::size_t i)
+{
+    return fill_.feed(trace, i, [&](const TraceLine &l) {
+        tc_.insert(l, trace.code(), tcParams_.pathAssociative);
+    });
+}
+
+inline Frontend::Supply
+TcFrontend::deliver(const Trace &trace, std::size_t &rec,
+                    unsigned &stall, unsigned)
+{
+    const TraceLine *line = selectLine(trace, rec);
+    if (!line)
+        return {0, true, Cause::StructMiss};
+    const std::size_t first = rec;
+    const unsigned got = supplyLine(trace, *line, rec, stall);
+    if (tcParams_.buildInDelivery) {
+        // [Frie97]-style alternative fill policy: keep (re)building
+        // traces from the supplied stream so partial-hit paths get
+        // their own traces without a build-mode excursion.
+        for (std::size_t i = first; i < rec; ++i)
+            feedFill(trace, i);
+    }
+    return {got};
+}
+
+inline bool
+TcFrontend::fill(const Trace &trace, std::size_t first,
+                 std::size_t end)
+{
+    bool completed = false;
+    for (std::size_t i = first; i < end; ++i)
+        completed |= feedFill(trace, i);
+    return completed && end < trace.numRecords() &&
+           tc_.lookup(trace.inst(end).ip);
+}
+
 void
 TcFrontend::run(const Trace &trace)
 {
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned buffer = 0;   // undelivered uops sitting in the XBQ-like
-                           // fetch buffer, drained 8/cycle
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        buffer = resume->buffer;
-        stall = resume->stall;
-    } else {
-        fill_.restart();
-        attrib_.enterBuild(Cause::ColdStart);
-    }
-
-    while ((rec < num_records || buffer > 0) && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, buffer,
-                        stall);
-        ++metrics_.cycles;
-        metrics_.traceRecords.set(rec);
-        observeCycle();
-
-        if (stall > 0) {
-            // Fetch-silent bubble; the buffer keeps draining, but
-            // neither the uops nor the cycle count toward the
-            // steady-state bandwidth metric.
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            buffer -= std::min(buffer, params_.renamerWidth);
-            continue;
-        }
-
-        if (mode == Mode::Delivery) {
-            ++metrics_.deliveryCycles;
-
-            if (buffer < params_.renamerWidth && rec < num_records) {
-                ScopedPhase arrayTimer(prof_, phArray_);
-                const TraceLine *line = selectLine(trace, rec);
-                if (line) {
-                    std::size_t prev = rec;
-                    unsigned got =
-                        supplyLine(trace, *line, rec, stall);
-                    metrics_.deliveryUops += got;
-                    buffer += got;
-                    if (tcParams_.buildInDelivery) {
-                        // [Frie97]-style alternative fill policy:
-                        // keep (re)building traces from the supplied
-                        // stream so partial-hit paths get their own
-                        // traces without a build-mode excursion.
-                        for (std::size_t i = prev; i < rec; ++i) {
-                            fill_.feed(trace, i,
-                                       [&](const TraceLine &l) {
-                                           tc_.insert(
-                                               l, trace.code(),
-                                               tcParams_
-                                                   .pathAssociative);
-                                       });
-                        }
-                    }
-                } else if (buffer == 0) {
-                    mode = Mode::Build;
-                    ++metrics_.modeSwitches;
-                    fill_.restart();
-                    attrib_.enterBuild(Cause::StructMiss);
-                    // This cycle becomes the first build cycle.
-                    --metrics_.deliveryCycles;
-                    ++metrics_.buildCycles;
-                    attrib_.chargeBuildCycle();
-                    std::size_t prev = rec;
-                    ScopedPhase buildTimer(prof_, phBuild_);
-                    LegacyPipe::Result r = pipe_.cycle(trace, rec);
-                    metrics_.buildUops += r.uops;
-                    attrib_.chargeBuildUops(r.uops);
-                    stall += r.stall;
-                    bool completed = false;
-                    for (std::size_t i = prev; i < rec; ++i) {
-                        oracleConsume(i, kNoTarget, 0);
-                        completed |= fill_.feed(
-                            trace, i, [&](const TraceLine &l) {
-                                tc_.insert(l, trace.code(),
-                                           tcParams_.pathAssociative);
-                            });
-                    }
-                    if (completed && rec < num_records &&
-                        tc_.lookup(trace.inst(rec).ip)) {
-                        mode = Mode::Delivery;
-                    }
-                    continue;
-                }
-            }
-            {
-                unsigned drained =
-                    std::min(buffer, params_.renamerWidth);
-                metrics_.renamedUops += drained;
-                buffer -= drained;
-            }
-        } else {
-            ++metrics_.buildCycles;
-            attrib_.chargeBuildCycle();
-            std::size_t prev = rec;
-            ScopedPhase buildTimer(prof_, phBuild_);
-            LegacyPipe::Result r = pipe_.cycle(trace, rec);
-            metrics_.buildUops += r.uops;
-            attrib_.chargeBuildUops(r.uops);
-            stall += r.stall;
-            bool completed = false;
-            for (std::size_t i = prev; i < rec; ++i) {
-                oracleConsume(i, kNoTarget, 0);
-                completed |= fill_.feed(
-                    trace, i, [&](const TraceLine &l) {
-                        tc_.insert(l, trace.code(),
-                                   tcParams_.pathAssociative);
-                    });
-            }
-            if (completed && rec < num_records &&
-                tc_.lookup(trace.inst(rec).ip)) {
-                mode = Mode::Delivery;
-            }
-        }
-    }
-    metrics_.traceRecords.set(rec);
+    runCycles(*this, trace, phArray_);
 }
 
 } // namespace xbs

@@ -66,7 +66,26 @@ class TcFrontend : public Frontend
     }
 
   private:
-    enum class Mode { Build, Delivery };
+    friend class Frontend;  // runCycles drives the steps below
+
+    /// @{ Cycle-loop steps (Frontend::runCycles); deliver() and
+    ///    fill() are defined inline in the .cc.
+    bool
+    coldStart()
+    {
+        restartFill();
+        return true;
+    }
+    inline Supply deliver(const Trace &trace, std::size_t &rec,
+                          unsigned &stall, unsigned buffer);
+    void restartFill() { fill_.restart(); }
+    inline bool fill(const Trace &trace, std::size_t first,
+                     std::size_t end);
+    /// @}
+
+    /** Feed record @p i to the fill unit, installing the trace it
+     *  completes; true when one completed. */
+    inline bool feedFill(const Trace &trace, std::size_t i);
 
     /**
      * Supply one resident trace line along the actual path.

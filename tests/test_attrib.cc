@@ -254,16 +254,6 @@ TEST(AttribRecorder, StallFifoChargesInOrder)
     EXPECT_EQ(a.chargedCycles(), 4u);
 }
 
-TEST(AttribRecorder, BulkSilentChargeMatchesLoop)
-{
-    StatGroup root("fe");
-    AttribRecorder a(&root);
-    a.noteStall(Cause::IcMiss, 3);
-    a.chargeSilentCycles(5);
-    EXPECT_EQ(a.cycleCount(Cause::IcMiss), 3u);
-    EXPECT_EQ(a.cycleCount(Cause::Unattributed), 2u);
-}
-
 // ---------------------------------------------------------------
 // ArrayAccounting: shadow-directory 3C classification + lifetimes.
 
@@ -674,7 +664,8 @@ TEST(AttribRollup, JsonRoundTripAndSums)
     a.enterBuild(Cause::StructMiss);
     a.chargeBuildUops(13);
     a.noteStall(Cause::CondMispredict, 4);
-    a.chargeSilentCycles(4);
+    for (int i = 0; i < 4; ++i)
+        a.chargeSilentCycle();
 
     std::ostringstream os;
     {

@@ -217,23 +217,78 @@ specFor(const char *flag)
     return spec;
 }
 
+/** Cut a real checkpoint of @p flag's frontend in memory. */
+std::string
+captureCheckpoint(const FrontendCase &fc, const Trace &trace,
+                  RunSpec spec, uint64_t at = 2000)
+{
+    std::string bytes;
+    auto fe = makeFrontend(fc.config);
+    fe->armCheckpoint(at, [&](Frontend &f) -> Status {
+        bytes = encodeCheckpoint(
+            f, makeCkptMeta(spec, trace,
+                            f.metrics().cycles.value()));
+        return Status::ok();
+    });
+    fe->run(trace);
+    EXPECT_TRUE(fe->checkpointTaken());
+    return bytes;
+}
+
+/** The pending stall cycles a checkpoint's "loop" section parked. */
+uint32_t
+parkedStall(const std::string &bytes)
+{
+    Expected<CheckpointFile> f = parseCheckpoint(bytes);
+    EXPECT_TRUE(f.ok());
+    const std::string *loop = f.ok() ? f.value().section("loop")
+                                     : nullptr;
+    EXPECT_NE(loop, nullptr);
+    if (!loop)
+        return 0;
+    CkptSource src(*loop);
+    src.u64();  // rec
+    src.u32();  // mode
+    src.u32();  // buffer
+    return src.u32();
+}
+
 // The tentpole guarantee, per frontend: a run restored from a
 // mid-run checkpoint finishes with BIT-IDENTICAL metrics (headline
 // numbers at full precision, the attribution report, and the entire
-// stat tree) and passes the post-restore structural audit.
+// stat tree) and passes the post-restore structural audit. Eleven
+// consecutive cuts land in delivery, build and bubble cycles alike:
+// the IC stalls on about a third of its cycles on gcc, so at least
+// one of its cuts must park with a bubble pending.
 TEST(CkptDivergence, RestoreIsBitExactOnEveryFrontend)
 {
     const Trace trace = makeCatalogTrace("gcc", 30000);
     for (const FrontendCase &fc : allFrontends()) {
-        Expected<DivergenceReport> rep = runDivergenceOracle(
-            fc.config, specFor(fc.flag), trace, 2000);
-        ASSERT_TRUE(rep.ok())
-            << fc.flag << ": " << rep.status().toString();
-        EXPECT_EQ(rep.value().auditViolations, 0u) << fc.flag;
-        EXPECT_TRUE(rep.value().identical)
-            << fc.flag << " diverged: " << rep.value().detail;
-        EXPECT_GE(rep.value().cutCycle, 2000u) << fc.flag;
-        EXPECT_GT(rep.value().checkpointBytes, 0u) << fc.flag;
+        const bool is_ic = std::string(fc.flag) == "ic";
+        bool parked_in_bubble = false;
+        for (uint64_t at = 2000; at <= 2010; ++at) {
+            Expected<DivergenceReport> rep = runDivergenceOracle(
+                fc.config, specFor(fc.flag), trace, at);
+            ASSERT_TRUE(rep.ok()) << fc.flag << "@" << at << ": "
+                                  << rep.status().toString();
+            EXPECT_EQ(rep.value().auditViolations, 0u)
+                << fc.flag << "@" << at;
+            EXPECT_TRUE(rep.value().identical)
+                << fc.flag << "@" << at
+                << " diverged: " << rep.value().detail;
+            // The loop advances one cycle at a time, so the cut
+            // fires exactly where it was armed.
+            EXPECT_EQ(rep.value().cutCycle, at) << fc.flag;
+            EXPECT_GT(rep.value().checkpointBytes, 0u) << fc.flag;
+            if (is_ic) {
+                parked_in_bubble |=
+                    parkedStall(captureCheckpoint(
+                        fc, trace, specFor(fc.flag), at)) > 0;
+            }
+        }
+        if (is_ic) {
+            EXPECT_TRUE(parked_in_bubble);
+        }
     }
 }
 
@@ -262,24 +317,6 @@ TEST(CkptDivergence, UnreachableCheckpointCycleIsAnError)
         runDivergenceOracle(SimConfig::xbcBaseline(8192, 2),
                             specFor("xbc"), trace, 1u << 30);
     EXPECT_FALSE(rep.ok());
-}
-
-/** Cut a real checkpoint of @p flag's frontend in memory. */
-std::string
-captureCheckpoint(const FrontendCase &fc, const Trace &trace,
-                  RunSpec spec, uint64_t at = 2000)
-{
-    std::string bytes;
-    auto fe = makeFrontend(fc.config);
-    fe->armCheckpoint(at, [&](Frontend &f) -> Status {
-        bytes = encodeCheckpoint(
-            f, makeCkptMeta(spec, trace,
-                            f.metrics().cycles.value()));
-        return Status::ok();
-    });
-    fe->run(trace);
-    EXPECT_TRUE(fe->checkpointTaken());
-    return bytes;
 }
 
 // ckpt-flip injection: every seeded random single-bit flip of a real

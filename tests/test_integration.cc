@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bbtc/bbtc_frontend.hh"
+#include "common/json.hh"
 #include "core/xbc_frontend.hh"
 #include "dc/dc_frontend.hh"
 #include "ic/ic_frontend.hh"
@@ -189,9 +192,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /** The per-cycle contract (docs/MODEL.md): every simulated cycle is
- *  exactly one of delivery, build or stall, whatever the frontend's
- *  delivery-to-build switch rule. The auditor's metrics crosscheck
- *  asserts the same identity. */
+ *  exactly one of delivery, build or stall. The auditor's metrics
+ *  crosscheck asserts the same identity. */
 class CycleIdentity : public testing::TestWithParam<FrontendKind>
 {
 };
@@ -217,6 +219,60 @@ TEST_P(CycleIdentity, EveryCycleIsDeliveryBuildOrStall)
     std::ostringstream report;
     auditor.report(report);
     EXPECT_TRUE(auditor.ok()) << report.str();
+}
+
+/** Records every cycle number the loop reports to its observers. */
+class CycleLog : public CycleObserver
+{
+  public:
+    void onCycle(Frontend &, uint64_t cycle) override
+    {
+        seen.push_back(cycle);
+    }
+
+    std::vector<uint64_t> seen;
+};
+
+/** The cycle loop ticks its observers exactly once per simulated
+ *  cycle, bubbles and mode switches included: a CycleObserver sees
+ *  1, 2, ..., cycles, and every interval window's cycles delta is
+ *  the window's length. The auditor, the fault injectors and the
+ *  interval sampler all rely on this. */
+TEST_P(CycleIdentity, EveryCycleIsObservedExactlyOnce)
+{
+    SimConfig config;
+    config.kind = GetParam();
+    auto fe = makeFrontend(config);
+    Trace trace = makeCatalogTrace("gcc", kLen);
+    CycleLog log;
+    fe->attachCycleObserver(&log);
+    std::ostringstream os;
+    IntervalSampler sampler(fe->statRoot(), /*interval=*/1000);
+    sampler.setOutput(&os);
+    fe->attachSampler(&sampler);
+    fe->run(trace);
+    fe->finishObservation();
+
+    const uint64_t cycles = fe->metrics().cycles.value();
+    ASSERT_EQ(log.seen.size(), cycles);
+    for (uint64_t i = 0; i < cycles; ++i)
+        ASSERT_EQ(log.seen[i], i + 1) << "observation " << i;
+
+    const std::string key = fe->name() + ".frontend.cycles";
+    std::istringstream lines(os.str());
+    std::string line;
+    uint64_t windows = 0;
+    while (std::getline(lines, line)) {
+        JsonValue doc;
+        std::string err;
+        ASSERT_TRUE(parseJson(line, &doc, &err)) << err;
+        const JsonValue *delta = doc.find("deltas")->find(key);
+        EXPECT_EQ(delta ? delta->asUint() : 0,
+                  doc.find("cycles")->asUint())
+            << "window " << windows;
+        ++windows;
+    }
+    EXPECT_GT(windows, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
