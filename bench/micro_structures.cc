@@ -155,7 +155,8 @@ BM_TcInsertLookup(benchmark::State &state)
                 line.startIp = si.ip;
             }
             line.insts.push_back(EmbeddedInst{
-                trace.record(i).staticIdx, trace.record(i).taken});
+                (int32_t)trace.record(i).staticIdx,
+                (uint8_t)trace.record(i).taken});
             line.numUops += si.numUops;
             if (si.endsTrace()) {
                 tc.insert(line, trace.code());

@@ -13,7 +13,10 @@ namespace xbs
 
 BbtcFrontend::BbtcFrontend(const FrontendParams &params,
                            const BbtcParams &bbtc_params)
-    : Frontend("bbtc", params), bbtcParams_(bbtc_params),
+    : Frontend("bbtc", params,
+               (bbtc_params.ptrsPerTrace + 1) *
+                   bbtc_params.blocks.blockUops),
+      bbtcParams_(bbtc_params),
       preds_(params_), pipe_(params_, metrics_, preds_),
       blocks_(bbtc_params.blocks, &root_)
 {

@@ -1,8 +1,5 @@
 #include "common/random.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace xbs
@@ -20,12 +17,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-constexpr uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 Rng::Rng(uint64_t seed)
@@ -33,22 +24,6 @@ Rng::Rng(uint64_t seed)
     uint64_t sm = seed;
     for (auto &s : s_)
         s = splitmix64(sm);
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 uint64_t
@@ -71,22 +46,6 @@ Rng::range(int64_t lo, int64_t hi)
     return lo + (int64_t)below((uint64_t)(hi - lo) + 1);
 }
 
-double
-Rng::uniform()
-{
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
 std::size_t
 Rng::weighted(const std::vector<double> &weights)
 {
@@ -106,14 +65,16 @@ Rng::weighted(const std::vector<double> &weights)
 uint32_t
 Rng::boundedGeometric(double mean, uint32_t cap)
 {
+    return BoundedGeometric(mean, cap)(*this);
+}
+
+BoundedGeometric::BoundedGeometric(double mean, uint32_t cap)
+    : cap_(cap)
+{
     xbs_assert(mean >= 1.0 && cap >= 1, "mean=%f cap=%u", mean, cap);
-    // Geometric on {1, 2, ...} with the requested mean, then capped.
-    const double p = 1.0 / mean;
-    double u = uniform();
-    // Inverse CDF of the geometric distribution.
-    uint32_t k = (uint32_t)std::floor(std::log1p(-u) /
-                                      std::log1p(-p)) + 1;
-    return std::min(k, cap);
+    // Geometric on {1, 2, ...} with the requested mean, then capped:
+    // the inverse CDF, floor(log1p(-u) / log1p(-p)) + 1 for p = 1/mean.
+    denom_ = std::log1p(-1.0 / mean);
 }
 
 std::size_t

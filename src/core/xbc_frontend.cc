@@ -10,7 +10,9 @@ namespace xbs
 
 XbcFrontend::XbcFrontend(const FrontendParams &params,
                          const XbcParams &xbc_params)
-    : Frontend("xbcfe", params), xbcParams_(xbc_params),
+    : Frontend("xbcfe", params, xbc_params.xbQuotaUops,
+               xbc_params.setSearchPenalty),
+      xbcParams_(xbc_params),
       preds_(params_), pipe_(params_, metrics_, preds_),
       array_(xbcParams_, &root_),
       xbtb_(xbcParams_.xbtbEntries, xbcParams_.xbtbWays, &root_),
@@ -334,7 +336,7 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
         bool match = true;
         for (unsigned u = 0; u < si.numUops; ++u) {
             if (!(v.seq[p + u] ==
-                  UopSlot{record.staticIdx, (uint8_t)u})) {
+                  UopSlot{(int32_t)record.staticIdx, (uint8_t)u})) {
                 match = false;
                 break;
             }

@@ -9,7 +9,8 @@ namespace xbs
 
 DcFrontend::DcFrontend(const FrontendParams &params,
                        const DecodedCacheParams &dc_params)
-    : Frontend("dcfe", params), dcParams_(dc_params), preds_(params_),
+    : Frontend("dcfe", params, params.renamerWidth), dcParams_(dc_params),
+      preds_(params_),
       pipe_(params_, metrics_, preds_), dc_(dcParams_, &root_)
 {
     pipe_.attachAttrib(&attrib_);

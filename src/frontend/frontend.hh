@@ -30,6 +30,7 @@
 #include "attrib/recorder.hh"
 #include "ckpt/checkpoint.hh"
 #include "common/interval_stats.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "frontend/metrics.hh"
 #include "frontend/oracle.hh"
@@ -70,8 +71,12 @@ struct RunLoopState
 class Frontend
 {
   public:
-    Frontend(std::string name, const FrontendParams &params)
-        : root_(std::move(name)), metrics_(&root_), params_(params)
+    /** @param max_supply_uops the most uops one delivery step supplies
+     *  @param max_penalty a penalty beyond those of @p params */
+    Frontend(std::string name, const FrontendParams &params,
+             unsigned max_supply_uops, unsigned max_penalty = 0)
+        : root_(std::move(name)), metrics_(&root_), params_(params),
+          limits_(loopLimits(params, max_supply_uops, max_penalty))
     {
     }
 
@@ -94,6 +99,9 @@ class Frontend
     const StatGroup &statRoot() const { return root_; }
 
     const FrontendParams &params() const { return params_; }
+
+    /** The loop scalars' bounds at a cycle boundary (loopLimits). */
+    const RunLoopState &limits() const { return limits_; }
 
     /** Root-cause attribution recorder (src/attrib). */
     AttribRecorder &attrib() { return attrib_; }
@@ -315,6 +323,20 @@ class Frontend
                     StatusCode::Corrupt,
                     "malformed checkpoint 'loop' section");
             }
+            auto beyond = [](const char *field, uint32_t v,
+                             uint32_t limit) {
+                return Status::error(
+                    StatusCode::Corrupt,
+                    std::string("checkpoint 'loop' ") + field + " " +
+                        std::to_string(v) + " exceeds " +
+                        std::to_string(limit));
+            };
+            if (st.mode > limits_.mode)
+                return beyond("mode", st.mode, limits_.mode);
+            if (st.buffer > limits_.buffer)
+                return beyond("buffer", st.buffer, limits_.buffer);
+            if (st.stall > limits_.stall)
+                return beyond("stall", st.stall, limits_.stall);
             resume_ = st;
         }
         return Status::ok();
@@ -456,6 +478,7 @@ class Frontend
     StatGroup root_;
     FrontendMetrics metrics_;
     FrontendParams params_;
+    RunLoopState limits_;
     AttribRecorder attrib_{&root_};
 
     /// @{ Host-time profiling (null/kNoPhase when detached).
@@ -466,6 +489,33 @@ class Frontend
     /// @}
 
   private:
+    /**
+     * The largest `buffer` and `stall` runCycles can hold at a cycle
+     * boundary, given @p params, the most uops one delivery step
+     * supplies and the largest penalty a frontend charges beyond those
+     * of @p params (the XBC's set search):
+     *  - the buffer takes a supply only while it holds less than
+     *    renamerWidth uops, then drains renamerWidth, so it is left
+     *    with less than one supply;
+     *  - stall is loaded only by a cycle that starts with none, and
+     *    that cycle loads one penalty, or the IC/L2 misses of the
+     *    lines one instruction (at most 15 bytes) spans.
+     */
+    static RunLoopState
+    loopLimits(const FrontendParams &params, unsigned max_supply_uops,
+               unsigned max_penalty)
+    {
+        const unsigned lines = 2 + 13 / std::max(params.icLineBytes, 1u);
+        RunLoopState lim;
+        lim.mode = 1;
+        lim.buffer = std::max(max_supply_uops, 1u) - 1;
+        lim.stall = std::max(
+            {lines * std::max(params.icMissLatency, params.l2MissLatency),
+             params.mispredictPenalty, params.btbMissPenalty,
+             max_penalty});
+        return lim;
+    }
+
     /** Per-cycle observation hook, called right after the cycle
      *  counter advances. One branch when nothing is attached. */
     void
@@ -492,6 +542,10 @@ class Frontend
     {
         if (!ckptArmed_ || metrics_.cycles.value() < ckptAt_)
             return;
+        xbs_assert(mode <= limits_.mode && buffer <= limits_.buffer &&
+                       stall <= limits_.stall,
+                   "loop state (mode %u, buffer %u, stall %u) beyond "
+                   "its limits", mode, buffer, stall);
         ckptArmed_ = false;
         loopState_.rec = rec;
         loopState_.mode = mode;

@@ -4,7 +4,7 @@ namespace xbs
 {
 
 IcFrontend::IcFrontend(const FrontendParams &params)
-    : Frontend("ic", params), preds_(params),
+    : Frontend("ic", params, params.decode.uopWidth), preds_(params),
       pipe_(params_, metrics_, preds_)
 {
     pipe_.attachAttrib(&attrib_);

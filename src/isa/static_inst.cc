@@ -1,5 +1,7 @@
 #include "isa/static_inst.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace xbs
@@ -20,25 +22,18 @@ void
 StaticCode::finalize()
 {
     xbs_assert(!finalized_, "double finalize");
-    ipMap_.reserve(insts_.size());
     totalUops_ = 0;
     for (std::size_t i = 0; i < insts_.size(); ++i) {
         auto &inst = insts_[i];
-        auto [it, inserted] = ipMap_.emplace(inst.ip, (int32_t)i);
-        (void)it;
-        xbs_assert(inserted, "duplicate IP %llx",
+        xbs_assert(i == 0 || inst.ip > insts_[i - 1].ip, "%s IP %llx",
+                   inst.ip == insts_[i - 1].ip ? "duplicate" : "descending",
                    (unsigned long long)inst.ip);
+        xbs_assert(inst.takenIdx == kNoTarget ||
+                   (inst.takenIdx >= 0 &&
+                    (std::size_t)inst.takenIdx < insts_.size()),
+                   "inst %zu target %d out of range", i, inst.takenIdx);
         inst.firstUop = (uint32_t)totalUops_;
         totalUops_ += inst.numUops;
-    }
-    for (std::size_t i = 0; i < insts_.size(); ++i) {
-        const auto &inst = insts_[i];
-        if (inst.takenIdx != kNoTarget) {
-            xbs_assert(inst.takenIdx >= 0 &&
-                       (std::size_t)inst.takenIdx < insts_.size(),
-                       "inst %zu target %d out of range", i,
-                       inst.takenIdx);
-        }
     }
     finalized_ = true;
 }
@@ -46,8 +41,12 @@ StaticCode::finalize()
 int32_t
 StaticCode::indexOf(uint64_t ip) const
 {
-    auto it = ipMap_.find(ip);
-    return it == ipMap_.end() ? kNoTarget : it->second;
+    auto it = std::lower_bound(
+        insts_.begin(), insts_.end(), ip,
+        [](const StaticInst &si, uint64_t v) { return si.ip < v; });
+    return it != insts_.end() && it->ip == ip
+               ? (int32_t)(it - insts_.begin())
+               : kNoTarget;
 }
 
 StaticInst &

@@ -3,9 +3,10 @@
  * Static (flattened) representation of program instructions.
  *
  * A StaticCode object is the immutable, flattened image of a synthetic
- * program: an array of StaticInst in address order plus an IP -> index
- * map. Dynamic traces reference instructions by index into this array,
- * which keeps trace records tiny and makes IP arithmetic trivial.
+ * program: an array of StaticInst in strictly ascending address order,
+ * so an IP's index is found by binary search. Dynamic traces reference
+ * instructions by index into this array, which keeps trace records
+ * tiny and makes IP arithmetic trivial.
  */
 
 #ifndef XBS_ISA_STATIC_INST_HH
@@ -13,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/types.hh"
@@ -80,7 +80,8 @@ class StaticCode
     /** Append an instruction; returns its index. */
     int32_t append(const StaticInst &inst);
 
-    /** Finalize: build the IP map and validate target indices. */
+    /** Finalize: check that the IPs ascend, validate target indices
+     *  and number the uops. */
     void finalize();
 
     const StaticInst &inst(int32_t idx) const { return insts_[idx]; }
@@ -92,7 +93,8 @@ class StaticCode
     std::size_t size() const { return insts_.size(); }
     bool finalized() const { return finalized_; }
 
-    /** @return instruction index at @p ip, or kNoTarget. */
+    /** @return instruction index at @p ip, or kNoTarget (a binary
+     *  search over the ascending IPs). */
     int32_t indexOf(uint64_t ip) const;
 
     /** Total static uop footprint (sum of numUops). */
@@ -103,7 +105,6 @@ class StaticCode
 
   private:
     std::vector<StaticInst> insts_;
-    std::unordered_map<uint64_t, int32_t> ipMap_;
     uint64_t totalUops_ = 0;
     bool finalized_ = false;
 };

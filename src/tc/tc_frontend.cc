@@ -8,7 +8,8 @@ namespace xbs
 
 TcFrontend::TcFrontend(const FrontendParams &params,
                        const TcParams &tc_params)
-    : Frontend("tc", params), tcParams_(tc_params), preds_(params_),
+    : Frontend("tc", params, tc_params.limits.maxUops),
+      tcParams_(tc_params), preds_(params_),
       pipe_(params_, metrics_, preds_),
       tc_(tc_params.capacityUops, tc_params.ways, tc_params.limits,
           &root_),

@@ -13,9 +13,8 @@ Trace::Trace(std::shared_ptr<const StaticCode> code,
     xbs_assert(code_ != nullptr && code_->finalized(),
                "trace needs finalized code");
     for (const auto &r : records_) {
-        xbs_assert(r.staticIdx >= 0 &&
-                   (std::size_t)r.staticIdx < code_->size(),
-                   "record index %d out of range", r.staticIdx);
+        xbs_assert((std::size_t)r.staticIdx < code_->size(),
+                   "record index %d out of range", (int)r.staticIdx);
         totalUops_ += code_->inst(r.staticIdx).numUops;
     }
 }

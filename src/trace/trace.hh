@@ -5,7 +5,7 @@
  * A Trace is the unit the standalone frontend simulator consumes (the
  * paper drives its simulator with 30M-instruction x86 traces; ours are
  * synthetic and typically 2M instructions). Each record references a
- * StaticInst by index, so a record is 8 bytes and all static
+ * StaticInst by index, so a record is 4 bytes and all static
  * properties (IP, length, uop count, class, direct target) are shared.
  */
 
@@ -22,15 +22,18 @@
 namespace xbs
 {
 
-/** One dynamic instruction instance. */
+/**
+ * One dynamic instruction instance. The 31-bit index holds every
+ * index a code image can have: StaticCode indices are int32_t, and
+ * the trace reader rejects a code image above INT32_MAX instructions.
+ */
 struct TraceRecord
 {
-    int32_t staticIdx = 0;  ///< index into the trace's StaticCode
-    uint8_t taken = 0;      ///< conditional branches: direction
-    uint8_t pad[3] = {};
+    uint32_t staticIdx : 31 = 0;  ///< index into the trace's StaticCode
+    uint32_t taken : 1 = 0;       ///< conditional branches: direction
 };
 
-static_assert(sizeof(TraceRecord) == 8, "TraceRecord should be 8B");
+static_assert(sizeof(TraceRecord) == 4, "TraceRecord should be 4B");
 
 /** An immutable dynamic trace over a shared static code image. */
 class Trace

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <unordered_set>
 
 #include "common/crc32.hh"
 
@@ -235,8 +234,6 @@ readTraceEx(const std::string &path)
     }
 
     auto code = std::make_shared<StaticCode>();
-    std::unordered_set<uint64_t> seen_ips;
-    seen_ips.reserve((std::size_t)num_insts);
     for (uint64_t i = 0; i < num_insts; ++i) {
         uint64_t inst_off = r.offset;
         StaticInst si;
@@ -271,8 +268,11 @@ readTraceEx(const std::string &path)
         }
         if (si.behaviorId != kNoBehavior && si.behaviorId < 0)
             return bad("negative behaviorId");
-        if (!seen_ips.insert(si.ip).second)
-            return bad("duplicate ip " + std::to_string(si.ip));
+        const uint64_t prev = i > 0 ? code->inst((int32_t)i - 1).ip : 0;
+        if (i > 0 && si.ip <= prev) {
+            return bad((si.ip == prev ? "duplicate ip " : "descending ip ") +
+                       std::to_string(si.ip));
+        }
         code->append(si);
     }
     code->finalize();
@@ -288,7 +288,9 @@ readTraceEx(const std::string &path)
                " bytes left in the file");
         return r.error.withFile(path);
     }
-    std::vector<TraceRecord> records((std::size_t)num_records);
+    // Records decode straight into reserved, not zero-filled, space.
+    std::vector<TraceRecord> records;
+    records.reserve((std::size_t)num_records);
     for (uint64_t i = 0; i < num_records;) {
         if (!r.fill(kRecordBytes, "record"))
             return r.error.withFile(path);
@@ -297,16 +299,17 @@ readTraceEx(const std::string &path)
         const uint64_t n = std::min<uint64_t>(
             (r.len - r.pos) / kRecordBytes, num_records - i);
         for (uint64_t k = 0; k < n; ++k, ++i, p += kRecordBytes) {
-            TraceRecord &rec = records[i];
-            std::memcpy(&rec.staticIdx, p, 4);
-            rec.taken = p[4];
-            // A negative index wraps above num_insts (<= INT32_MAX).
-            const bool idx_ok = (uint32_t)rec.staticIdx < num_insts;
-            if (!idx_ok || rec.taken > 1) {
+            int32_t idx;
+            std::memcpy(&idx, p, 4);
+            const uint8_t taken = p[4];
+            // A negative index wraps above num_insts (<= INT32_MAX),
+            // so a stored index always fits the record's 31 bits.
+            const bool idx_ok = (uint32_t)idx < num_insts;
+            if (!idx_ok || taken > 1) {
                 const std::string what =
-                    idx_ok ? "taken flag " + std::to_string(rec.taken) +
+                    idx_ok ? "taken flag " + std::to_string(taken) +
                                  " is not 0/1"
-                           : "staticIdx " + std::to_string(rec.staticIdx) +
+                           : "staticIdx " + std::to_string(idx) +
                                  " out of range";
                 return Status::error(StatusCode::Corrupt,
                                      "record " + std::to_string(i) + ": " +
@@ -314,6 +317,10 @@ readTraceEx(const std::string &path)
                     .withOffset(r.offset + k * kRecordBytes)
                     .withFile(path);
             }
+            TraceRecord rec;
+            rec.staticIdx = (uint32_t)idx;
+            rec.taken = taken;
+            records.push_back(rec);
         }
         r.skip(n * kRecordBytes);
     }

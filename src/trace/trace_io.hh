@@ -14,16 +14,18 @@
  *
  * Behaviors are not serialized: a written trace replays exactly, it
  * is not re-executable. Both directions make one pass through one
- * kTraceBufBytes buffer, never one fread/fwrite per field.
+ * kTraceBufBytes buffer, never one fread/fwrite per field. The 5-byte
+ * file records decode into 4-byte in-memory TraceRecords.
  *
  * readTraceEx() validates everything before constructing the Trace:
  * the magic, the name/instruction/record counts against the file
  * size, each instruction's length (1..15), uop count (1..16), class
- * and takenIdx range, IP uniqueness, each record's staticIdx range
- * and taken flag, no bytes between the records and the trailer, and
- * last the CRC, which catches a flipped byte that still parses. A
- * malformed file therefore yields a Status with the offending byte
- * offset, never UB, an abort or silently wrong records.
+ * and takenIdx range, IPs that strictly ascend (StaticCode's address
+ * order), each record's staticIdx range and taken flag, no bytes
+ * between the records and the trailer, and last the CRC, which
+ * catches a flipped byte that still parses. A malformed file
+ * therefore yields a Status with the offending byte offset, never UB,
+ * an abort or silently wrong records.
  */
 
 #ifndef XBS_TRACE_TRACE_IO_HH

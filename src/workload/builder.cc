@@ -9,20 +9,22 @@ namespace xbs
 {
 
 ProgramBuilder::ProgramBuilder(const WorkloadProfile &profile)
-    : profile_(profile), rng_(profile.seed), cfg_(profile.name)
+    : profile_(profile), rng_(profile.seed),
+      instLen_(profile.instLenMean, 15),
+      instUops_(profile.uopsPerInstMean, 4), cfg_(profile.name)
 {
 }
 
 uint8_t
 ProgramBuilder::drawInstLen()
 {
-    return (uint8_t)rng_.boundedGeometric(profile_.instLenMean, 15);
+    return (uint8_t)instLen_(rng_);
 }
 
 uint8_t
 ProgramBuilder::drawInstUops()
 {
-    return (uint8_t)rng_.boundedGeometric(profile_.uopsPerInstMean, 4);
+    return (uint8_t)instUops_(rng_);
 }
 
 uint8_t

@@ -77,6 +77,8 @@ class ProgramBuilder
 
     WorkloadProfile profile_;
     Rng rng_;
+    BoundedGeometric instLen_;   ///< drawInstLen's distribution
+    BoundedGeometric instUops_;  ///< drawInstUops's distribution
     CfgProgram cfg_;
     uint64_t behaviorSeedCounter_ = 0x51ED2700;
 

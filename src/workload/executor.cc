@@ -1,5 +1,7 @@
 #include "workload/executor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace xbs
@@ -19,7 +21,13 @@ Executor::Executor(std::shared_ptr<const Program> program,
     for (std::size_t i = 0; i < inds.size(); ++i)
         indirectStates_[i].rng = Rng(inds[i].seed ^ (seed * 0x85EBCA6B));
 
-    touched_.assign(program_->code().size(), false);
+    const StaticCode &code = program_->code();
+    seqRun_.resize(code.size());
+    uint32_t run = 0;
+    for (std::size_t i = code.size(); i-- > 0;) {
+        run = code.inst((int32_t)i).cls == InstClass::Seq ? run + 1 : 0;
+        seqRun_[i] = run;
+    }
     pc_ = program_->entryIdx();
     callStack_.reserve(256);
 }
@@ -77,11 +85,6 @@ Executor::step()
     const auto &si = code.inst(pc_);
     int32_t cur = pc_;
 
-    if (!touched_[cur]) {
-        touched_[cur] = true;
-        ++uniqueTouched_;
-    }
-
     lastTaken_ = false;
     switch (si.cls) {
       case InstClass::Seq:
@@ -125,13 +128,28 @@ Executor::step()
 Trace
 Executor::run(uint64_t num_instructions)
 {
+    const std::size_t code_size = program_->code().size();
     std::vector<TraceRecord> records;
     records.reserve(num_instructions);
-    for (uint64_t i = 0; i < num_instructions; ++i) {
+    while (records.size() < num_instructions) {
+        const uint64_t left = num_instructions - records.size();
+        const uint32_t seq = (uint32_t)std::min<uint64_t>(seqRun_[pc_], left);
+        if (seq > 0) {
+            for (uint32_t k = 0; k < seq; ++k) {
+                TraceRecord r;
+                r.staticIdx = (uint32_t)pc_ + k;
+                records.push_back(r);
+            }
+            pc_ += (int32_t)seq;
+            lastTaken_ = false;
+            xbs_assert((std::size_t)pc_ < code_size,
+                       "pc %d escaped the program", pc_);
+            if (seq == left)
+                break;
+        }
         TraceRecord r;
-        int32_t idx = step();
-        r.staticIdx = idx;
-        r.taken = lastTaken_ ? 1 : 0;
+        r.staticIdx = (uint32_t)step();
+        r.taken = lastTaken_;
         records.push_back(r);
     }
     return Trace(program_->codePtr(), std::move(records),

@@ -29,17 +29,17 @@ class Executor
                       uint64_t seed = 0);
 
     /**
-     * Execute and record @p num_instructions dynamic instructions.
-     * If the program returns from its entry function, execution
-     * restarts at the entry (mimicking a run-to-completion loop).
+     * Execute and record @p num_instructions dynamic instructions:
+     * the same records, and the same state after, as that many calls
+     * of step(). A run of Seq instructions is emitted in one loop;
+     * only control instructions go through step(). If the program
+     * returns from its entry function, execution restarts at the
+     * entry (mimicking a run-to-completion loop).
      */
     Trace run(uint64_t num_instructions);
 
     /** Single-step interface used by tests: next instruction index. */
     int32_t step();
-
-    /** Dynamic footprint: unique static instructions touched so far. */
-    uint64_t uniqueInstsTouched() const { return uniqueTouched_; }
 
   private:
     bool evalCond(int32_t behavior_id);
@@ -63,8 +63,9 @@ class Executor
     std::vector<CondState> condStates_;
     std::vector<IndirectState> indirectStates_;
     std::vector<int32_t> callStack_;
-    std::vector<bool> touched_;
-    uint64_t uniqueTouched_ = 0;
+    /** seqRun_[i]: how many Seq instructions start at index i, up to
+     *  the next control instruction or the end of the code. */
+    std::vector<uint32_t> seqRun_;
     int32_t pc_;
     bool lastTaken_ = false;
 

@@ -93,6 +93,8 @@ def main():
           seal(body(b"t", [inst(0x1000, cls=COND, taken_idx=5)], [])))
     write("dup_ip.xbt",
           seal(body(b"t", [inst(0x1000), inst(0x1000)], [])))
+    write("descending_ip.xbt",
+          seal(body(b"t", [inst(0x1001), inst(0x1000)], [])))
 
     # One bad field in the record section.
     one_branch = [inst(0x1000, cls=COND, taken_idx=0)]

@@ -533,6 +533,105 @@ TEST(CkptBounds, DuplicateXbtbTagRejected)
     EXPECT_EQ(st.code(), StatusCode::Corrupt) << st.toString();
 }
 
+/**
+ * Restore a fresh TC from a real gcc checkpoint whose 'loop' section
+ * @p edit rewrote, re-sealed with valid CRCs and guard hash.
+ */
+Status
+restoreWithLoop(const std::function<void(RunLoopState &)> &edit)
+{
+    const Trace trace = makeCatalogTrace("gcc", 30000);
+    const FrontendCase tc{"tc", SimConfig::tcBaseline(8192, 2)};
+    Expected<CheckpointFile> file = parseCheckpoint(
+        captureCheckpoint(tc, trace, specFor("tc")));
+    EXPECT_TRUE(file.ok());
+    CkptSource src(*file.value().section("loop"));
+    RunLoopState st;
+    st.rec = src.u64();
+    st.mode = src.u32();
+    st.buffer = src.u32();
+    st.stall = src.u32();
+    EXPECT_TRUE(src.consumed());
+    edit(st);
+    CkptSink loop;
+    loop.u64(st.rec);
+    loop.u32(st.mode);
+    loop.u32(st.buffer);
+    loop.u32(st.stall);
+
+    CheckpointWriter w;
+    for (const auto &kv : file.value().sections())
+        w.addSection(kv.first, kv.first == "loop" ? loop.take() : kv.second);
+    Expected<CheckpointFile> sealed = parseCheckpoint(w.encode());
+    EXPECT_TRUE(sealed.ok()) << sealed.status().toString();
+    auto warm = makeFrontend(tc.config);
+    return restoreCheckpoint(*warm, sealed.value(), specFor("tc"), trace);
+}
+
+/** The loop limits of the TC restoreWithLoop() restores. */
+RunLoopState
+tcLimits()
+{
+    return makeFrontend(SimConfig::tcBaseline(8192, 2))->limits();
+}
+
+void
+expectLoopCorrupt(const Status &st, const std::string &field)
+{
+    EXPECT_EQ(st.code(), StatusCode::Corrupt) << st.toString();
+    EXPECT_NE(st.cause().find("'loop' " + field), std::string::npos)
+        << st.toString();
+}
+
+// A crafted, well-formed checkpoint must not resume the cycle loop
+// where no run can be at a cycle boundary. A stall rewritten to
+// 400,000,000 once restored and reported 400,075,010 cycles; each
+// field past its limit now fails as Corrupt, naming the field, and
+// at its limit still restores.
+TEST(CkptBounds, LoopStallBeyondLimitRejected)
+{
+    const uint32_t limit = tcLimits().stall;
+    EXPECT_EQ(limit, 80u);  // two L2 misses of a line-straddling inst
+    expectLoopCorrupt(
+        restoreWithLoop([](RunLoopState &st) { st.stall = 400000000; }),
+        "stall");
+    expectLoopCorrupt(
+        restoreWithLoop([&](RunLoopState &st) { st.stall = limit + 1; }),
+        "stall");
+    EXPECT_TRUE(
+        restoreWithLoop([&](RunLoopState &st) { st.stall = limit; })
+            .isOk());
+}
+
+TEST(CkptBounds, LoopBufferBeyondLimitRejected)
+{
+    const uint32_t limit = tcLimits().buffer;
+    EXPECT_EQ(limit, 15u);  // one 16-uop trace line, less one
+    expectLoopCorrupt(
+        restoreWithLoop([](RunLoopState &st) { st.buffer = 400000000; }),
+        "buffer");
+    expectLoopCorrupt(
+        restoreWithLoop([&](RunLoopState &st) { st.buffer = limit + 1; }),
+        "buffer");
+    EXPECT_TRUE(
+        restoreWithLoop([&](RunLoopState &st) { st.buffer = limit; })
+            .isOk());
+}
+
+TEST(CkptBounds, LoopModeNotZeroOrOneRejected)
+{
+    expectLoopCorrupt(
+        restoreWithLoop([](RunLoopState &st) { st.mode = 2; }), "mode");
+    expectLoopCorrupt(
+        restoreWithLoop([](RunLoopState &st) { st.mode = 400000000; }),
+        "mode");
+    for (uint32_t mode : {0u, 1u}) {
+        EXPECT_TRUE(
+            restoreWithLoop([&](RunLoopState &st) { st.mode = mode; })
+                .isOk());
+    }
+}
+
 // A checkpoint must only restore the exact cell it was cut from:
 // wrong frontend kind, wrong trace, or a doctored spec all fail as
 // Corrupt before any state is touched.

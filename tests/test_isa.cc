@@ -86,6 +86,8 @@ TEST(StaticCode, AppendFinalizeLookup)
     EXPECT_EQ(code.indexOf(0x100), 0);
     EXPECT_EQ(code.indexOf(0x103), 1);
     EXPECT_EQ(code.indexOf(0x999), kNoTarget);
+    EXPECT_EQ(code.indexOf(0x101), kNoTarget);  // inside an instruction
+    EXPECT_EQ(code.indexOf(0x0ff), kNoTarget);
     EXPECT_EQ(code.totalUops(), 3u);
 }
 
@@ -101,6 +103,14 @@ TEST(StaticCodeDeath, DuplicateIpPanics)
     code.append(makeInst(0x100, 3, 1));
     code.append(makeInst(0x100, 3, 1));
     EXPECT_DEATH(code.finalize(), "duplicate IP");
+}
+
+TEST(StaticCodeDeath, DescendingIpPanics)
+{
+    StaticCode code;
+    code.append(makeInst(0x103, 1, 1));
+    code.append(makeInst(0x100, 3, 1));
+    EXPECT_DEATH(code.finalize(), "descending IP 100");
 }
 
 TEST(Uop, IdRoundTrip)

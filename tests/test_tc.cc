@@ -127,7 +127,8 @@ struct TcCacheFixture : public testing::Test
         l.startIp = trace.inst(first).ip;
         for (std::size_t i = first; i < first + count; ++i) {
             l.insts.push_back(EmbeddedInst{
-                trace.record(i).staticIdx, trace.record(i).taken});
+                (int32_t)trace.record(i).staticIdx,
+                (uint8_t)trace.record(i).taken});
             l.numUops += trace.inst(i).numUops;
         }
         return l;
@@ -272,8 +273,8 @@ TEST(TcPathAssoc, CoexistingPaths)
         l.valid = true;
         l.startIp = t.inst(0).ip;
         for (std::size_t i = 0; i < t.numRecords(); ++i) {
-            l.insts.push_back(EmbeddedInst{t.record(i).staticIdx,
-                                           t.record(i).taken});
+            l.insts.push_back(EmbeddedInst{(int32_t)t.record(i).staticIdx,
+                                           (uint8_t)t.record(i).taken});
             l.numUops += t.inst(i).numUops;
         }
         return l;

@@ -123,6 +123,11 @@ TEST(TraceIoCorpus, DuplicateIp)
     expectCorrupt("dup_ip.xbt", "duplicate ip");
 }
 
+TEST(TraceIoCorpus, DescendingIp)
+{
+    expectCorrupt("descending_ip.xbt", "instruction 1: descending ip 4096");
+}
+
 TEST(TraceIoCorpus, RecordIndexOutOfRange)
 {
     expectCorrupt("bad_record_idx.xbt", "staticIdx 7 out of range");
@@ -331,12 +336,14 @@ TEST(TraceIoBulk, SingleByteFlipInEveryRegionIsRejected)
         const char *expect;
     };
     // Every flip but the magic's leaves a file that parses: the IP
-    // flip (high byte of instruction 5's) keeps IPs unique, and the
-    // record flips keep staticIdx in range (2048 instructions).
+    // flip (high byte of the last instruction's) keeps the IPs
+    // ascending, and the record flips keep staticIdx in range (2048
+    // instructions).
     const Flip flips[] = {
         {"magic", 0, "not an XBT2 trace"},
         {"name", 8, "checksum mismatch"},
-        {"instruction table", kBulkInstTable + 19 * 5 + 7,
+        {"instruction table",
+         kBulkInstTable + 19 * (t.code().size() - 1) + 7,
          "checksum mismatch"},
         {"record straddling the buffer boundary", bulkStraddler(t),
          "checksum mismatch"},

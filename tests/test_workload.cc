@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "common/sha256.hh"
 #include "trace/trace_stats.hh"
 #include "workload/builder.hh"
 #include "workload/catalog.hh"
@@ -275,6 +276,94 @@ TEST(Executor, PatternBehaviorRepeats)
     EXPECT_FALSE(dirs[5]);
 }
 
+/** Steps @p ex @p n times, recording what run(n) would. */
+std::vector<std::pair<int32_t, bool>>
+stepRecords(Executor &ex, uint64_t n)
+{
+    std::vector<std::pair<int32_t, bool>> out;
+    for (uint64_t i = 0; i < n; ++i) {
+        const int32_t idx = ex.step();
+        out.emplace_back(idx, ex.lastTaken());
+    }
+    return out;
+}
+
+// run(n) emits a run of Seq instructions in one loop and steps only
+// control instructions, yet must give exactly the records of n calls
+// of step() and leave the executor where they would: chunks of many
+// lengths end mid-run and on a control instruction alike. The
+// catalog's entry functions loop forever; the call-loop program
+// returns from its entry and restarts there.
+TEST(Executor, RunMatchesStepping)
+{
+    const std::pair<std::shared_ptr<const Program>, bool> programs[] = {
+        {buildCatalogProgram(findWorkload("gcc")), false},
+        {buildCatalogProgram(findWorkload("access")), false},
+        {makeCallLoopProgram(2), true},
+        {makeCallLoopProgram(3), true},
+    };
+    const uint64_t chunks[] = {1, 2, 3, 5, 7, 11, 1000, 4, 6, 20000, 9};
+    for (const auto &[prog, restarts] : programs) {
+        SCOPED_TRACE(prog->name());
+        Executor ran(prog, 5), stepped(prog, 5);
+        unsigned mid_run = 0, entries = 0;
+        for (uint64_t n : chunks) {
+            const Trace t = ran.run(n);
+            const auto want = stepRecords(stepped, n);
+            ASSERT_EQ(t.numRecords(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ((int32_t)t.record(i).staticIdx, want[i].first)
+                    << "record " << i << " of a run(" << n << ")";
+                ASSERT_EQ(t.record(i).taken != 0, want[i].second);
+                entries += want[i].first == prog->entryIdx();
+            }
+            EXPECT_EQ(ran.lastTaken(), stepped.lastTaken());
+            // The chunk ended inside a Seq run when its last record
+            // was Seq and the next one follows it.
+            const int32_t last = want.back().first;
+            const int32_t next = stepped.step();
+            EXPECT_EQ((int32_t)ran.run(1).record(0).staticIdx, next);
+            mid_run += prog->code().inst(last).cls == InstClass::Seq &&
+                       next == last + 1;
+        }
+        EXPECT_GT(mid_run, 0u);
+        EXPECT_EQ(entries > 1, restarts);
+    }
+}
+
+// A program whose last instruction is Seq falls off its end: run()
+// must panic with step()'s message, not emit past the code image.
+TEST(ExecutorDeath, SeqOffTheEndPanicsLikeStep)
+{
+    auto code = std::make_shared<StaticCode>();
+    for (uint64_t ip : {0x1000, 0x1001}) {
+        StaticInst si;
+        si.ip = ip;
+        code->append(si);
+    }
+    code->finalize();
+    auto prog = std::make_shared<const Program>(
+        code, std::vector<CondBehavior>{},
+        std::vector<IndirectBehavior>{}, 0,
+        std::vector<FunctionInfo>{}, "seqend");
+    EXPECT_EQ(Executor(prog, 1).run(1).numRecords(), 1u);
+    EXPECT_DEATH(
+        {
+            Executor ex(prog, 1);
+            ex.step();
+            ex.step();
+        },
+        "pc 2 escaped the program");
+    EXPECT_DEATH(Executor(prog, 1).run(2), "pc 2 escaped the program");
+    EXPECT_DEATH(
+        {
+            Executor ex(prog, 1);
+            ex.run(1);
+            ex.run(1);
+        },
+        "pc 2 escaped the program");
+}
+
 TEST(Builder, DeterministicFromSeed)
 {
     WorkloadProfile p = specIntProfile();
@@ -485,6 +574,104 @@ TEST_P(CatalogParam, ShortTraceIsValid)
     EXPECT_GE(s.xb.mean(), s.basicBlock.mean() - 0.01);
     EXPECT_GE(s.xbPromoted.mean(), s.xb.mean() - 0.01);
     EXPECT_GE(s.dualXb.mean(), s.xb.mean());
+}
+
+/**
+ * SHA-256 of what catalog workload @p name generates: its program
+ * image (every instruction's ip, length, numUops, cls, takenIdx and
+ * behaviorId), its first 100K records (staticIdx, taken) and their
+ * totalUops, each field little-endian at its serialized width.
+ */
+std::string
+generatorDigest(const std::string &name)
+{
+    const Trace t = makeCatalogTrace(name, 100000);
+    Sha256 h;
+    auto put = [&h](uint64_t v, unsigned bytes) {
+        uint8_t b[8];
+        for (unsigned i = 0; i < bytes; ++i)
+            b[i] = uint8_t(v >> (8 * i));
+        h.update(b, bytes);
+    };
+    const StaticCode &code = t.code();
+    put(code.size(), 8);
+    for (std::size_t i = 0; i < code.size(); ++i) {
+        const StaticInst &si = code.inst((int32_t)i);
+        put(si.ip, 8);
+        put(si.length, 1);
+        put(si.numUops, 1);
+        put((uint8_t)si.cls, 1);
+        put((uint32_t)si.takenIdx, 4);
+        put((uint32_t)si.behaviorId, 4);
+    }
+    put(t.numRecords(), 8);
+    for (std::size_t i = 0; i < t.numRecords(); ++i) {
+        put((uint32_t)t.record(i).staticIdx, 4);
+        put(t.record(i).taken, 1);
+    }
+    put(t.totalUops(), 8);
+    return h.hexDigest();
+}
+
+struct GoldenDigest
+{
+    const char *workload;
+    const char *sha256;
+};
+
+/** generatorDigest() of every catalog workload, recorded before the
+ *  4-byte trace record and the block-stepping executor: the generator
+ *  must stay bit-for-bit what it was. */
+const GoldenDigest kGoldenDigests[] = {
+    {"go",
+     "7cb63e0a2f53a2bfd4dce0359a12639fcafe5c32bb055d34cde72f6521234ead"},
+    {"m88ksim",
+     "94e93c42f1b53867bde461b65f38380a9428190b2ab8d8b2c39bb82229e462c8"},
+    {"gcc",
+     "85b66652cfbeefc4125628f0dfdcb167a79bf33ef0821fffded3204dcd9817ba"},
+    {"compress",
+     "c571ea125c88131c556ca4731c69a6f70650baa8306c37bad85a3cbd6e39febd"},
+    {"li",
+     "a8a72fed8ab85707369f52fa02191ebca73ca8950306775698b2ac5ffc381872"},
+    {"ijpeg",
+     "bd07daf9e5f5b929f12c27bedd3d8b0d80c7ecb26f1887e74288bdc824a526d1"},
+    {"perl",
+     "368ab7b24391943e74b6b9659efa9bf7ea5fc98586e0f9611c6fcdbda6f70f80"},
+    {"vortex",
+     "2f4c5de6a540a8daddbdf6b388210d558f977d362b4bc16bc082510e80ac75af"},
+    {"word",
+     "077207998f82e62fcd1151ec41444b04a7136f2b77f936fd4dd4805c103d90de"},
+    {"excel",
+     "cdc065ab5f13806edb2076c241d2ebfd5a865675afb23766114daa571a7251d4"},
+    {"powerpnt",
+     "af0c44da5d5964c511d5ffad4ea75c3b6ca73b18961516d4827fc5995b22d9a6"},
+    {"access",
+     "c9d04bacd89cea286dd12359ba924d219d46fb5261ff6d5fe4f38644c9c68ec0"},
+    {"corel",
+     "f6deddbf9bc402c7c30dea89a1713fbe3299a756c05f77484c0f471218694d06"},
+    {"photoshp",
+     "6494d9b4f56079fcc55eea362961fc688c52f48c00e4bb76f450d166fcb841e0"},
+    {"premiere",
+     "a2085cd57f11df98d74f6d79c26412ef7f4274918b501e8697e372047c7350f1"},
+    {"netscape",
+     "7ba207f59c55bf592ad0725ca7e56594a18ef447f1df1ae28618df10eeb8e982"},
+    {"quake2",
+     "6cc32829b39874b3e67595a9f5ab8f874434a7483e5c6cb569d8fb30ce52bdb1"},
+    {"unreal",
+     "2a1413c00733b6f563827d08258abd8be60358765ab6392efeb7080803995d6c"},
+    {"halflife",
+     "43738e7ee501db5843b2c1b2b0df76a908d71c1f968415f36b8bfc66cf5a2f1f"},
+    {"descent3",
+     "f18a3d1d25311adc5329cd98e5cf104521952846d483bfead25246dc2118c0d4"},
+    {"falcon4",
+     "29fce9dc52386c06fe0cccdd2f30d9a816f6b39abb708b1a83efcd481b68a571"},
+};
+
+TEST(CatalogGolden, GeneratorIsPinnedBitForBit)
+{
+    ASSERT_EQ(std::size(kGoldenDigests), workloadCatalog().size());
+    for (const GoldenDigest &g : kGoldenDigests)
+        EXPECT_EQ(generatorDigest(g.workload), g.sha256) << g.workload;
 }
 
 INSTANTIATE_TEST_SUITE_P(
