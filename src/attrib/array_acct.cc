@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/checkpoint.hh"
-#include "ckpt/serial.hh"
 #include "common/json.hh"
 
 namespace xbs
@@ -66,21 +64,9 @@ ArrayAccounting::ArrayAccounting(StatGroup *parent,
       buildToFirstHit_(kBuildToFirstHitMax),
       hitsBeforeEvict_(kHitsBeforeEvictMax)
 {
-    clearTables();
-}
-
-void
-ArrayAccounting::clearTables()
-{
     constexpr unsigned kInitialSlotsLog2 = 10;
     slots_.assign(std::size_t{1} << kInitialSlotsLog2, Slot{});
     shift_ = 64 - kInitialSlotsLog2;
-    usedSlots_ = 0;
-    recs_.clear();
-    freeRec_ = kNone;
-    liveTags_ = 0;
-    shadowNewest_ = shadowOldest_ = kNone;
-    shadowSize_ = 0;
 }
 
 ArrayAccounting::Slot &
@@ -275,129 +261,6 @@ ArrayAccounting::writeJson(JsonWriter &json) const
     writeHeat(json, "evictsBySet", evictHeat_, banks_, sets_);
     writeHeat(json, "conflictsBySet", conflictHeat_, banks_, sets_);
     json.endObject();
-}
-
-namespace
-{
-
-void
-saveHeat(CkptSink &sink, const std::vector<uint64_t> &heat)
-{
-    sink.u64(heat.size());
-    for (uint64_t v : heat)
-        sink.u64(v);
-}
-
-void
-loadHeat(CkptSource &src, std::vector<uint64_t> &heat)
-{
-    uint64_t n = src.count(8);
-    src.require(n == heat.size());
-    for (std::size_t i = 0; src.ok() && i < heat.size(); ++i)
-        heat[i] = src.u64();
-}
-
-} // namespace
-
-void
-ArrayAccounting::ckptSave(CkptSink &sink) const
-{
-    saveHeat(sink, allocHeat_);
-    saveHeat(sink, evictHeat_);
-    saveHeat(sink, conflictHeat_);
-
-    std::vector<const Rec *> live;
-    live.reserve(liveTags_);
-    for (const Rec &r : recs_) {
-        if (r.live)
-            live.push_back(&r);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Rec *a, const Rec *b) { return a->tag < b->tag; });
-    sink.u64(live.size());
-    for (const Rec *r : live) {
-        sink.u64(r->tag);
-        sink.u64(r->buildCycle);
-        sink.u64(r->firstHitCycle);
-        sink.u64(r->hits);
-    }
-
-    std::vector<uint64_t> built;
-    for (const Slot &s : slots_) {
-        if (s.built)
-            built.push_back(s.tag);
-    }
-    std::sort(built.begin(), built.end());
-    sink.u64(built.size());
-    for (uint64_t tag : built)
-        sink.u64(tag);
-
-    // Shadow directory in LRU order, most recent first.
-    sink.u64(shadowSize_);
-    for (uint32_t i = shadowNewest_; i != kNone; i = recs_[i].older)
-        sink.u64(recs_[i].tag);
-
-    saveHistogram(buildToFirstHit_, sink);
-    saveHistogram(hitsBeforeEvict_, sink);
-}
-
-void
-ArrayAccounting::ckptLoad(CkptSource &src)
-{
-    loadHeat(src, allocHeat_);
-    loadHeat(src, evictHeat_);
-    loadHeat(src, conflictHeat_);
-
-    clearTables();
-    uint64_t n = src.count(32);
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        uint64_t tag = src.u64();
-        uint64_t build_cycle = src.u64();
-        uint64_t first_hit_cycle = src.u64();
-        uint64_t hits = src.u64();
-        if (!src.ok())
-            break;
-        Rec &r = recFor(slotFor(tag));
-        if (!r.live)
-            ++liveTags_;
-        r.live = true;
-        r.buildCycle = build_cycle;
-        r.firstHitCycle = first_hit_cycle;
-        r.hits = hits;
-    }
-
-    n = src.count(8);
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        uint64_t tag = src.u64();
-        if (src.ok())
-            slotFor(tag).built = true;
-    }
-
-    n = src.count(8);
-    src.require(n <= shadowCapacity_);
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        uint64_t tag = src.u64();
-        if (!src.ok())
-            break;
-        Slot &s = slotFor(tag);
-        Rec &r = recFor(s);
-        src.require(!r.shadowed);
-        if (!src.ok())
-            break;
-        // Listed newest first: append at the old end.
-        r.shadowed = true;
-        r.newer = shadowOldest_;
-        r.older = kNone;
-        if (shadowOldest_ != kNone)
-            recs_[shadowOldest_].older = s.rec;
-        else
-            shadowNewest_ = s.rec;
-        shadowOldest_ = s.rec;
-        ++shadowSize_;
-    }
-
-    loadHistogram(buildToFirstHit_, src);
-    loadHistogram(hitsBeforeEvict_, src);
 }
 
 } // namespace xbs

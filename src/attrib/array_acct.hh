@@ -41,8 +41,6 @@ namespace xbs
 {
 
 class JsonWriter;
-class CkptSink;
-class CkptSource;
 
 class ArrayAccounting : public StatGroup, public ArrayEventSink
 {
@@ -112,14 +110,6 @@ class ArrayAccounting : public StatGroup, public ArrayEventSink
     /** Emit the "array" JSON member (heatmaps + lifetime summary). */
     void writeJson(JsonWriter &json) const;
 
-    /// @{ Warm-state checkpointing (src/ckpt): heatmaps, lifetime
-    ///    records, shadow directory, and histograms. Live records and
-    ///    built tags are serialized tag-sorted for determinism; a
-    ///    shadow listing a tag twice fails the source.
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
-
     ScalarStat headEvictions;
     ScalarStat nonHeadEvictions;
     ScalarStat zeroHitEvictions;
@@ -184,7 +174,6 @@ class ArrayAccounting : public StatGroup, public ArrayEventSink
     /** Return @p s's record to the pool once it is neither live nor
      *  shadowed. */
     void releaseIfIdle(Slot &s);
-    void clearTables();
 
     void shadowInsert(Slot &s);
     void shadowUnlink(Rec &r);

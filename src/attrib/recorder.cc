@@ -3,7 +3,6 @@
 #include <string>
 
 #include "attrib/array_acct.hh"
-#include "ckpt/serial.hh"
 #include "common/json.hh"
 
 namespace xbs
@@ -85,40 +84,6 @@ AttribRecorder::writeJson(JsonWriter &json, uint64_t build_uops,
     if (array)
         array->writeJson(json);
     json.endObject();
-}
-
-void
-AttribRecorder::ckptSave(CkptSink &sink) const
-{
-    sink.u8((uint8_t)pending_);
-    sink.b(fresh_);
-    sink.u8((uint8_t)latched_);
-    sink.u64(pendingStall_.size());
-    for (Cause c : pendingStall_)
-        sink.u8((uint8_t)c);
-}
-
-void
-AttribRecorder::ckptLoad(CkptSource &src)
-{
-    uint8_t pending = src.u8();
-    bool fresh = src.b();
-    uint8_t latched = src.u8();
-    src.require(pending < kNumCauses && latched < kNumCauses);
-    uint64_t n = src.count(1);
-    std::deque<Cause> stall;
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        uint8_t c = src.u8();
-        src.require(c < kNumCauses);
-        if (src.ok())
-            stall.push_back((Cause)c);
-    }
-    if (!src.ok())
-        return;
-    pending_ = (Cause)pending;
-    fresh_ = fresh;
-    latched_ = (Cause)latched;
-    pendingStall_ = std::move(stall);
 }
 
 } // namespace xbs

@@ -46,8 +46,6 @@ namespace xbs
 
 class JsonWriter;
 class ArrayAccounting;
-class CkptSink;
-class CkptSource;
 
 class AttribRecorder : public StatGroup
 {
@@ -129,12 +127,6 @@ class AttribRecorder : public StatGroup
     void writeJson(JsonWriter &json, uint64_t build_uops,
                    uint64_t stall_cycles,
                    const ArrayAccounting *array = nullptr) const;
-
-    /// @{ Warm-state checkpointing (src/ckpt): the non-stat recorder
-    ///    state (the stat tree is serialized by the generic walk).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
     ScalarStat buildResidency;
     ScalarStat bankConflictDefers;

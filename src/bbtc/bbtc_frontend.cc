@@ -13,10 +13,7 @@ namespace xbs
 
 BbtcFrontend::BbtcFrontend(const FrontendParams &params,
                            const BbtcParams &bbtc_params)
-    : Frontend("bbtc", params,
-               (bbtc_params.ptrsPerTrace + 1) *
-                   bbtc_params.blocks.blockUops),
-      bbtcParams_(bbtc_params),
+    : Frontend("bbtc", params), bbtcParams_(bbtc_params),
       preds_(params_), pipe_(params_, metrics_, preds_),
       blocks_(bbtc_params.blocks, &root_)
 {
@@ -179,124 +176,6 @@ BbtcFrontend::supplyTrace(const Trace &trace, const TraceEntry &entry,
     if (!full)
         ++partialHits;
     return supplied;
-}
-
-namespace
-{
-
-void
-saveBlock(CkptSink &sink, const CachedBlock &b)
-{
-    sink.b(b.valid);
-    sink.u64(b.startIp);
-    sink.u64(b.lru);
-    sink.u64(b.insts.size());
-    for (int32_t idx : b.insts)
-        sink.i32(idx);
-    sink.u32(b.numUops);
-}
-
-void
-loadBlock(CkptSource &src, CachedBlock &b)
-{
-    b.clear();
-    b.valid = src.b();
-    b.startIp = src.u64();
-    b.lru = src.u64();
-    uint64_t n = src.count(4);
-    b.insts.reserve(src.ok() ? n : 0);
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        int32_t idx = src.i32();
-        if (src.ok())
-            b.insts.push_back(idx);
-    }
-    b.numUops = src.u32();
-}
-
-} // namespace
-
-void
-BbtcFrontend::saveState(CheckpointWriter &w) const
-{
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
-    blocks_.ckptSave(sink);
-
-    sink.u64(tt_.size());
-    for (const TraceEntry &e : tt_) {
-        sink.b(e.valid);
-        sink.u64(e.startIp);
-        sink.u64(e.lru);
-        sink.u64(e.blockIps.size());
-        for (uint64_t ip : e.blockIps)
-            sink.u64(ip);
-    }
-    sink.u64(ttClock_);
-
-    saveBlock(sink, fillBlock_);
-    sink.u64(fillPtrs_.size());
-    for (uint64_t ip : fillPtrs_)
-        sink.u64(ip);
-    sink.u64(fillStartIp_);
-    w.addSection("bbtc", sink.take());
-}
-
-Status
-BbtcFrontend::restoreState(const CheckpointFile &f)
-{
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("bbtc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks a 'bbtc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
-    blocks_.ckptLoad(src);
-
-    uint64_t n = src.count(25);
-    src.require(n == tt_.size());
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        TraceEntry &e = tt_[i];
-        e = TraceEntry{};
-        e.valid = src.b();
-        e.startIp = src.u64();
-        e.lru = src.u64();
-        // A quota-split step can append two pointers (the split tail
-        // plus the ending block) before the trace commits, so a
-        // committed entry may hold ptrsPerTrace + 1 pointers.
-        uint64_t ni = src.count(8);
-        src.require(ni <= bbtcParams_.ptrsPerTrace + 1);
-        e.blockIps.reserve(src.ok() ? ni : 0);
-        for (uint64_t j = 0; src.ok() && j < ni; ++j) {
-            uint64_t ip = src.u64();
-            if (src.ok())
-                e.blockIps.push_back(ip);
-        }
-    }
-    ttClock_ = src.u64();
-
-    loadBlock(src, fillBlock_);
-    fillPtrs_.clear();
-    uint64_t np = src.count(8);
-    src.require(np <= bbtcParams_.ptrsPerTrace);
-    fillPtrs_.reserve(src.ok() ? np : 0);
-    for (uint64_t i = 0; src.ok() && i < np; ++i) {
-        uint64_t ip = src.u64();
-        if (src.ok())
-            fillPtrs_.push_back(ip);
-    }
-    fillStartIp_ = src.u64();
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'bbtc' section");
-    }
-    return Status::ok();
 }
 
 inline Frontend::Supply

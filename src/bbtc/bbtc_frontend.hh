@@ -40,11 +40,6 @@ class BbtcFrontend : public Frontend
 
     void run(const Trace &trace) override;
 
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
-
     const BlockCache &blockCache() const { return blocks_; }
 
     /** Mean pointer instances per distinct resident block pointer

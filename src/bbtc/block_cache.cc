@@ -1,6 +1,5 @@
 #include "bbtc/block_cache.hh"
 
-#include "ckpt/serial.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -158,49 +157,6 @@ BlockCache::fillFactor() const
         }
     }
     return reserved ? (double)used / (double)reserved : 0.0;
-}
-
-void
-BlockCache::ckptSave(CkptSink &sink) const
-{
-    sink.u64(blocks_.size());
-    for (const CachedBlock &b : blocks_) {
-        sink.b(b.valid);
-        sink.u64(b.startIp);
-        sink.u64(b.lru);
-        sink.u64(b.insts.size());
-        for (int32_t idx : b.insts)
-            sink.i32(idx);
-        sink.u32(b.numUops);
-    }
-    sink.u64(clock_);
-}
-
-void
-BlockCache::ckptLoad(CkptSource &src)
-{
-    // Min block size: valid(1) + startIp(8) + lru(8) + inst count(8)
-    // + numUops(4) = 29 bytes.
-    uint64_t n = src.count(29);
-    src.require(n == blocks_.size());
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        CachedBlock &b = blocks_[i];
-        b.clear();
-        b.valid = src.b();
-        b.startIp = src.u64();
-        b.lru = src.u64();
-        uint64_t ni = src.count(4);
-        src.require(ni <= params_.blockUops);
-        b.insts.reserve(src.ok() ? ni : 0);
-        for (uint64_t j = 0; src.ok() && j < ni; ++j) {
-            int32_t idx = src.i32();
-            if (src.ok())
-                b.insts.push_back(idx);
-        }
-        b.numUops = src.u32();
-        src.require(b.numUops <= params_.blockUops);
-    }
-    clock_ = src.u64();
 }
 
 void

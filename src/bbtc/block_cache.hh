@@ -22,9 +22,6 @@
 namespace xbs
 {
 
-class CkptSink;
-class CkptSource;
-
 struct BlockCacheParams
 {
     /** Total capacity in uop slots. */
@@ -81,11 +78,6 @@ class BlockCache : public StatGroup
         const std::function<void(AuditViolation)> &sink) const;
 
     void reset();
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
     ScalarStat lookups{this, "lookups", "block cache lookups"};
     ScalarStat hits{this, "hits", "block cache hits"};

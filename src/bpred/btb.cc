@@ -1,6 +1,5 @@
 #include "bpred/btb.hh"
 
-#include "ckpt/serial.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -85,38 +84,6 @@ Btb::reset()
     clock_ = hits_ = misses_ = 0;
 }
 
-void
-Btb::ckptSave(CkptSink &sink) const
-{
-    sink.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        sink.b(e.valid);
-        sink.u64(e.tag);
-        sink.u64(e.target);
-        sink.u64(e.lru);
-    }
-    sink.u64(clock_);
-    sink.u64(hits_);
-    sink.u64(misses_);
-}
-
-void
-Btb::ckptLoad(CkptSource &src)
-{
-    uint64_t n = src.count(1);
-    src.require(n == entries_.size());
-    for (std::size_t i = 0; src.ok() && i < entries_.size(); ++i) {
-        Entry &e = entries_[i];
-        e.valid = src.b();
-        e.tag = src.u64();
-        e.target = src.u64();
-        e.lru = src.u64();
-    }
-    clock_ = src.u64();
-    hits_ = src.u64();
-    misses_ = src.u64();
-}
-
 ReturnStack::ReturnStack(unsigned depth)
     : stack_(depth, 0)
 {
@@ -157,30 +124,6 @@ ReturnStack::reset()
     topIdx_ = 0;
     size_ = 0;
     underflows_ = 0;
-}
-
-void
-ReturnStack::ckptSave(CkptSink &sink) const
-{
-    sink.u64(stack_.size());
-    for (uint64_t v : stack_)
-        sink.u64(v);
-    sink.u32(topIdx_);
-    sink.u32(size_);
-    sink.u64(underflows_);
-}
-
-void
-ReturnStack::ckptLoad(CkptSource &src)
-{
-    uint64_t n = src.count(8);
-    src.require(n == stack_.size());
-    for (std::size_t i = 0; src.ok() && i < stack_.size(); ++i)
-        stack_[i] = src.u64();
-    topIdx_ = src.u32();
-    size_ = src.u32();
-    underflows_ = src.u64();
-    src.require(topIdx_ < stack_.size() && size_ <= stack_.size());
 }
 
 IndirectPredictor::IndirectPredictor(unsigned num_sets, unsigned ways)

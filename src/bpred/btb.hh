@@ -15,9 +15,6 @@
 namespace xbs
 {
 
-class CkptSink;
-class CkptSource;
-
 class Btb
 {
   public:
@@ -40,11 +37,6 @@ class Btb
     uint64_t misses() const { return misses_; }
 
     void reset();
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
   private:
     struct Entry
@@ -89,11 +81,6 @@ class ReturnStack
 
     void reset();
 
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
-
   private:
     std::vector<uint64_t> stack_;
     unsigned topIdx_ = 0;
@@ -114,11 +101,6 @@ class IndirectPredictor
     std::optional<uint64_t> predict(uint64_t ip);
     void update(uint64_t ip, uint64_t target);
     void reset();
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const { table_.ckptSave(sink); }
-    void ckptLoad(CkptSource &src) { table_.ckptLoad(src); }
-    /// @}
 
   private:
     Btb table_;

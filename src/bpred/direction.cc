@@ -1,6 +1,5 @@
 #include "bpred/direction.hh"
 
-#include "ckpt/serial.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -21,25 +20,6 @@ GsharePredictor::reset()
     history_ = 0;
     for (auto &c : table_)
         c.init(2);
-}
-
-void
-GsharePredictor::ckptSave(CkptSink &sink) const
-{
-    sink.u64(history_);
-    sink.u64(table_.size());
-    for (const Counter2 &c : table_)
-        sink.u8(c.raw());
-}
-
-void
-GsharePredictor::ckptLoad(CkptSource &src)
-{
-    history_ = src.u64();
-    uint64_t n = src.count(1);
-    src.require(n == table_.size());
-    for (std::size_t i = 0; src.ok() && i < table_.size(); ++i)
-        table_[i].init(src.u8());
 }
 
 BimodalPredictor::BimodalPredictor(unsigned table_bits)

@@ -20,9 +20,6 @@
 namespace xbs
 {
 
-class CkptSink;
-class CkptSource;
-
 /** Common interface so frontends can swap direction predictors. */
 class DirectionPredictor
 {
@@ -58,9 +55,6 @@ class Counter2
 
     void init(uint8_t v) { v_ = v; }
 
-    /** Raw counter value (checkpoint serialization). */
-    uint8_t raw() const { return v_; }
-
   private:
     uint8_t v_ = 2;  // weakly taken
 };
@@ -89,11 +83,6 @@ class GsharePredictor : public DirectionPredictor
     void reset() override;
 
     uint64_t history() const { return history_; }
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
   private:
     std::size_t

@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32 as in zlib (reflected, poly 0xEDB88320), so external tools
- * can check what it guards: each checkpoint section and trace file.
+ * can check the trailer of every trace file it guards.
  */
 
 #ifndef XBS_COMMON_CRC32_HH

@@ -6,10 +6,10 @@
  * instruction, so every durable write here follows one of two
  * disciplines:
  *
- *  - whole files (manifest.json, report.json, checkpoints): write
- *    to "<path>.tmp.<pid>", fsync the file, rename() over the
- *    target, fsync the directory. Readers see either the old or the
- *    new complete file, never a torn one.
+ *  - whole files (manifest.json, report.json): write to
+ *    "<path>.tmp.<pid>", fsync the file, rename() over the target,
+ *    fsync the directory. Readers see either the old or the new
+ *    complete file, never a torn one.
  *
  *  - append-only logs (journal.jsonl): open O_APPEND (fsyncing the
  *    directory when the log is first created, so the file itself

@@ -50,20 +50,9 @@ class Histogram
     std::string render(const std::string &label,
                        unsigned width = 50) const;
 
-    /// @{ Checkpoint access: raw accumulator state (sum_ is restored
-    ///    by bit pattern, not recomputed, so mean() stays identical).
+    /// @{ Raw accumulator state, for comparing two histograms.
     const std::vector<uint64_t> &bins() const { return bins_; }
     double sumValue() const { return sum_; }
-
-    void
-    restore(const std::vector<uint64_t> &bins, uint64_t total,
-            double sum)
-    {
-        if (bins.size() == bins_.size())
-            bins_ = bins;
-        total_ = total;
-        sum_ = sum;
-    }
     /// @}
 
   private:

@@ -1,10 +1,9 @@
 /**
  * @file
- * SHA-256 (FIPS 180-4), dependency-free, for integrity guards.
- *
- * Checkpoints carry a SHA-256 trailer over the whole container and a
- * digest of the canonical run spec they were cut from, so a torn,
- * bit-rotted or mismatched file is rejected instead of restored.
+ * SHA-256 (FIPS 180-4), dependency-free, for pinning outputs: the
+ * golden tests hash what the workload generator and the simulator
+ * produce, and perfbench digests each run's simulated numbers, so
+ * any change to them shows as a different digest.
  */
 
 #ifndef XBS_COMMON_SHA256_HH

@@ -99,14 +99,6 @@ class AverageStat : public StatBase
     uint64_t count() const { return count_; }
     double sum() const { return sum_; }
 
-    /** Checkpoint restore: reload the exact accumulator state (the
-     *  bit pattern of sum_ matters for %.17g JSON identity). */
-    void restore(double sum, uint64_t count)
-    {
-        sum_ = sum;
-        count_ = count;
-    }
-
     void print(std::ostream &os, const std::string &prefix) const override;
     void writeJson(JsonWriter &json) const override
     {
@@ -190,28 +182,6 @@ class DistributionStat : public StatBase
     {
         return min_ + (double)i * bucketSize_;
     }
-
-    /// @{ Checkpoint access: the full accumulator state, so a
-    ///    restored distribution is bit-identical to the live one.
-    uint64_t underflow() const { return underflow_; }
-    uint64_t overflow() const { return overflow_; }
-    double sum() const { return sum_; }
-    double squares() const { return squares_; }
-
-    void
-    restore(const std::vector<uint64_t> &buckets, uint64_t underflow,
-            uint64_t overflow, uint64_t samples, double sum,
-            double squares)
-    {
-        if (buckets.size() == buckets_.size())
-            buckets_ = buckets;
-        underflow_ = underflow;
-        overflow_ = overflow;
-        samples_ = samples;
-        sum_ = sum;
-        squares_ = squares;
-    }
-    /// @}
 
     void print(std::ostream &os, const std::string &prefix) const override;
     void writeJson(JsonWriter &json) const override;

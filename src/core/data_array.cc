@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/serial.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "core/xbtb.hh"
@@ -995,136 +994,6 @@ XbcDataArray::reset()
     clock_ = 0;
     ++version_;
     resetStats();
-}
-
-namespace
-{
-
-template <typename Slots>
-void
-saveSlots(CkptSink &sink, const Slots &slots)
-{
-    sink.u64(slots.size());
-    for (const UopSlot &slot : slots) {
-        sink.i32(slot.staticIdx);
-        sink.u8(slot.seq);
-    }
-}
-
-/** Load at most @p cap slots; a longer list fails @p src before
- *  anything is written. */
-template <typename Slots>
-void
-loadSlots(CkptSource &src, Slots &slots, unsigned cap)
-{
-    uint64_t n = src.count(5);
-    src.require(n <= cap);
-    slots.clear();
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        UopSlot slot;
-        slot.staticIdx = src.i32();
-        slot.seq = src.u8();
-        src.require(slot.staticIdx >= 0);
-        if (src.ok())
-            slots.push_back(slot);
-    }
-}
-
-} // namespace
-
-void
-XbcDataArray::ckptSave(CkptSink &sink) const
-{
-    sink.u64(lines_.size());
-    for (const BankLine &l : lines_) {
-        sink.b(l.valid);
-        sink.u64(l.tag);
-        sink.u64(l.lru);
-        sink.u32(l.conflict);
-        saveSlots(sink, l.slots);
-    }
-
-    // The directory by ascending tag, each tag's variants in
-    // insertion order.
-    std::vector<uint64_t> tags;
-    for (const auto &vars : sets_) {
-        for (const Variant &v : vars)
-            tags.push_back(v.tag);
-    }
-    std::sort(tags.begin(), tags.end());
-    tags.erase(std::unique(tags.begin(), tags.end()), tags.end());
-    sink.u64(tags.size());
-    for (uint64_t tag : tags) {
-        const auto &vars = sets_[setOf(tag)];
-        sink.u64(tag);
-        sink.u64(std::count_if(vars.begin(), vars.end(),
-                               [tag](const Variant &v) {
-                                   return v.tag == tag;
-                               }));
-        for (const Variant &v : vars) {
-            if (v.tag != tag)
-                continue;
-            sink.u64(v.tag);
-            sink.u32(v.mask);
-            sink.u64(v.lines.size());
-            for (const LineUse &lu : v.lines) {
-                sink.u8(lu.bank);
-                sink.u8(lu.way);
-                sink.u16(lu.count);
-            }
-            saveSlots(sink, v.seq);
-        }
-    }
-
-    sink.u64(clock_);
-}
-
-void
-XbcDataArray::ckptLoad(CkptSource &src)
-{
-    ++version_;
-    uint64_t n = src.count(1);
-    src.require(n == lines_.size());
-    for (std::size_t i = 0; src.ok() && i < lines_.size(); ++i) {
-        BankLine &l = lines_[i];
-        l.valid = src.b();
-        l.tag = src.u64();
-        l.lru = src.u64();
-        l.conflict = src.u32();
-        loadSlots(src, l.slots, params_.bankUops);
-    }
-
-    for (auto &vars : sets_)
-        vars.clear();
-    uint64_t tags = src.count(16);
-    for (uint64_t t = 0; src.ok() && t < tags; ++t) {
-        uint64_t tag = src.u64();
-        uint64_t num_variants = src.count(1);
-        for (uint64_t v = 0; src.ok() && v < num_variants; ++v) {
-            Variant var;
-            var.tag = src.u64();
-            var.mask = src.u32();
-            src.require(var.tag == tag);
-            uint64_t num_lines = src.count(4);
-            src.require(num_lines <= params_.numBanks);
-            for (uint64_t lu = 0; src.ok() && lu < num_lines; ++lu) {
-                LineUse use;
-                use.bank = src.u8();
-                use.way = src.u8();
-                use.count = src.u16();
-                src.require(use.bank < params_.numBanks &&
-                            use.way < params_.ways);
-                if (src.ok())
-                    var.lines.push_back(use);
-            }
-            loadSlots(src, var.seq, params_.xbQuotaUops);
-            if (src.ok())
-                sets_[setOf(tag)].push_back(var);
-        }
-    }
-
-    clock_ = src.u64();
-    recount();
 }
 
 } // namespace xbs

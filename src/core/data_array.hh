@@ -52,9 +52,6 @@
 namespace xbs
 {
 
-class CkptSink;
-class CkptSource;
-
 class XbcDataArray : public StatGroup
 {
   public:
@@ -207,7 +204,7 @@ class XbcDataArray : public StatGroup
     }
 
     /** Changes on every call that may change a set's variants (an
-     *  insert, a relocation, a fault, reset, ckptLoad): an answer
+     *  insert, a relocation, a fault, reset): an answer
      *  read from the array at one version holds until it moves. */
     uint64_t version() const { return version_; }
 
@@ -266,15 +263,6 @@ class XbcDataArray : public StatGroup
     /// @}
 
     void reset();
-
-    /// @{ Warm-state checkpointing (src/ckpt): bank lines and the
-    ///    variant directory. The fill and residency books are derived
-    ///    from the lines on load, and the code image is not
-    ///    serialized; bindCode() re-binds it on restore. A load that
-    ///    does not fit the geometry fails the source (Corrupt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
     ScalarStat inserts{this, "inserts", "XBs handed to the array"};
     ScalarStat allocs{this, "allocs", "fresh XB allocations"};

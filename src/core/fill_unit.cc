@@ -1,6 +1,5 @@
 #include "core/fill_unit.hh"
 
-#include "ckpt/serial.hh"
 #include "common/logging.hh"
 
 namespace xbs
@@ -122,35 +121,6 @@ XbcFillUnit::feed(const Trace &trace, std::size_t rec)
         lastIdx_ = kNoTarget;
     }
     return comp;
-}
-
-void
-XbcFillUnit::ckptSave(CkptSink &sink) const
-{
-    sink.u64(seq_.size());
-    for (const UopSlot &slot : seq_) {
-        sink.i32(slot.staticIdx);
-        sink.u8(slot.seq);
-    }
-    sink.i32(lastIdx_);
-    sink.u32(prevMask_);
-}
-
-void
-XbcFillUnit::ckptLoad(CkptSource &src)
-{
-    uint64_t n = src.count(5);
-    seq_.clear();
-    seq_.reserve(src.ok() ? n : 0);
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        UopSlot slot;
-        slot.staticIdx = src.i32();
-        slot.seq = src.u8();
-        if (src.ok())
-            seq_.push_back(slot);
-    }
-    lastIdx_ = src.i32();
-    prevMask_ = src.u32();
 }
 
 } // namespace xbs

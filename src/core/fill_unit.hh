@@ -50,11 +50,6 @@ class XbcFillUnit : public StatGroup
 
     bool active() const { return !seq_.empty(); }
 
-    /// @{ Warm-state checkpointing (src/ckpt): the partial XB.
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
-
     ScalarStat xbsBuilt{this, "xbsBuilt", "XBs completed by the XFU"};
     ScalarStat quotaEnded{this, "quotaEnded",
         "XBs ended by the uop quota"};

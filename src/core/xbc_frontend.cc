@@ -10,9 +10,7 @@ namespace xbs
 
 XbcFrontend::XbcFrontend(const FrontendParams &params,
                          const XbcParams &xbc_params)
-    : Frontend("xbcfe", params, xbc_params.xbQuotaUops,
-               xbc_params.setSearchPenalty),
-      xbcParams_(xbc_params),
+    : Frontend("xbcfe", params), xbcParams_(xbc_params),
       preds_(params_), pipe_(params_, metrics_, preds_),
       array_(xbcParams_, &root_),
       xbtb_(xbcParams_.xbtbEntries, xbcParams_.xbtbWays, &root_),
@@ -567,61 +565,6 @@ XbcFrontend::handleCompletion(const Trace &trace,
         return true;
     }
     return false;
-}
-
-void
-XbcFrontend::saveState(CheckpointWriter &w) const
-{
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
-    array_.ckptSave(sink);
-    xbtb_.ckptSave(sink);
-    xibtb_.ckptSave(sink);
-    xrsb_.ckptSave(sink);
-    fill_.ckptSave(sink);
-    arrayAcct_.ckptSave(sink);
-    ckptSaveXbPointer(sink, cur_);
-    sink.b(curIsContinuation_);
-    sink.u8((uint8_t)prev_.kind);
-    sink.u64(prev_.xbIp);
-    sink.u32(completionsSinceCheck_);
-    w.addSection("xbc", sink.take());
-}
-
-Status
-XbcFrontend::restoreState(const CheckpointFile &f)
-{
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("xbc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks an 'xbc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
-    array_.ckptLoad(src);
-    xbtb_.ckptLoad(src);
-    xibtb_.ckptLoad(src);
-    xrsb_.ckptLoad(src);
-    fill_.ckptLoad(src);
-    arrayAcct_.ckptLoad(src);
-    cur_ = ckptLoadXbPointer(src);
-    curEntry_ = nullptr;
-    curIsContinuation_ = src.b();
-    uint8_t kind = src.u8();
-    src.require(kind <= (uint8_t)PrevLink::Kind::ReturnLink);
-    prev_ = {(PrevLink::Kind)kind, src.u64()};
-    completionsSinceCheck_ = src.u32();
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'xbc' section");
-    }
-    return Status::ok();
 }
 
 inline Frontend::Supply

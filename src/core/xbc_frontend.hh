@@ -45,11 +45,6 @@ class XbcFrontend : public Frontend
 
     void run(const Trace &trace) override;
 
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
-
     const XbcDataArray &dataArray() const { return array_; }
     const Xbtb &xbtbUnit() const { return xbtb_; }
     const XbcFillUnit &fillUnit() const { return fill_; }
@@ -123,7 +118,7 @@ class XbcFrontend : public Frontend
         Kind kind = Kind::None;
         uint64_t xbIp = 0;
         /** xbIp's XBTB entry when last seen: a lookup hint (host
-         *  cache, never checkpointed). */
+         *  cache, not simulated state). */
         Xbtb::Entry *entry = nullptr;
     };
 
@@ -211,13 +206,13 @@ class XbcFrontend : public Frontend
 
     /** XB_comb under construction, reused across promotions. */
     XbSeq promoteSeq_;
-    /** Last failed promotion per XBTB entry (host cache, never
-     *  checkpointed: a restore bumps the array version). */
+    /** Last failed promotion per XBTB entry (host cache, not
+     *  simulated state). */
     std::vector<PromoFailure> promoFailures_;
 
     XbPointer cur_;
     /** cur_.xbIp's XBTB entry when its supply started, kept across
-     *  continuations: a lookup hint (host cache, never checkpointed). */
+     *  continuations: a lookup hint (host cache, not simulated state). */
     Xbtb::Entry *curEntry_ = nullptr;
     bool curIsContinuation_ = false;
     PrevLink prev_;

@@ -29,14 +29,6 @@
 namespace xbs
 {
 
-class CkptSink;
-class CkptSource;
-
-/// @{ XbPointer serialization helpers shared by the XBC units.
-void ckptSaveXbPointer(CkptSink &sink, const XbPointer &ptr);
-XbPointer ckptLoadXbPointer(CkptSource &src);
-/// @}
-
 class Xbtb : public StatGroup
 {
   public:
@@ -135,12 +127,6 @@ class Xbtb : public StatGroup
 
     void reset();
 
-    /// @{ Warm-state checkpointing (src/ckpt). A load that files one
-    ///    IP in two valid ways of a set fails the source (Corrupt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
-
     ScalarStat lookups{this, "lookups", "XBTB predictive lookups"};
     ScalarStat hits{this, "hits", "XBTB lookup hits"};
     ScalarStat allocations{this, "allocations",
@@ -193,11 +179,6 @@ class XiBtb : public StatGroup
 
     void reset();
 
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
-
     ScalarStat lookups{this, "lookups", "XiBTB lookups"};
     ScalarStat hits{this, "hits", "XiBTB tag hits"};
 
@@ -227,11 +208,6 @@ class Xrsb
 
     unsigned size() const { return size_; }
     void reset();
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
   private:
     std::vector<uint64_t> stack_;

@@ -9,8 +9,7 @@ namespace xbs
 
 DcFrontend::DcFrontend(const FrontendParams &params,
                        const DecodedCacheParams &dc_params)
-    : Frontend("dcfe", params, params.renamerWidth), dcParams_(dc_params),
-      preds_(params_),
+    : Frontend("dcfe", params), dcParams_(dc_params), preds_(params_),
       pipe_(params_, metrics_, preds_), dc_(dcParams_, &root_)
 {
     pipe_.attachAttrib(&attrib_);
@@ -79,39 +78,6 @@ DcFrontend::supplyRun(const Trace &trace, std::size_t &rec,
             break;
     }
     return {supplied, miss, Cause::StructMiss};
-}
-
-void
-DcFrontend::saveState(CheckpointWriter &w) const
-{
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
-    dc_.ckptSave(sink);
-    w.addSection("dc", sink.take());
-}
-
-Status
-DcFrontend::restoreState(const CheckpointFile &f)
-{
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("dc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks a 'dc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
-    dc_.ckptLoad(src);
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'dc' section");
-    }
-    return Status::ok();
 }
 
 inline bool

@@ -26,11 +26,6 @@ class DcFrontend : public Frontend
 
     void run(const Trace &trace) override;
 
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
-
     const DecodedCache &cache() const { return dc_; }
 
   protected:

@@ -1,6 +1,5 @@
 #include "dc/decoded_cache.hh"
 
-#include "ckpt/serial.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -151,53 +150,6 @@ DecodedCache::auditStorage(
                        " reserved uop slots");
         }
     }
-}
-
-void
-DecodedCache::ckptSave(CkptSink &sink) const
-{
-    sink.u64(lines_.size());
-    for (const Line &l : lines_) {
-        sink.b(l.valid);
-        sink.u64(l.windowIp);
-        sink.u64(l.lru);
-        sink.u64(l.insts.size());
-        for (const DecodedInst &di : l.insts) {
-            sink.i32(di.staticIdx);
-            sink.u8(di.numUops);
-        }
-        sink.u32(l.usedUops);
-    }
-    sink.u64(clock_);
-}
-
-void
-DecodedCache::ckptLoad(CkptSource &src)
-{
-    // Min line size: valid(1) + windowIp(8) + lru(8) + inst count(8)
-    // + usedUops(4) = 29 bytes.
-    uint64_t n = src.count(29);
-    src.require(n == lines_.size());
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        Line &l = lines_[i];
-        l.clear();
-        l.valid = src.b();
-        l.windowIp = src.u64();
-        l.lru = src.u64();
-        uint64_t ni = src.count(5);
-        src.require(ni <= params_.lineUops);
-        l.insts.reserve(src.ok() ? ni : 0);
-        for (uint64_t j = 0; src.ok() && j < ni; ++j) {
-            DecodedInst di;
-            di.staticIdx = src.i32();
-            di.numUops = src.u8();
-            if (src.ok())
-                l.insts.push_back(di);
-        }
-        l.usedUops = src.u32();
-        src.require(l.usedUops <= params_.lineUops);
-    }
-    clock_ = src.u64();
 }
 
 void

@@ -27,9 +27,6 @@
 namespace xbs
 {
 
-class CkptSink;
-class CkptSource;
-
 /** Geometry of the decoded cache. */
 struct DecodedCacheParams
 {
@@ -106,11 +103,6 @@ class DecodedCache : public StatGroup
         const std::function<void(AuditViolation)> &sink) const;
 
     void reset();
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
     ScalarStat lookups{this, "lookups", "decoded cache lookups"};
     ScalarStat hits{this, "hits", "decoded cache hits"};

@@ -11,7 +11,6 @@
 
 #include "bpred/btb.hh"
 #include "bpred/direction.hh"
-#include "ckpt/serial.hh"
 #include "frontend/params.hh"
 
 namespace xbs
@@ -40,26 +39,6 @@ struct PredictorBank
         rsb.reset();
         indirect.reset();
     }
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void
-    ckptSave(CkptSink &sink) const
-    {
-        gshare.ckptSave(sink);
-        btb.ckptSave(sink);
-        rsb.ckptSave(sink);
-        indirect.ckptSave(sink);
-    }
-
-    void
-    ckptLoad(CkptSource &src)
-    {
-        gshare.ckptLoad(src);
-        btb.ckptLoad(src);
-        rsb.ckptLoad(src);
-        indirect.ckptLoad(src);
-    }
-    /// @}
 };
 
 } // namespace xbs

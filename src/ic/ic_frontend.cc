@@ -4,41 +4,10 @@ namespace xbs
 {
 
 IcFrontend::IcFrontend(const FrontendParams &params)
-    : Frontend("ic", params, params.decode.uopWidth), preds_(params),
+    : Frontend("ic", params), preds_(params),
       pipe_(params_, metrics_, preds_)
 {
     pipe_.attachAttrib(&attrib_);
-}
-
-void
-IcFrontend::saveState(CheckpointWriter &w) const
-{
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
-    w.addSection("ic", sink.take());
-}
-
-Status
-IcFrontend::restoreState(const CheckpointFile &f)
-{
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("ic");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks an 'ic' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'ic' section");
-    }
-    return Status::ok();
 }
 
 inline Frontend::Supply

@@ -23,11 +23,6 @@ class IcFrontend : public Frontend
 
     void run(const Trace &trace) override;
 
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
-
     const PredictorBank &predictors() const { return preds_; }
     const InstCache &icache() const { return pipe_.icache(); }
 

@@ -1,6 +1,5 @@
 #include "ic/inst_cache.hh"
 
-#include "ckpt/serial.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -76,32 +75,6 @@ InstCache::reset()
     for (auto &e : entries_)
         e = Entry{};
     clock_ = 0;
-}
-
-void
-InstCache::ckptSave(CkptSink &sink) const
-{
-    sink.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        sink.b(e.valid);
-        sink.u64(e.tag);
-        sink.u64(e.lru);
-    }
-    sink.u64(clock_);
-}
-
-void
-InstCache::ckptLoad(CkptSource &src)
-{
-    uint64_t n = src.count(1);
-    src.require(n == entries_.size());
-    for (std::size_t i = 0; src.ok() && i < entries_.size(); ++i) {
-        Entry &e = entries_[i];
-        e.valid = src.b();
-        e.tag = src.u64();
-        e.lru = src.u64();
-    }
-    clock_ = src.u64();
 }
 
 } // namespace xbs

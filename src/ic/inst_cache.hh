@@ -15,9 +15,6 @@
 namespace xbs
 {
 
-class CkptSink;
-class CkptSource;
-
 class InstCache
 {
   public:
@@ -48,11 +45,6 @@ class InstCache
     uint64_t lineOf(uint64_t ip) const { return ip & ~lineMask_; }
 
     void reset();
-
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
 
   private:
     struct Entry

@@ -62,24 +62,6 @@ class LegacyPipe
         l2_.reset();
     }
 
-    /// @{ Warm-state checkpointing (src/ckpt): both cache levels.
-    ///    The decoder is stateless and the predictor bank is owned
-    ///    by the frontend.
-    void
-    ckptSave(CkptSink &sink) const
-    {
-        icache_.ckptSave(sink);
-        l2_.ckptSave(sink);
-    }
-
-    void
-    ckptLoad(CkptSource &src)
-    {
-        icache_.ckptLoad(src);
-        l2_.ckptLoad(src);
-    }
-    /// @}
-
     /** Register the "predict" sub-phase under @p parent and time the
      *  branch-prediction work inside cycle(). nullptr detaches. */
     void

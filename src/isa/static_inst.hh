@@ -27,6 +27,11 @@ constexpr int32_t kNoTarget = -1;
 /** Sentinel index meaning "no behavior attached". */
 constexpr int32_t kNoBehavior = -1;
 
+/** The most uops one instruction expands into (DESIGN.md section 2):
+ *  the generator draws 1..kMaxInstUops and the trace reader rejects
+ *  anything else, so every instruction fits one decode cycle. */
+constexpr unsigned kMaxInstUops = 4;
+
 /**
  * One static instruction. Kept to 24 bytes so multi-megabyte programs
  * stay cache friendly.
@@ -35,7 +40,7 @@ struct StaticInst
 {
     uint64_t ip = 0;       ///< virtual address of the first byte
     uint8_t length = 1;    ///< encoded length in bytes (1..15)
-    uint8_t numUops = 1;   ///< uop expansion count (1..4 here)
+    uint8_t numUops = 1;   ///< uop expansion count (1..kMaxInstUops)
     InstClass cls = InstClass::Seq;
 
     /**

@@ -38,11 +38,6 @@ class TcFillUnit
 
     const TraceLine &pending() const { return line_; }
 
-    /// @{ Warm-state checkpointing (src/ckpt): the partial trace.
-    void ckptSave(CkptSink &sink) const { ckptSaveTraceLine(sink, line_); }
-    void ckptLoad(CkptSource &src) { ckptLoadTraceLine(src, line_); }
-    /// @}
-
   private:
     TraceLimits limits_;
     TraceLine line_;

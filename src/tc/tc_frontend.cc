@@ -8,8 +8,7 @@ namespace xbs
 
 TcFrontend::TcFrontend(const FrontendParams &params,
                        const TcParams &tc_params)
-    : Frontend("tc", params, tc_params.limits.maxUops),
-      tcParams_(tc_params), preds_(params_),
+    : Frontend("tc", params), tcParams_(tc_params), preds_(params_),
       pipe_(params_, metrics_, preds_),
       tc_(tc_params.capacityUops, tc_params.ways, tc_params.limits,
           &root_),
@@ -106,43 +105,6 @@ TcFrontend::supplyLine(const Trace &trace, const TraceLine &line,
     if (!full_match)
         partialHitUops_ += supplied;
     return supplied;
-}
-
-void
-TcFrontend::saveState(CheckpointWriter &w) const
-{
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
-    tc_.ckptSave(sink);
-    fill_.ckptSave(sink);
-    sink.u64(partialHitUops_);
-    w.addSection("tc", sink.take());
-}
-
-Status
-TcFrontend::restoreState(const CheckpointFile &f)
-{
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("tc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks a 'tc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
-    tc_.ckptLoad(src);
-    fill_.ckptLoad(src);
-    partialHitUops_ = src.u64();
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'tc' section");
-    }
-    return Status::ok();
 }
 
 inline bool

@@ -46,11 +46,6 @@ class TcFrontend : public Frontend
 
     void run(const Trace &trace) override;
 
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
-
     const TraceCache &cache() const { return tc_; }
     const TcParams &tcParams() const { return tcParams_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/serial.hh"
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -252,80 +251,6 @@ TraceCache::auditStorage(
         report(AuditViolation::Kind::Accounting,
                "residency map disagrees with resident lines");
     }
-}
-
-void
-ckptSaveTraceLine(CkptSink &sink, const TraceLine &line)
-{
-    sink.b(line.valid);
-    sink.u64(line.startIp);
-    sink.u64(line.lru);
-    sink.u64(line.insts.size());
-    for (const EmbeddedInst &e : line.insts) {
-        sink.i32(e.staticIdx);
-        sink.u8(e.taken);
-    }
-    sink.u32(line.numUops);
-    sink.u32(line.numCondBranches);
-}
-
-void
-ckptLoadTraceLine(CkptSource &src, TraceLine &line)
-{
-    line.clear();
-    line.valid = src.b();
-    line.startIp = src.u64();
-    line.lru = src.u64();
-    uint64_t n = src.count(5);
-    line.insts.reserve(src.ok() ? n : 0);
-    for (uint64_t i = 0; src.ok() && i < n; ++i) {
-        EmbeddedInst e;
-        e.staticIdx = src.i32();
-        e.taken = src.u8();
-        if (src.ok())
-            line.insts.push_back(e);
-    }
-    line.numUops = src.u32();
-    line.numCondBranches = src.u32();
-}
-
-void
-TraceCache::ckptSave(CkptSink &sink) const
-{
-    sink.u64(lines_.size());
-    for (const TraceLine &l : lines_)
-        ckptSaveTraceLine(sink, l);
-    sink.u64(clock_);
-
-    std::vector<std::pair<UopId, uint32_t>> res(residency_.begin(),
-                                                residency_.end());
-    std::sort(res.begin(), res.end());
-    sink.u64(res.size());
-    for (const auto &[id, cnt] : res) {
-        sink.u64(id);
-        sink.u32(cnt);
-    }
-    sink.u64(filledUops_);
-}
-
-void
-TraceCache::ckptLoad(CkptSource &src)
-{
-    uint64_t n = src.count(25);
-    src.require(n == lines_.size());
-    for (uint64_t i = 0; src.ok() && i < n; ++i)
-        ckptLoadTraceLine(src, lines_[i]);
-    clock_ = src.u64();
-
-    residency_.clear();
-    uint64_t nr = src.count(12);
-    for (uint64_t i = 0; src.ok() && i < nr; ++i) {
-        UopId id = src.u64();
-        uint32_t cnt = src.u32();
-        if (src.ok())
-            residency_[id] = cnt;
-    }
-    filledUops_ = src.u64();
 }
 
 void

@@ -84,11 +84,6 @@ class TraceCache : public StatGroup
         const StaticCode &code,
         const std::function<void(AuditViolation)> &sink) const;
 
-    /// @{ Warm-state checkpointing (src/ckpt).
-    void ckptSave(CkptSink &sink) const;
-    void ckptLoad(CkptSource &src);
-    /// @}
-
     ScalarStat lookups{this, "lookups", "trace cache lookups"};
     ScalarStat hits{this, "hits", "trace cache lookup hits"};
     ScalarStat inserts{this, "inserts", "traces built and inserted"};

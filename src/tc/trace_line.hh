@@ -52,13 +52,6 @@ struct TraceLimits
     unsigned maxCondBranches = 3;
 };
 
-/// @{ TraceLine serialization (src/ckpt; defined in trace_cache.cc).
-class CkptSink;
-class CkptSource;
-void ckptSaveTraceLine(CkptSink &sink, const TraceLine &line);
-void ckptLoadTraceLine(CkptSource &src, TraceLine &line);
-/// @}
-
 } // namespace xbs
 
 #endif // XBS_TC_TRACE_LINE_HH

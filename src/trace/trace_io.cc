@@ -255,9 +255,9 @@ readTraceEx(const std::string &path)
         if (si.length < 1 || si.length > 15)
             return bad("length " + std::to_string(si.length) +
                        " outside 1..15");
-        if (si.numUops < 1 || si.numUops > 16)
+        if (si.numUops < 1 || si.numUops > kMaxInstUops)
             return bad("uop count " + std::to_string(si.numUops) +
-                       " outside 1..16");
+                       " outside 1.." + std::to_string(kMaxInstUops));
         if (cls >= (uint8_t)InstClass::NumClasses)
             return bad("unknown class " + std::to_string(cls));
         si.cls = (InstClass)cls;

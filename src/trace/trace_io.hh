@@ -19,7 +19,7 @@
  *
  * readTraceEx() validates everything before constructing the Trace:
  * the magic, the name/instruction/record counts against the file
- * size, each instruction's length (1..15), uop count (1..16), class
+ * size, each instruction's length (1..15), uop count (1..4), class
  * and takenIdx range, IPs that strictly ascend (StaticCode's address
  * order), each record's staticIdx range and taken flag, no bytes
  * between the records and the trailer, and last the CRC, which

@@ -54,16 +54,6 @@ InvariantAuditor::auditNow(Frontend &fe, uint64_t cycle)
 }
 
 void
-InvariantAuditor::auditRestore(Frontend &fe, const Trace &trace,
-                               uint64_t cycle)
-{
-    const Trace *saved = trace_;
-    trace_ = &trace;
-    structuralWalk(fe, cycle);
-    trace_ = saved;
-}
-
-void
 InvariantAuditor::structuralWalk(Frontend &fe, uint64_t cycle)
 {
     auto sink = [&](AuditViolation v) {

@@ -73,17 +73,6 @@ class InvariantAuditor : public CycleObserver
     /** Run a structural walk immediately (test hook). */
     void auditNow(Frontend &fe, uint64_t cycle = 0);
 
-    /**
-     * One-shot structural walk grounded on @p trace, for the
-     * mandatory post-restore audit: checks every decoded-cache
-     * structure (including storage content against the static code)
-     * without attaching the delivery oracle — a restored run only
-     * delivers the trace's tail, so full-stream oracle grounding
-     * would report spurious violations.
-     */
-    void auditRestore(Frontend &fe, const Trace &trace,
-                      uint64_t cycle = 0);
-
     bool ok() const { return violations_.empty() && oracleClean(); }
 
     /** All collected violations (oracle ones merged by finishRun). */

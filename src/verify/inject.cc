@@ -21,7 +21,6 @@ injectKindName(InjectKind kind)
       case InjectKind::TraceFlip: return "trace-flip";
       case InjectKind::TraceTrunc: return "trace-trunc";
       case InjectKind::Hang: return "hang";
-      case InjectKind::CkptFlip: return "ckpt-flip";
     }
     return "?";
 }
@@ -76,8 +75,6 @@ parseInjectSpec(const std::string &spec)
             action.kind = InjectKind::TraceTrunc;
         } else if (kind == "hang") {
             action.kind = InjectKind::Hang;
-        } else if (kind == "ckpt-flip") {
-            action.kind = InjectKind::CkptFlip;
         } else {
             return Status::error("unknown inject kind '" + kind +
                                  "' (see --help for the grammar)");
@@ -86,9 +83,7 @@ parseInjectSpec(const std::string &spec)
             bool trace_domain =
                 action.kind == InjectKind::TraceFlip ||
                 action.kind == InjectKind::TraceTrunc;
-            bool ckpt_domain = action.kind == InjectKind::CkptFlip;
-            action.period =
-                ckpt_domain ? 1 : (trace_domain ? 8 : 10000);
+            action.period = trace_domain ? 8 : 10000;
         }
         plan.actions.push_back(action);
 
@@ -144,30 +139,12 @@ FaultInjector::prepareTrace(const Trace &in)
                  in.name() + "+injected");
 }
 
-std::string
-FaultInjector::prepareCheckpointBytes(const std::string &bytes)
-{
-    std::string out = bytes;
-    for (const auto &a : plan_.actions) {
-        if (a.kind != InjectKind::CkptFlip)
-            continue;
-        for (uint64_t n = 0; n < a.period && !out.empty(); ++n) {
-            std::size_t bit = (std::size_t)rng_.below(out.size() * 8);
-            out[bit / 8] ^= (char)(1 << (bit % 8));
-            ++injections_;
-            ++counts_[(int)InjectKind::CkptFlip];
-        }
-    }
-    return out;
-}
-
 void
 FaultInjector::onCycle(Frontend &fe, uint64_t cycle)
 {
     for (const auto &a : plan_.actions) {
         if (a.kind == InjectKind::TraceFlip ||
-            a.kind == InjectKind::TraceTrunc ||
-            a.kind == InjectKind::CkptFlip) {
+            a.kind == InjectKind::TraceTrunc) {
             continue;  // not cycle domain
         }
         if (cycle % a.period != 0)

@@ -15,7 +15,7 @@
  *   action  := kind ("@" period)?
  *   kind    := "xbtb-flip" | "xfu-drop" | "line-kill"
  *            | "slot-corrupt" | "trace-flip" | "trace-trunc"
- *            | "hang" | "ckpt-flip"
+ *            | "hang"
  *
  * Cycle-domain kinds fire every `period` cycles (default 10000):
  *   xbtb-flip     flip a bit in a valid XBTB/XiBTB pointer
@@ -35,16 +35,6 @@
  *   trace-trunc   truncate the record stream at a random point
  * The run and the oracle both ground on the *injected* trace: the
  * simulator must digest it without aborting or losing instructions.
- *
- * Checkpoint-domain kind; `period` is the number of bits flipped
- * (default 1):
- *   ckpt-flip     flip seeded random bits of the checkpoint container
- *                 bytes in memory, after read and before parse (the
- *                 user's file on disk is never touched). The format
- *                 guarantees every flip is caught by the magic check,
- *                 a section CRC, or the guard hash, so the restore
- *                 must fail with a typed Corrupt status — never
- *                 crash, and never restore silently wrong state.
  */
 
 #ifndef XBS_VERIFY_INJECT_HH
@@ -71,11 +61,10 @@ enum class InjectKind
     TraceFlip,
     TraceTrunc,
     Hang,
-    CkptFlip,
 };
 
 /** Number of InjectKind values (per-kind count arrays). */
-constexpr int kInjectKindCount = 8;
+constexpr int kInjectKindCount = 7;
 
 const char *injectKindName(InjectKind kind);
 
@@ -102,16 +91,6 @@ struct InjectPlan
         }
         return false;
     }
-
-    bool
-    hasCkptActions() const
-    {
-        for (const auto &a : actions) {
-            if (a.kind == InjectKind::CkptFlip)
-                return true;
-        }
-        return false;
-    }
 };
 
 /** Parse an --inject spec; errors name the offending token. */
@@ -131,14 +110,6 @@ class FaultInjector : public CycleObserver
      * frontend — and ground the oracle — on the returned trace.
      */
     Trace prepareTrace(const Trace &in);
-
-    /**
-     * Apply the plan's ckpt-flip actions to checkpoint container
-     * bytes in memory (a copy of @p bytes when none apply): each
-     * action flips `period` seeded random bits. The source file is
-     * never modified.
-     */
-    std::string prepareCheckpointBytes(const std::string &bytes);
 
     /** CycleObserver: applies due cycle-domain actions to @p fe
      *  (XBC-specific kinds are no-ops on other frontends). */

@@ -11,7 +11,8 @@ namespace xbs
 ProgramBuilder::ProgramBuilder(const WorkloadProfile &profile)
     : profile_(profile), rng_(profile.seed),
       instLen_(profile.instLenMean, 15),
-      instUops_(profile.uopsPerInstMean, 4), cfg_(profile.name)
+      instUops_(profile.uopsPerInstMean, kMaxInstUops),
+      cfg_(profile.name)
 {
 }
 

@@ -89,6 +89,7 @@ def main():
     write("bad_inst_class.xbt", seal(body(b"t", [inst(0x1000, cls=99)],
                                           [])))
     write("zero_uops.xbt", seal(body(b"t", [inst(0x1000, uops=0)], [])))
+    write("wide_uops.xbt", seal(body(b"t", [inst(0x1000, uops=5)], [])))
     write("bad_taken_idx.xbt",
           seal(body(b"t", [inst(0x1000, cls=COND, taken_idx=5)], [])))
     write("dup_ip.xbt",

@@ -13,9 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -26,8 +24,6 @@
 #include "attrib/recorder.hh"
 #include "attrib/rollup.hh"
 #include "bpred/btb.hh"
-#include "ckpt/checkpoint.hh"
-#include "ckpt/serial.hh"
 #include "common/json.hh"
 #include "common/random.hh"
 #include "core/xbc_frontend.hh"
@@ -336,8 +332,7 @@ TEST(ArrayAccounting, RebuildKeepsOriginalBuildStamp)
 // list-and-map implementation it replaced, kept here as the oracle.
 
 /** The node-container 3C accounting (unordered_map of lifetime
- *  records, unordered_set of built tags, std::list shadow LRU),
- *  including its checkpoint encoding. */
+ *  records, unordered_set of built tags, std::list shadow LRU). */
 class ListAccounting
 {
   public:
@@ -413,33 +408,12 @@ class ListAccounting
     std::size_t shadowSize() const { return shadow_.size(); }
     std::size_t liveTags() const { return live_.size(); }
 
-    std::string
-    save() const
+    /** The allocation, eviction and conflict heatmaps, each indexed
+     *  bank * sets + set. */
+    std::vector<std::vector<uint64_t>>
+    heatmaps() const
     {
-        CkptSink sink;
-        for (const auto *heat : {&allocHeat_, &evictHeat_, &conflictHeat_}) {
-            sink.u64(heat->size());
-            for (uint64_t v : *heat)
-                sink.u64(v);
-        }
-        std::map<uint64_t, Life> live(live_.begin(), live_.end());
-        sink.u64(live.size());
-        for (const auto &[tag, rec] : live) {
-            sink.u64(tag);
-            sink.u64(rec.buildCycle);
-            sink.u64(rec.firstHitCycle);
-            sink.u64(rec.hits);
-        }
-        std::set<uint64_t> built(built_.begin(), built_.end());
-        sink.u64(built.size());
-        for (uint64_t tag : built)
-            sink.u64(tag);
-        sink.u64(shadow_.size());
-        for (uint64_t tag : shadow_)
-            sink.u64(tag);
-        saveHistogram(buildToFirstHit, sink);
-        saveHistogram(hitsBeforeEvict, sink);
-        return sink.take();
+        return {allocHeat_, evictHeat_, conflictHeat_};
     }
 
     uint64_t headEvictions = 0;
@@ -486,6 +460,36 @@ class ListAccounting
     std::unordered_map<uint64_t, std::list<uint64_t>::iterator> index_;
 };
 
+/** @p flat's three heatmaps as its writeJson "array" member reports
+ *  them, each flattened bank-major like ListAccounting::heatmaps(). */
+std::vector<std::vector<uint64_t>>
+heatmaps(const ArrayAccounting &flat)
+{
+    std::ostringstream os;
+    {
+        JsonWriter jw(os);
+        jw.beginObject();
+        flat.writeJson(jw);
+        jw.endObject();
+    }
+    JsonValue doc;
+    EXPECT_TRUE(parseJson(os.str(), &doc));
+    std::vector<std::vector<uint64_t>> out;
+    const JsonValue *array = doc.find("array");
+    for (const char *key : {"allocsBySet", "evictsBySet", "conflictsBySet"}) {
+        std::vector<uint64_t> &heat = out.emplace_back();
+        const JsonValue *banks = array ? array->find(key) : nullptr;
+        EXPECT_NE(banks, nullptr) << key;
+        if (!banks)
+            continue;
+        for (const JsonValue &bank : banks->items) {
+            for (const JsonValue &count : bank.items)
+                heat.push_back(count.asUint());
+        }
+    }
+    return out;
+}
+
 void
 expectSameHistogram(const Histogram &a, const Histogram &b)
 {
@@ -511,6 +515,8 @@ sameAccounting(const ArrayAccounting &flat, const ListAccounting &ref,
         flat.nonHeadEvictions.value() != ref.nonHeadEvictions ||
         flat.zeroHitEvictions.value() != ref.zeroHitEvictions)
         return ::testing::AssertionFailure() << "eviction counters";
+    if (heatmaps(flat) != ref.heatmaps())
+        return ::testing::AssertionFailure() << "per-(bank, set) heatmaps";
     expectSameHistogram(flat.buildToFirstHit(), ref.buildToFirstHit);
     expectSameHistogram(flat.hitsBeforeEvict(), ref.hitsBeforeEvict);
     return ::testing::AssertionSuccess();
@@ -522,10 +528,9 @@ TEST(ArrayAccounting, MatchesListImplementationOnRandomStreams)
     constexpr std::size_t kSets = 4;
     for (std::size_t capacity : {1, 2, 7}) {
         SCOPED_TRACE("shadow capacity " + std::to_string(capacity));
-        StatGroup root("attrib"), restored_root("restored");
+        StatGroup root("attrib");
         ScalarStat cycles(&root, "cycles", "clock");
         ArrayAccounting flat(&root, &cycles, kBanks, kSets, capacity);
-        std::unique_ptr<ArrayAccounting> restored;
         ListAccounting ref(&cycles, kBanks, kSets, capacity);
 
         // A small hot pool keeps tags cycling through live, shadow
@@ -567,39 +572,7 @@ TEST(ArrayAccounting, MatchesListImplementationOnRandomStreams)
             drive(ref);
             full_shadow |= ref.shadowSize() == capacity;
             ASSERT_TRUE(sameAccounting(flat, ref, probes)) << "event " << ev;
-            if (restored) {
-                drive(*restored);
-                ASSERT_TRUE(sameAccounting(*restored, ref, probes))
-                    << "restored, event " << ev;
-            }
-
-            if (ev == kEvents / 2) {
-                // The checkpoint keeps the list implementation's
-                // encoding byte for byte, and a restored copy
-                // continues in lockstep.
-                CkptSink sink;
-                flat.ckptSave(sink);
-                const std::string bytes = sink.take();
-                ASSERT_EQ(bytes, ref.save());
-                restored = std::make_unique<ArrayAccounting>(
-                    &restored_root, &cycles, kBanks, kSets, capacity);
-                CkptSource src(bytes);
-                restored->ckptLoad(src);
-                ASSERT_TRUE(src.ok() && src.consumed());
-                // The counters travel with the frontend's stat tree.
-                for (ScalarStat ArrayAccounting::*c :
-                     {&ArrayAccounting::headEvictions,
-                      &ArrayAccounting::nonHeadEvictions,
-                      &ArrayAccounting::zeroHitEvictions}) {
-                    ((*restored).*c).set((flat.*c).value());
-                }
-            }
         }
-        CkptSink a, b;
-        flat.ckptSave(a);
-        restored->ckptSave(b);
-        EXPECT_EQ(a.take(), ref.save());
-        EXPECT_EQ(b.take(), ref.save());
         EXPECT_GT(ref.zeroHitEvictions, 0u);
         EXPECT_TRUE(full_shadow);
     }

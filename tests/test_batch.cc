@@ -44,22 +44,13 @@
 #include "sim/cell.hh"
 #include "verify/crash_matrix.hh"
 #include "verify/inject.hh"
+#include "test_helpers.hh"
 #include "workload/catalog.hh"
 
 using namespace xbs;
 
 namespace
 {
-
-/** Fresh scratch directory per test. */
-std::string
-makeTempDir()
-{
-    char tmpl[] = "/tmp/xbs_batch_XXXXXX";
-    const char *dir = ::mkdtemp(tmpl);
-    EXPECT_NE(dir, nullptr);
-    return dir;
-}
 
 /** Write an executable /bin/sh script. */
 std::string
@@ -273,7 +264,8 @@ TEST(JobMatrix, RunSpecArgvRoundTrip)
 
 TEST(Journal, ManifestRoundTrip)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     SweepManifest m;
     m.workers = 7;
     m.timeoutSec = 12.5;
@@ -294,7 +286,8 @@ TEST(Journal, ManifestRoundTrip)
 
 TEST(Journal, EventsRoundTrip)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     SweepJournal journal;
     ASSERT_TRUE(journal.open(dir).isOk());
 
@@ -340,7 +333,8 @@ TEST(Journal, EventsRoundTrip)
 
 TEST(Journal, BlockIoRoundTrips)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     SweepJournal journal;
     ASSERT_TRUE(journal.open(dir).isOk());
 
@@ -370,7 +364,8 @@ TEST(Journal, BlockIoRoundTrips)
 
 TEST(Journal, TornTailLineIsTolerated)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     SweepJournal journal;
     ASSERT_TRUE(journal.open(dir).isOk());
     JournalEvent ev;
@@ -407,7 +402,8 @@ TEST(Journal, CorruptionMidFileIsAnError)
           "{\"seq\":2,\"event\":\"final\",\"job\":0,"
           "\"attempt\":1,\"class\":\"canceled\",\"exit\":-1,"
           "\"signal\":0,\"seconds\":0}"}) {
-        const std::string dir = makeTempDir();
+        const TempDir tmp;
+        const std::string &dir = tmp.path;
         SweepJournal journal;
         ASSERT_TRUE(journal.open(dir).isOk());
         JournalEvent ev;
@@ -439,7 +435,8 @@ TEST(Journal, CorruptionMidFileIsAnError)
 
 TEST(Scheduler, HappyPathParsesMetrics)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     const std::string sim = writeScript(dir, "sim.sh", kOkJson);
 
     SweepScheduler sched(fastOptions(sim), makeJobs(3), nullptr);
@@ -457,7 +454,8 @@ TEST(Scheduler, HappyPathParsesMetrics)
 
 TEST(Scheduler, HungChildClassifiedTimeout)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     // Ignore SIGTERM so the watchdog must escalate to SIGKILL. The
     // hang is a busy loop in the shell itself: a foreground sleep
     // would die on the group-wide TERM and let the script exit 0.
@@ -483,7 +481,8 @@ TEST(Scheduler, HungChildClassifiedTimeout)
 
 TEST(Scheduler, BinaryStderrSanitizedInNote)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     const std::string sim = writeScript(
         dir, "binerr.sh",
         "printf 'bad\\001\\002trace\\n' >&2\nexit 2\n");
@@ -499,7 +498,8 @@ TEST(Scheduler, BinaryStderrSanitizedInNote)
 
 TEST(Scheduler, DeterministicFailureNotRetried)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     const std::string sim = writeScript(
         dir, "data.sh", "echo 'corrupt trace' >&2\nexit 2\n");
 
@@ -516,7 +516,8 @@ TEST(Scheduler, DeterministicFailureNotRetried)
 
 TEST(Scheduler, TransientCrashRetriedThenSucceeds)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     // First attempt crashes; the marker file makes the retry pass.
     const std::string sim = writeScript(
         dir, "flaky.sh",
@@ -541,7 +542,8 @@ TEST(Scheduler, TransientCrashRetriedThenSucceeds)
 
 TEST(Scheduler, RetriesAreBounded)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     const std::string sim =
         writeScript(dir, "crash.sh", "kill -SEGV $$\n");
 
@@ -561,7 +563,8 @@ TEST(Scheduler, StopDuringPrepareLaunchesNoMore)
     // A stop requested while the supervisor prepares a launch (a
     // trace build, say) ends the launching: that job is forked and
     // drained, and no other job is prepared or forked.
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     volatile std::sig_atomic_t stop = 0;
     SchedulerOptions opts =
         fastOptions(writeScript(dir, "slow.sh", "sleep 10\n"));
@@ -595,7 +598,8 @@ TEST(Scheduler, SpawnFailureIsFinal)
 
 TEST(Scheduler, FailuresDegradeButNeverAbortTheSweep)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     // Job w1 fails deterministically, the others pass.
     const std::string sim = writeScript(
         dir, "mixed.sh",
@@ -622,7 +626,8 @@ TEST(Scheduler, FailuresDegradeButNeverAbortTheSweep)
 
 TEST(Resume, CompletedJobsNotReRunAndNoneLost)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     // Every execution appends its workload name to runs.log.
     const std::string sim = writeScript(
         dir, "count.sh",
@@ -783,7 +788,8 @@ TEST(Report, SummaryCountsClasses)
 
 TEST(Report, WrittenAtomicallyToDir)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     std::vector<JobRecord> records;
     SweepSummary s = summarizeSweep(records, false, 0, 0.0);
     ASSERT_TRUE(writeSweepReport(dir, records, s).isOk());
@@ -874,7 +880,8 @@ constexpr uint64_t kCellInsts = 200000;
 struct CountingTraces
 {
     const pid_t supervisor = ::getpid();
-    const std::string cellLog = makeTempDir() + "/cell-builds";
+    const TempDir tmp;
+    const std::string cellLog = tmp.path + "/cell-builds";
     std::map<std::string, int> builds;
     int overlaps = 0;
     SweepTraces traces{[this](const RunSpec &spec) {
@@ -990,7 +997,8 @@ TEST(SimCells, SweepMatchesXbsimAndBuildsEachTraceOnce)
     EXPECT_TRUE(counted.cellBuilds().empty());
 
     // report.json carries exactly what xbsim --json reports.
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_TRUE(writeSweepReport(dir, sched.records(),
                                  summarizeSweep(sched.records(), false,
                                                 0, 0.0))
@@ -1105,7 +1113,8 @@ TEST(SimCells, ATraceThatCannotBeBuiltFailsOnlyItsCells)
 
 TEST(SimCells, RetryAfterTheTraceWasDroppedRebuildsIt)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     CountingTraces counted;
     SchedulerOptions opts = cellOptions();
     opts.maxRetries = 1;
@@ -1264,7 +1273,8 @@ TEST(CrashVictimHost, RunBody)
 
 TEST(CrashMatrix, EverySiteCrashesAndRecovers)
 {
-    const std::string scratch = makeTempDir();
+    const TempDir tmp;
+    const std::string &scratch = tmp.path;
     const std::vector<std::string> victim = {
         "env", "XBS_CRASH_VICTIM_DIR={DIR}", selfExe(),
         "--gtest_filter=CrashVictimHost.RunBody"};
@@ -1317,7 +1327,8 @@ TEST(CrashMatrix, EverySiteCrashesAndRecovers)
 
 TEST(CrashMatrix, UnarmedVictimRunsToCompletion)
 {
-    const std::string dir = makeTempDir() + "/v";
+    const TempDir tmp;
+    const std::string dir = tmp.path + "/v";
     EXPECT_EQ(crashVictimMain(dir), 0);
     // And everything it wrote is consistent.
     Expected<SweepManifest> manifest = SweepJournal::readManifest(dir);

@@ -417,8 +417,8 @@ TEST(Table, Formatting)
     EXPECT_EQ(TextTable::pct(0.295, 1), "29.5%");
 }
 
-// The hand-rolled SHA-256 guards checkpoints; pin it to the FIPS
-// 180-4 vectors.
+// The hand-rolled SHA-256 pins the golden tests' outputs; pin it to
+// the FIPS 180-4 vectors.
 TEST(Sha256, KnownVectors)
 {
     EXPECT_EQ(sha256Hex(""),
@@ -436,7 +436,7 @@ TEST(Sha256, KnownVectors)
 TEST(Sha256, IncrementalMatchesOneShot)
 {
     const std::string text =
-        "a checkpoint is restored only if its guard hash matches";
+        "a golden digest moves when any simulated number does";
     Sha256 h;
     for (char c : text)
         h.update(&c, 1);
@@ -455,7 +455,7 @@ TEST(Sha256, LengthBoundaryBlocks)
     }
 }
 
-// CRC-32 guards checkpoint sections and trace files; pin the
+// CRC-32 guards trace files; pin the
 // slicing-by-8 form to the standard check value and to a plain
 // bit-at-a-time reference.
 uint32_t

@@ -1,13 +1,19 @@
 /**
  * @file
- * Shared helpers for hand-building tiny programs and traces in unit
- * tests.
+ * Shared helpers for unit tests: hand-built tiny programs and traces,
+ * and self-cleaning scratch directories.
  */
 
 #ifndef XBS_TESTS_TEST_HELPERS_HH
 #define XBS_TESTS_TEST_HELPERS_HH
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "isa/static_inst.hh"
@@ -97,6 +103,39 @@ makeTestTrace(std::shared_ptr<const StaticCode> code,
     }
     return Trace(std::move(code), std::move(records), name);
 }
+
+/**
+ * A fresh /tmp/xbs_test_XXXXXX directory that is removed, with all it
+ * holds, when the TempDir goes out of scope. Forked children must
+ * leave with _exit so that only the creating process removes it.
+ */
+class TempDir
+{
+  public:
+    TempDir() : path(make()) {}
+
+    ~TempDir()
+    {
+        std::error_code ec;
+        if (!path.empty())
+            std::filesystem::remove_all(path, ec);
+    }
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    const std::string path;
+
+  private:
+    static std::string
+    make()
+    {
+        char tmpl[] = "/tmp/xbs_test_XXXXXX";
+        const char *dir = ::mkdtemp(tmpl);
+        EXPECT_NE(dir, nullptr);
+        return dir ? dir : "";
+    }
+};
 
 } // namespace xbs
 

@@ -7,16 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bbtc/bbtc_frontend.hh"
 #include "common/json.hh"
+#include "common/sha256.hh"
 #include "core/xbc_frontend.hh"
 #include "dc/dc_frontend.hh"
 #include "ic/ic_frontend.hh"
 #include "prof/phase_profiler.hh"
+#include "sim/config.hh"
 #include "sim/runner.hh"
 #include "tc/tc_frontend.hh"
 #include "verify/auditor.hh"
@@ -350,6 +353,85 @@ TEST(Determinism, IdenticalTracesAcrossProcessRuns)
     for (std::size_t i = 0; i < a.numRecords(); ++i) {
         ASSERT_EQ(a.record(i).staticIdx, b.record(i).staticIdx);
         ASSERT_EQ(a.record(i).taken, b.record(i).taken);
+    }
+}
+
+/**
+ * The canonical metrics document of a finished run: the headline
+ * metrics at full %.17g precision, the miss-attribution report and
+ * the whole stat tree. Nothing host-dependent (no wall clock, no
+ * rusage) goes in, so a cell writes the same bytes on every build.
+ */
+std::string
+canonicalMetricsJson(const Frontend &fe)
+{
+    std::ostringstream os;
+    {
+        JsonWriter jw(os);
+        jw.beginObject();
+        const FrontendMetrics &m = fe.metrics();
+        jw.field("cycles", m.cycles.value());
+        jw.fieldFull("bandwidth", m.bandwidth());
+        jw.fieldFull("missRate", m.missRate());
+        jw.fieldFull("overallIpc", m.overallIpc());
+        jw.fieldFull("condMispredictRate", m.condMispredictRate());
+        fe.attrib().writeJson(jw, m.buildUops.value(),
+                              m.stallCycles.value(),
+                              fe.arrayAccounting());
+        fe.statRoot().dumpJson(jw, /*as_member=*/true);
+        jw.endObject();
+    }
+    return os.str();
+}
+
+/** One xbsim cell (`--frontend --workload --insts --capacity`) and
+ *  the SHA-256 of its canonicalMetricsJson(). */
+struct SimGoldenCell
+{
+    const char *frontend;
+    const char *workload;
+    uint64_t insts;
+    uint64_t capacity;
+    const char *sha256;
+};
+
+/** Every frontend on gcc, the XBC's eviction path (access at 2K) and
+ *  its remembered failed promotions (compress at 32K, 700K
+ *  instructions). Any change to a simulated number, however small,
+ *  fails here: a refactor leaves the digests as they are, and only a
+ *  deliberate model change re-records them. */
+const SimGoldenCell kSimGolden[] = {
+    {"ic", "gcc", 30000, 32768,
+     "673e54ecec2f81702900a0c6ccf747b4d389603e7cc9cb6b6f3efe0865510197"},
+    {"dc", "gcc", 30000, 8192,
+     "ba97d2bd25c4cab862f7c47c0812b0896fdb587813163eef32f1c2e3e0ff0ffc"},
+    {"tc", "gcc", 30000, 8192,
+     "8e48d76a6fab36e98c47f96b7a02ed3a065783d5c4e4622508de91d67b16d7b9"},
+    {"bbtc", "gcc", 30000, 8192,
+     "adf3b1e6a888331ec724a2990b1b844b42fca5c266243ee913097499cece3be0"},
+    {"xbc", "gcc", 30000, 8192,
+     "434406b1da6e2ee63e8465bec4fe9f14978b31cbe7f817002de60e6619a522fe"},
+    {"xbc", "access", 300000, 2048,
+     "27a59d1db6d7fc609539eaa60ae33ef48ac305a71d75a348071b2e0a1fbc186d"},
+    {"xbc", "compress", 700000, 32768,
+     "35b68db11d704a6d08098329dd9b20cfe14dde7031d340bba3eef9ee887716f9"},
+};
+
+TEST(SimGolden, StatTreesPinnedBitForBit)
+{
+    for (const SimGoldenCell &g : kSimGolden) {
+        RunSpec spec;
+        spec.frontend = g.frontend;
+        spec.workload = g.workload;
+        spec.insts = g.insts;
+        spec.capacity = g.capacity;
+        Expected<SimConfig> config = spec.config();
+        ASSERT_TRUE(config.ok()) << spec.label();
+        const Trace trace = makeCatalogTrace(g.workload, g.insts);
+        std::unique_ptr<Frontend> fe = makeFrontend(config.value());
+        fe->run(trace);
+        EXPECT_EQ(sha256Hex(canonicalMetricsJson(*fe)), g.sha256)
+            << spec.label();
     }
 }
 

@@ -26,21 +26,12 @@
 #include "prof/build_info.hh"
 #include "prof/host_counters.hh"
 #include "prof/phase_profiler.hh"
+#include "test_helpers.hh"
 
 using namespace xbs;
 
 namespace
 {
-
-/** Fresh scratch directory per test. */
-std::string
-makeTempDir()
-{
-    char tmpl[] = "/tmp/xbs_prof_XXXXXX";
-    const char *dir = ::mkdtemp(tmpl);
-    EXPECT_NE(dir, nullptr);
-    return dir;
-}
 
 void
 writeFile(const std::string &path, const std::string &text)
@@ -412,7 +403,8 @@ windowLine(double bw)
 
 TEST(BenchAggregate, MergesReportAndIntervals)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_TRUE(ensureDir(dir + "/intervals").isOk());
     writeFile(dir + "/report.json", syntheticReport());
 
@@ -474,14 +466,16 @@ TEST(BenchAggregate, MergesReportAndIntervals)
 
 TEST(BenchAggregate, MissingReportFails)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     Expected<BenchReport> bench = aggregateSweepDir(dir);
     EXPECT_FALSE(bench.ok());
 }
 
 TEST(BenchAggregate, BenchJsonRoundTrips)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_TRUE(ensureDir(dir + "/intervals").isOk());
     writeFile(dir + "/report.json", syntheticReport());
     writeFile(dir + "/intervals/job-0.jsonl",

@@ -115,7 +115,12 @@ TEST(TraceIoCorpus, TakenIdxOutOfRange)
 
 TEST(TraceIoCorpus, ZeroUopInstruction)
 {
-    expectCorrupt("zero_uops.xbt", "uop count 0 outside 1..16");
+    expectCorrupt("zero_uops.xbt", "uop count 0 outside 1..4");
+}
+
+TEST(TraceIoCorpus, InstructionWiderThanTheIsa)
+{
+    expectCorrupt("wide_uops.xbt", "uop count 5 outside 1..4");
 }
 
 TEST(TraceIoCorpus, DuplicateIp)
@@ -259,7 +264,7 @@ bulkTrace(std::size_t n)
         const bool direct = cls == InstClass::CondBranch ||
                             cls == InstClass::DirectJump ||
                             cls == InstClass::DirectCall;
-        cb.add(cls, (uint8_t)(1 + i % 15), (uint8_t)(1 + i % 16),
+        cb.add(cls, (uint8_t)(1 + i % 15), (uint8_t)(1 + i % 4),
                direct ? (i * 7) % kInsts : kNoTarget,
                cls == InstClass::CondBranch ? i : kNoBehavior);
     }

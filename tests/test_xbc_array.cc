@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "ckpt/serial.hh"
 #include "common/random.hh"
 #include "core/data_array.hh"
 #include "core/out_mux.hh"
@@ -439,13 +438,6 @@ TEST_F(ArrayFixture, VersionMovesOnlyWhenVariantsMayChange)
     ASSERT_TRUE(arr->faultCorruptSlot(rng));
     EXPECT_TRUE(moved());
 
-    CkptSink sink;
-    arr->ckptSave(sink);
-    const std::string bytes = sink.take();
-    CkptSource src(bytes);
-    arr->ckptLoad(src);
-    ASSERT_TRUE(src.ok());
-    EXPECT_TRUE(moved());
     arr->reset();
     EXPECT_TRUE(moved());
 

@@ -9,9 +9,6 @@
  *   xbsim --frontend=tc --capacity=65536 --ways=2 --json
  *   xbsim --frontend=xbc --trace=run.xbt --stats
  *   xbsim --frontend=xbc --interval-stats=10000
- *   xbsim --frontend=xbc --checkpoint-at=500000 --checkpoint-out=warm.xbckpt
- *   xbsim --frontend=xbc --restore-from=warm.xbckpt
- *   xbsim --frontend=xbc --verify-ckpt=500000
  *   xbsim --list-workloads
  */
 
@@ -20,9 +17,7 @@
 #include <memory>
 #include <optional>
 
-#include "ckpt/checkpoint.hh"
 #include "common/args.hh"
-#include "common/fs.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/signals.hh"
@@ -31,12 +26,10 @@
 #include "prof/host_counters.hh"
 #include "prof/phase_profiler.hh"
 #include "sim/cell.hh"
-#include "sim/ckpt_io.hh"
 #include "sim/config.hh"
 #include "sim/runner.hh"
 #include "trace/trace_io.hh"
 #include "verify/auditor.hh"
-#include "verify/divergence.hh"
 #include "verify/inject.hh"
 #include "workload/catalog.hh"
 
@@ -90,10 +83,6 @@ main(int argc, char **argv)
     uint64_t inject_seed = 1;
     bool profile = false;
     bool build_info_only = false;
-    uint64_t checkpoint_at = 0;
-    std::string checkpoint_out;
-    std::string restore_from;
-    uint64_t verify_ckpt = 0;
 
     ArgParser args("xbsim",
                    "trace-driven frontend simulator (XBC, HPCA 2000)");
@@ -129,20 +118,7 @@ main(int argc, char **argv)
     args.addString("inject", &inject_spec,
                    "fault injection spec: kind[@period],... with kind "
                    "in xbtb-flip|xfu-drop|line-kill|slot-corrupt|"
-                   "trace-flip|trace-trunc|hang|ckpt-flip");
-    args.addUint("checkpoint-at", &checkpoint_at,
-                 "cut a warm-state checkpoint at this cycle (0 = off)");
-    args.addString("checkpoint-out", &checkpoint_out,
-                   "checkpoint output path (default "
-                   "<workload>.<frontend>.xbckpt)");
-    args.addString("restore-from", &restore_from,
-                   "restore warm state from a checkpoint before "
-                   "simulating (exit 2 if missing/corrupt/mismatched)");
-    args.addUint("verify-ckpt", &verify_ckpt,
-                 "divergence oracle: checkpoint at this cycle, "
-                 "restore into a fresh frontend, finish both runs, "
-                 "and require bit-identical metrics (exit 2 on "
-                 "divergence)");
+                   "trace-flip|trace-trunc|hang");
     args.addUint("inject-seed", &inject_seed,
                  "deterministic fault-injection seed");
     args.addBool("profile", &profile,
@@ -172,14 +148,10 @@ main(int argc, char **argv)
     // first cycle and the partial-output path below still runs.
     installStopHandlers(&g_stop);
 
-    // The batch-layer identity of this run: a checkpoint carries it
-    // and a restore is verified against it. (A geometry mismatch in
-    // the other flags is still caught by the per-section size checks
-    // on restore.)
+    // The geometry an xbatch cell with these flags gets; the XBC and
+    // TC flags below refine it.
     RunSpec spec;
     spec.frontend = frontend;
-    spec.workload = trace_path.empty() ? workload : trace_path;
-    spec.insts = insts;
     spec.capacity = capacity;
     spec.ways = ways;
 
@@ -263,100 +235,7 @@ main(int argc, char **argv)
     const std::string trace_name = trace.name();
     const uint64_t total_uops = trace.totalUops();
 
-    // Divergence-oracle mode: a self-contained experiment (two full
-    // in-process runs), not a simulation of this cell.
-    if (verify_ckpt) {
-        Expected<DivergenceReport> rep =
-            runDivergenceOracle(config, spec, trace, verify_ckpt);
-        if (!rep.ok()) {
-            std::fprintf(stderr, "xbsim: %s\n",
-                         rep.status().toString().c_str());
-            return kExitData;
-        }
-        const DivergenceReport &r = rep.value();
-        if (json) {
-            JsonWriter jw(std::cout);
-            jw.beginObject();
-            jw.field("frontend", frontend);
-            jw.field("workload", trace_name);
-            jw.field("checkpointCycle", r.cutCycle);
-            jw.field("checkpointBytes", r.checkpointBytes);
-            jw.field("auditViolations", (uint64_t)r.auditViolations);
-            jw.field("identical", r.identical);
-            if (!r.detail.empty())
-                jw.field("detail", r.detail);
-            jw.endObject();
-            std::cout << "\n";
-        } else {
-            std::printf("checkpoint divergence oracle: %s on '%s', "
-                        "cut at cycle %llu (%llu bytes)\n",
-                        frontend.c_str(), trace_name.c_str(),
-                        (unsigned long long)r.cutCycle,
-                        (unsigned long long)r.checkpointBytes);
-            std::printf("  restore is %s\n",
-                        r.identical ? "bit-exact" : "DIVERGENT");
-            if (!r.detail.empty())
-                std::printf("  %s\n", r.detail.c_str());
-        }
-        return r.identical ? kExitOk : kExitData;
-    }
-
-    // Warm start: restore checkpointed state before the run. Every
-    // failure here is typed and exits with kExitData, so a bad
-    // checkpoint never produces numbers.
-    if (!restore_from.empty()) {
-        Expected<std::string> raw = readFileToString(restore_from);
-        if (!raw.ok()) {
-            Status st = raw.status();
-            st.withFile(restore_from);
-            std::fprintf(stderr, "xbsim: %s\n",
-                         st.toString().c_str());
-            return kExitData;
-        }
-        std::string bytes = raw.take();
-        if (injector && injector->plan().hasCkptActions())
-            bytes = injector->prepareCheckpointBytes(bytes);
-        Expected<CheckpointFile> ckpt = parseCheckpoint(bytes);
-        Status restored =
-            ckpt.ok() ? restoreCheckpoint(*fe, ckpt.value(), spec,
-                                          trace)
-                      : ckpt.status();
-        if (!restored.isOk()) {
-            restored.withFile(restore_from);
-            std::fprintf(stderr, "xbsim: restore failed: %s\n",
-                         restored.toString().c_str());
-            return kExitData;
-        }
-        // Mandatory post-restore audit: one structural walk over the
-        // restored structures before a single cycle is simulated on
-        // them. A checkpoint that passes every integrity check but
-        // decodes into invariant-violating state is still Corrupt.
-        InvariantAuditor restore_audit;
-        restore_audit.auditRestore(*fe, trace,
-                                   fe->metrics().cycles.value());
-        if (!restore_audit.violations().empty()) {
-            restore_audit.report(std::cerr);
-            std::fprintf(stderr,
-                         "xbsim: restored state from '%s' violates "
-                         "structural invariants\n",
-                         restore_from.c_str());
-            return kExitData;
-        }
-        xbs_inform("restored warm state at cycle %llu from %s",
-                   (unsigned long long)fe->metrics().cycles.value(),
-                   restore_from.c_str());
-    }
-
     std::unique_ptr<InvariantAuditor> auditor;
-    if (audit && !restore_from.empty()) {
-        // The delivery oracle grounds at record 0 of the trace; a
-        // restored run only delivers the tail, so the full auditor
-        // would report spurious violations. The mandatory one-shot
-        // structural audit above already covered the restored state.
-        xbs_inform("--audit disabled for a restored run (delivery "
-                   "oracle needs a cold start)");
-        audit = false;
-    }
     if (audit) {
         AuditorOptions opts;
         opts.interval = audit_interval;
@@ -367,24 +246,6 @@ main(int argc, char **argv)
         fe->attachCycleObserver(injector.get());
 
     fe->attachStopFlag(&g_stop);
-
-    // Live-point cut: arm the run loop to serialize the complete
-    // warm state the first time the cycle counter reaches the mark
-    // (the write happens mid-run, atomically, without stopping the
-    // simulation).
-    std::string ckpt_path = checkpoint_out;
-    if (checkpoint_at) {
-        if (ckpt_path.empty())
-            ckpt_path = spec.workload + "." + frontend + ".xbckpt";
-        fe->armCheckpoint(
-            checkpoint_at, [&](Frontend &f) -> Status {
-                return writeCheckpoint(
-                    f,
-                    makeCkptMeta(spec, trace,
-                                 f.metrics().cycles.value()),
-                    ckpt_path);
-            });
-    }
 
     meter.reset();
     fe->run(trace);
@@ -418,23 +279,6 @@ main(int argc, char **argv)
     if (interrupted)
         exit_code = kExitInterrupted;
 
-    if (checkpoint_at) {
-        if (!fe->checkpointTaken()) {
-            xbs_inform("run ended before checkpoint cycle %llu; no "
-                       "checkpoint written",
-                       (unsigned long long)checkpoint_at);
-        } else if (!fe->checkpointStatus().isOk()) {
-            std::fprintf(stderr,
-                         "xbsim: checkpoint write failed: %s\n",
-                         fe->checkpointStatus().toString().c_str());
-            if (exit_code == kExitOk)
-                exit_code = kExitData;
-        } else {
-            xbs_inform("wrote checkpoint to %s",
-                       ckpt_path.c_str());
-        }
-    }
-
     const auto &m = fe->metrics();
     const ThroughputMeter::Rates overall = meter.overall(
         m.cycles.value(),
@@ -454,12 +298,6 @@ main(int argc, char **argv)
         }
         if (interrupted)
             jw.field("interrupted", true);
-        if (!restore_from.empty())
-            jw.field("restoredFrom", restore_from);
-        if (checkpoint_at && fe->checkpointTaken() &&
-            fe->checkpointStatus().isOk()) {
-            jw.field("checkpointOut", ckpt_path);
-        }
         if (auditor) {
             jw.field("auditViolations",
                      (uint64_t)auditor->violations().size());
