@@ -3,8 +3,8 @@
  * The portable form of one run's attribution result: the per-cause
  * uop and silent-cycle totals as (name, count) lists, detached from
  * the live AttribRecorder so it can travel through the batch pipeline
- * (xbsim --json stdout -> scheduler -> journal -> report.json ->
- * bench.json -> xbregress/xbexplain) as plain JSON.
+ * (xbsim --json stdout -> scheduler -> report.json -> bench.json
+ * -> xbregress/xbexplain) as plain JSON.
  *
  * Only nonzero categories are carried; the two sum invariants
  * (uops == buildUops, cycles == silentCycles) stay checkable at every

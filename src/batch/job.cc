@@ -24,33 +24,12 @@ jobClassName(JobClass cls)
     return "?";
 }
 
-Expected<JobClass>
-jobClassFromName(const std::string &name)
-{
-    static const std::pair<const char *, JobClass> kTable[] = {
-        {"ok", JobClass::Ok},
-        {"usage", JobClass::Usage},
-        {"data", JobClass::Data},
-        {"audit", JobClass::Audit},
-        {"interrupted", JobClass::Interrupted},
-        {"timeout", JobClass::Timeout},
-        {"crash", JobClass::Crash},
-        {"spawn", JobClass::Spawn},
-        {"resource", JobClass::Resource},
-    };
-    for (const auto &[n, cls] : kTable) {
-        if (name == n)
-            return cls;
-    }
-    return Status::error("unknown job class '" + name + "'");
-}
-
 bool
 jobClassRetryable(JobClass cls)
 {
     // Resource is the typed "the host ran out of something" verdict
-    // (ENOSPC journal writes, fork EAGAIN): backoff gives the
-    // host a chance to recover, unlike the deterministic classes.
+    // (fork EAGAIN, fd-table ENFILE, ENOMEM): backoff gives the host
+    // a chance to recover, unlike the deterministic classes.
     return cls == JobClass::Timeout || cls == JobClass::Crash ||
            cls == JobClass::Resource;
 }
@@ -87,10 +66,10 @@ sanitizeNote(const std::string &text, std::size_t max_len)
             out += "...";
             break;
         }
-        // Control bytes (including \n, which would split the JSONL
-        // journal line, and \e, which could drive a terminal) become
-        // spaces; high bytes pass through (the JSON writer escapes
-        // its own metacharacters).
+        // Control bytes (including \n, which would split the table
+        // row, and \e, which could drive a terminal) become spaces;
+        // high bytes pass through (the JSON writer escapes its own
+        // metacharacters).
         out += (c < 0x20 || c == 0x7f) ? ' ' : (char)c;
     }
     return out;

@@ -49,9 +49,6 @@ enum class JobClass
 
 const char *jobClassName(JobClass cls);
 
-/** Inverse of jobClassName (for journal replay). */
-Expected<JobClass> jobClassFromName(const std::string &name);
-
 /** Transient classes are retried; deterministic ones are not. */
 bool jobClassRetryable(JobClass cls);
 
@@ -70,9 +67,9 @@ JobClass classifyOutcome(bool timed_out, bool exited, int exit_code,
                          int term_signal);
 
 /**
- * Make arbitrary child stderr safe for one JSONL journal line and
- * the report: strip control characters (a binary stderr must never
- * embed a newline or escape into the journal) and truncate to
+ * Make arbitrary child stderr safe for the report and the printed
+ * table: strip control characters (a binary stderr must never embed
+ * a newline or a terminal escape in a one-line note) and truncate to
  * @p max_len bytes with a "..." marker.
  */
 std::string sanitizeNote(const std::string &text,
@@ -104,7 +101,7 @@ struct JobUsage
 struct JobRecord
 {
     JobSpec spec;
-    bool done = false;         ///< terminal (final journal event)
+    bool done = false;         ///< reached its final class
     JobClass cls = JobClass::Ok;
     int attempts = 0;          ///< attempts that consumed a try
     int exitCode = -1;         ///< last attempt's exit code (-1: n/a)
@@ -115,13 +112,12 @@ struct JobRecord
     bool hasUsage = false;     ///< last attempt's rusage captured
     JobUsage usage;
     std::string note;          ///< first stderr line of a failure
-    bool replayed = false;     ///< restored from a journal on resume
 };
 
 /**
  * Enumerate the workload x frontend x capacity matrix in
  * deterministic order (workload-outer, matching SuiteRunner, so job
- * ids are stable across runs and resumable).
+ * ids are stable across runs).
  */
 std::vector<JobSpec> buildJobMatrix(
     const std::vector<std::string> &workloads,

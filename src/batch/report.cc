@@ -66,8 +66,8 @@ renderSweepReport(const std::vector<JobRecord> &records,
         jw.endObject();
 
         // Everything timing-dependent lives in this one object (and
-        // the per-job "seconds" field) so resumed sweeps can be
-        // compared to uninterrupted ones field-by-field.
+        // the per-job "seconds" and "rusage" members) so two runs of
+        // one sweep can be compared member by member.
         jw.beginObject("timing");
         jw.field("wallSeconds", summary.wallSeconds);
         jw.endObject();
@@ -89,7 +89,6 @@ renderSweepReport(const std::vector<JobRecord> &records,
             jw.field("attempts", (int64_t)rec.attempts);
             jw.field("exit", (int64_t)rec.exitCode);
             jw.field("signal", (int64_t)rec.termSignal);
-            jw.field("replayed", rec.replayed);
             jw.field("seconds", rec.seconds);
             if (rec.hasMetrics) {
                 jw.beginObject("metrics");
@@ -146,18 +145,16 @@ printSweepSummary(std::ostream &os,
         } else if (rec.cls == JobClass::Ok && rec.hasMetrics) {
             std::snprintf(line, sizeof(line),
                           "  %-28s ok       bw=%6.3f miss=%5.3f "
-                          "(%d attempt%s%s)",
+                          "(%d attempt%s)",
                           rec.spec.run.label().c_str(),
                           rec.metrics.bandwidth, rec.metrics.missRate,
-                          rec.attempts, rec.attempts == 1 ? "" : "s",
-                          rec.replayed ? ", replayed" : "");
+                          rec.attempts, rec.attempts == 1 ? "" : "s");
         } else {
             std::snprintf(line, sizeof(line),
-                          "  %-28s %-8s (%d attempt%s%s)%s%s",
+                          "  %-28s %-8s (%d attempt%s)%s%s",
                           rec.spec.run.label().c_str(),
                           jobClassName(rec.cls), rec.attempts,
                           rec.attempts == 1 ? "" : "s",
-                          rec.replayed ? ", replayed" : "",
                           rec.note.empty() ? "" : ": ",
                           rec.note.c_str());
         }

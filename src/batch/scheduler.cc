@@ -6,14 +6,32 @@
 #include <signal.h>
 #include <sys/wait.h>
 
-#include "common/json.hh"
-#include "common/logging.hh"
-
 namespace xbs
 {
 
+JobMetrics
+readJobMetricsFields(const JsonValue &v)
+{
+    JobMetrics m;
+    if (const JsonValue *f = v.find("bandwidth"))
+        m.bandwidth = f->asNumber();
+    if (const JsonValue *f = v.find("missRate"))
+        m.missRate = f->asNumber();
+    if (const JsonValue *f = v.find("overallIpc"))
+        m.overallIpc = f->asNumber();
+    if (const JsonValue *f = v.find("cycles"))
+        m.cycles = f->asUint();
+    if (const JsonValue *f = v.find("totalUops"))
+        m.totalUops = f->asUint();
+    if (const JsonValue *f = v.find("attrib"))
+        m.attrib = parseAttribRollup(*f);
+    return m;
+}
+
 namespace
 {
+
+using Clock = std::chrono::steady_clock;
 
 /** Parse the result JSON a cell prints on stdout (the members
  *  `xbsim --json` prints). */
@@ -42,12 +60,26 @@ firstLineOf(const std::string &text)
                                   : end - start);
 }
 
+/** @p seconds after @p now, saturated at the clock's end: a span
+ *  too long for the clock means "never". */
+Clock::time_point
+after(Clock::time_point now, double seconds)
+{
+    const Clock::duration left = Clock::time_point::max() - now;
+    const std::chrono::duration<double> span(seconds);
+    if (span >= left)
+        return Clock::time_point::max();
+    // Below `left` in double, so the cast fits; rounding may still
+    // reach it.
+    const auto ticks = std::chrono::duration_cast<Clock::duration>(span);
+    return ticks >= left ? Clock::time_point::max() : now + ticks;
+}
+
 } // anonymous namespace
 
 SweepScheduler::SweepScheduler(SchedulerOptions opts,
-                               std::vector<JobSpec> jobs,
-                               SweepJournal *journal)
-    : opts_(std::move(opts)), journal_(journal)
+                               std::vector<JobSpec> jobs)
+    : opts_(std::move(opts))
 {
     records_.reserve(jobs.size());
     for (JobSpec &spec : jobs) {
@@ -60,85 +92,11 @@ SweepScheduler::SweepScheduler(SchedulerOptions opts,
         pending_.push_back(i);
 }
 
-uint64_t
-SweepScheduler::restore(const std::vector<JournalEvent> &events)
-{
-    uint64_t last_seq = 0;
-    for (const JournalEvent &ev : events) {
-        last_seq = std::max(last_seq, ev.seq);
-        auto it = std::find_if(records_.begin(), records_.end(),
-                               [&](const JobRecord &r) {
-                                   return r.spec.id == ev.job;
-                               });
-        if (it == records_.end())
-            continue;  // journal mentions a job not in the manifest
-        JobRecord &rec = *it;
-        switch (ev.kind) {
-          case JournalEvent::Kind::Launch:
-            break;  // a launch without a result consumed nothing
-          case JournalEvent::Kind::Result:
-            // Drain-interrupted attempts are free (their outcome is
-            // the supervisor's doing, not the job's); everything
-            // else consumed one attempt.
-            if (ev.cls != JobClass::Interrupted) {
-                ++rec.attempts;
-                rec.exitCode = ev.exitCode;
-                rec.termSignal = ev.termSignal;
-                rec.seconds = ev.seconds;
-                rec.hasUsage = ev.hasUsage;
-                rec.usage = ev.usage;
-            }
-            break;
-          case JournalEvent::Kind::Final:
-            rec.done = true;
-            rec.replayed = true;
-            rec.cls = ev.cls;
-            rec.attempts = ev.attempt;
-            rec.exitCode = ev.exitCode;
-            rec.termSignal = ev.termSignal;
-            rec.seconds = ev.seconds;
-            rec.hasMetrics = ev.hasMetrics;
-            rec.metrics = ev.metrics;
-            rec.hasUsage = ev.hasUsage;
-            rec.usage = ev.usage;
-            rec.note = ev.note;
-            break;
-        }
-    }
-    // Re-queue only unfinished jobs, in matrix order.
-    pending_.clear();
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        if (!records_[i].done)
-            pending_.push_back(i);
-    }
-    return last_seq;
-}
-
-void
-SweepScheduler::journalAppend(JournalEvent &event)
-{
-    if (!journal_)
-        return;
-    if (Status st = journal_->append(event); !st.isOk()) {
-        // A dying journal must not kill the sweep; the results in
-        // memory still produce a report. Resume fidelity degrades,
-        // which the warning makes visible.
-        xbs_warn("journal append failed: %s",
-                 st.toString().c_str());
-    }
-}
-
 void
 SweepScheduler::launch(std::size_t idx)
 {
     JobRecord &rec = records_[idx];
     const int attempt = rec.attempts + 1;
-
-    JournalEvent ev;
-    ev.kind = JournalEvent::Kind::Launch;
-    ev.job = rec.spec.id;
-    ev.attempt = attempt;
-    journalAppend(ev);
 
     prepare(&rec.spec);
     const JobSpec &spec = rec.spec;
@@ -158,13 +116,6 @@ SweepScheduler::launch(std::size_t idx)
         const JobClass cls = child.status().transient()
                                  ? JobClass::Resource
                                  : JobClass::Spawn;
-        JournalEvent res;
-        res.kind = JournalEvent::Kind::Result;
-        res.job = rec.spec.id;
-        res.attempt = attempt;
-        res.cls = cls;
-        res.note = child.status().toString();
-        journalAppend(res);
         rec.attempts = attempt;
         rec.note = child.status().toString();
         if (jobClassRetryable(cls) && !draining_ &&
@@ -185,9 +136,7 @@ SweepScheduler::launch(std::size_t idx)
     run.idx = idx;
     run.attempt = attempt;
     run.start = now;
-    run.deadline =
-        now + std::chrono::microseconds(
-                  (int64_t)(opts_.timeoutSec * 1e6));
+    run.deadline = after(now, opts_.timeoutSec);
     running_.push_back(std::move(run));
 }
 
@@ -213,22 +162,6 @@ SweepScheduler::finalize(std::size_t idx, JobClass cls,
     rec.cls = cls;
     rec.hasMetrics = has_metrics;
     rec.metrics = metrics;
-
-    JournalEvent ev;
-    ev.kind = JournalEvent::Kind::Final;
-    ev.job = rec.spec.id;
-    ev.attempt = rec.attempts;
-    ev.cls = cls;
-    ev.exitCode = rec.exitCode;
-    ev.termSignal = rec.termSignal;
-    ev.seconds = rec.seconds;
-    ev.hasMetrics = has_metrics;
-    ev.metrics = metrics;
-    ev.hasUsage = rec.hasUsage;
-    ev.usage = rec.usage;
-    ev.note = rec.note;
-    journalAppend(ev);
-
     if (opts_.onFinal)
         opts_.onFinal(rec);
 }
@@ -248,9 +181,9 @@ SweepScheduler::handleExit(Running &run, int raw_status)
     JobClass cls =
         classifyOutcome(run.timedOut, exited, exit_code, term_signal);
     // A drain (supervisor shutdown) turns the kill-induced outcomes
-    // into Interrupted: the attempt is free and --resume re-runs the
-    // job. A child that still finished with a deterministic verdict
-    // keeps it.
+    // into Interrupted: the job is left unfinished (notRun in the
+    // report). A child that still finished with a deterministic
+    // verdict keeps it.
     if (draining_ && !run.timedOut &&
         (cls == JobClass::Crash || cls == JobClass::Interrupted)) {
         cls = JobClass::Interrupted;
@@ -275,26 +208,8 @@ SweepScheduler::handleExit(Running &run, int raw_status)
     if (cls != JobClass::Ok)
         rec.note = sanitizeNote(firstLineOf(run.child.err));
 
-    JournalEvent ev;
-    ev.kind = JournalEvent::Kind::Result;
-    ev.job = rec.spec.id;
-    ev.attempt = run.attempt;
-    ev.cls = cls;
-    ev.exitCode = rec.exitCode;
-    ev.termSignal = term_signal;
-    ev.seconds = seconds;
-    ev.hasMetrics = has_metrics;
-    ev.metrics = metrics;
-    ev.hasUsage = rec.hasUsage;
-    ev.usage = rec.usage;
-    ev.note = rec.note;
-    journalAppend(ev);
-
-    if (cls == JobClass::Interrupted && draining_) {
-        // No final event: the journal shows an open attempt and
-        // --resume re-queues the job.
+    if (cls == JobClass::Interrupted && draining_)
         return;
-    }
 
     rec.attempts = run.attempt;
 
@@ -331,17 +246,14 @@ SweepScheduler::pickPending(Clock::time_point now)
 void
 SweepScheduler::step()
 {
-    const auto grace = std::chrono::microseconds(
-        (int64_t)(opts_.graceSec * 1e6));
-
     if (!draining_ && stopRequested()) {
         draining_ = true;
         interrupted_ = true;
-        const auto now = Clock::now();
+        const auto kill_at = after(Clock::now(), opts_.graceSec);
         for (Running &run : running_) {
             signalChild(run.child, SIGTERM);
             run.termSent = true;
-            run.killAt = now + grace;
+            run.killAt = kill_at;
         }
     }
     poll();
@@ -369,8 +281,6 @@ SweepScheduler::step()
 void
 SweepScheduler::poll()
 {
-    const auto grace = std::chrono::microseconds(
-        (int64_t)(opts_.graceSec * 1e6));
     for (std::size_t i = 0; i < running_.size();) {
         Running &run = running_[i];
         pumpChild(run.child);
@@ -386,7 +296,7 @@ SweepScheduler::poll()
             // partial output, then escalate.
             run.timedOut = true;
             run.termSent = true;
-            run.killAt = now + grace;
+            run.killAt = after(now, opts_.graceSec);
             signalChild(run.child, SIGTERM);
         } else if (run.termSent && now >= run.killAt) {
             signalChild(run.child, SIGKILL);

@@ -13,9 +13,8 @@
  *     pending -> running -> { ok | usage | data | audit }   final
  *                        -> { timeout | crash }  -> retry (bounded,
  *                               exponential backoff) -> ... -> final
- *                        -> interrupted (supervisor drain; the
- *                               attempt is free and the job is
- *                               re-queued by --resume)
+ *                        -> interrupted (supervisor drain; the job
+ *                               is not re-run and counts as notRun)
  *
  * The watchdog enforces a per-job wall-clock deadline, the sweep's
  * only hang guard: SIGTERM first (a healthy simulator cell drains at
@@ -26,12 +25,11 @@
  * slow: one hung at start, one wedged mid-run and one that is merely
  * long all end the same way, so --timeout must cover the slowest
  * healthy job. SIGINT/SIGTERM on the supervisor itself stops
- * launching, TERMs the workers, waits for them, and finalizes the
- * journal — the sweep is resumable from exactly that point.
+ * launching, TERMs the workers and waits for them; the report then
+ * covers what finished.
  *
- * Every transition is journaled before the next action, so a SIGKILL
- * of the supervisor at any instant loses at most the in-flight
- * attempts, never a completed result.
+ * Nothing is persisted along the way: a supervisor that dies takes
+ * the sweep with it, and the sweep is rerun.
  */
 
 #ifndef XBS_BATCH_SCHEDULER_HH
@@ -43,11 +41,15 @@
 #include <vector>
 
 #include "batch/job.hh"
-#include "batch/journal.hh"
 #include "batch/subprocess.hh"
+#include "common/json.hh"
 
 namespace xbs
 {
+
+/** The metrics members of a cell's result JSON (what `xbsim --json`
+ *  prints, and report.json's per-job "metrics"). */
+JobMetrics readJobMetricsFields(const JsonValue &v);
 
 struct SchedulerOptions
 {
@@ -81,18 +83,7 @@ struct SchedulerOptions
 class SweepScheduler
 {
   public:
-    /** @param journal optional (tests may run journal-less). */
-    SweepScheduler(SchedulerOptions opts, std::vector<JobSpec> jobs,
-                   SweepJournal *journal);
-
-    /**
-     * Apply a replayed journal before run(): jobs with a final event
-     * are marked done (their recorded outcome and metrics stand);
-     * jobs with launches or transient results but no final are
-     * re-queued. Returns the last seq seen so the journal can
-     * continue numbering.
-     */
-    uint64_t restore(const std::vector<JournalEvent> &events);
+    SweepScheduler(SchedulerOptions opts, std::vector<JobSpec> jobs);
 
     /**
      * Run the sweep to completion or until drained by the stop flag.
@@ -154,7 +145,6 @@ class SweepScheduler
     void handleExit(Running &run, int raw_status);
     void finalize(std::size_t idx, JobClass cls, bool has_metrics,
                   const JobMetrics &metrics);
-    void journalAppend(JournalEvent &event);
     bool stopRequested() const
     {
         return opts_.stopFlag && *opts_.stopFlag != 0;
@@ -162,7 +152,6 @@ class SweepScheduler
 
     SchedulerOptions opts_;
     std::vector<JobRecord> records_;
-    SweepJournal *journal_;
 
     std::vector<std::size_t> pending_;  ///< FIFO of records_ indices
     std::vector<Clock::time_point> eligibleAt_;  ///< backoff gates

@@ -1,5 +1,6 @@
 #include "common/args.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,21 @@
 
 namespace xbs
 {
+
+bool
+parseUintArg(const std::string &text, uint64_t *out)
+{
+    const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
+    if (first == std::string::npos || text[first] == '-')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+    if (*end != '\0' || errno == ERANGE)
+        return false;
+    *out = v;
+    return true;
+}
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description))
@@ -62,20 +78,12 @@ ArgParser::assign(Flag &flag, const std::string &value)
       case Kind::String:
         *(std::string *)flag.target = value;
         break;
-      case Kind::Uint: {
-        // strtoull reads "" as 0 and wraps a leading '-' (-1 becomes
-        // 2^64-1); both are typos, never intended values.
-        const std::size_t first = value.find_first_not_of(" \t\n\v\f\r");
-        char *end = nullptr;
-        uint64_t v = std::strtoull(value.c_str(), &end, 0);
-        if (first == std::string::npos || value[first] == '-' ||
-            *end != '\0') {
+      case Kind::Uint:
+        if (!parseUintArg(value, (uint64_t *)flag.target)) {
             xbs_fatal("--%s expects an integer, got '%s'",
                       flag.name.c_str(), value.c_str());
         }
-        *(uint64_t *)flag.target = v;
         break;
-      }
       case Kind::Double: {
         // Empty, nan and inf parse cleanly but no flag means them.
         char *end = nullptr;

@@ -16,6 +16,15 @@
 namespace xbs
 {
 
+/**
+ * The tools' integer rule, for --name=value flags and list items
+ * alike: @p text is a number (decimal, 0x hex or 0 octal) that fits
+ * in 64 bits, with no minus sign and nothing after it. strtoull
+ * alone reads "" as 0, wraps -1 to 2^64-1 and clamps an overflow to
+ * 2^64-1.
+ */
+bool parseUintArg(const std::string &text, uint64_t *out);
+
 class ArgParser
 {
   public:

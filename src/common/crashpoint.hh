@@ -1,28 +1,22 @@
 /**
  * @file
- * Crash-point injection: deterministic process death at named
- * durability-critical instructions, for the crash-point matrix.
+ * Crash-point injection: deterministic process death at a named step
+ * of a durable write.
  *
- * Every fsync/rename/append site in common/fs calls
- * crashPoint("site.name"). When the environment selects that site —
- * XBATCH_CRASH_AT=<site>:<n> — the n-th execution of the site kills
- * the process on the spot with _exit(), modeling a SIGKILL (or power
- * loss) at exactly that instruction: no destructors, no flushes, no
- * atexit. The durability claims of the batch layer ("an acknowledged
- * record survives a crash at any instant") are tested by iterating
- * every registered site (see verify/crash_matrix) instead of only the
- * few crash timings a hand-written test happens to produce.
+ * writeFileAtomic (common/fs.cc) calls crashPoint("atomic.<step>")
+ * after each of its four steps. A test forks a writer, arms one site
+ * in it and lets it write: at that site the writer dies on the spot
+ * with _exit(kCrashPointExit), modeling a SIGKILL at exactly that
+ * instruction (no destructors, no flushes, no atexit). The test then
+ * reads back what the writer left.
  *
- * Disabled (the normal case) the hook is one predicted branch on a
- * cached bool, so it stays compiled into release binaries and the
- * harness tests the real production code path.
+ * Unarmed (the normal case) the hook is one predicted branch, so it
+ * stays compiled into release binaries and the test exercises the
+ * real code path.
  */
 
 #ifndef XBS_COMMON_CRASHPOINT_HH
 #define XBS_COMMON_CRASHPOINT_HH
-
-#include <string>
-#include <vector>
 
 namespace xbs
 {
@@ -31,28 +25,12 @@ namespace xbs
  *  real exit code and from shell signal deaths). */
 constexpr int kCrashPointExit = 86;
 
-/**
- * Die here if XBATCH_CRASH_AT selects @p site. @p site must be a
- * string literal from the registry below (asserted by the harness,
- * not at runtime — the hot path stays a single branch).
- */
+/** Die here if armCrashPoint() selected @p site. */
 void crashPoint(const char *site);
 
-/** True when XBATCH_CRASH_AT is set (tests skip timing-sensitive
- *  assertions under injection). */
-bool crashPointArmed();
-
-/**
- * Every site name compiled into the binary, in a stable order. The
- * crash matrix iterates this list; a listed site that no code
- * reaches fails the matrix (the victim exits cleanly instead of
- * dying), so the registry cannot rot.
- */
-const std::vector<std::string> &crashPointSites();
-
-/** Reset the per-site hit counters and re-read the environment
- *  (tests only; a forked victim inherits fresh state anyway). */
-void crashPointReset();
+/** Make this process die at its next visit of @p site (tests only:
+ *  arm it in a forked child). @p site must outlive the process. */
+void armCrashPoint(const char *site);
 
 } // namespace xbs
 

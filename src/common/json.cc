@@ -149,7 +149,7 @@ JsonWriter::fieldFull(const std::string &key, double value)
     if (std::isfinite(value)) {
         // %.17g round-trips every finite double through strtod
         // bit-exactly; used where a value will be read back and must
-        // compare equal (journal metrics, cache entries), not just
+        // compare equal (benchmark records, pinned metrics), not just
         // displayed.
         char buf[48];
         std::snprintf(buf, sizeof(buf), "%.17g", value);

@@ -42,7 +42,8 @@ enum ExitCode : int
     kExitDegraded = 4,
 
     /// The process caught SIGINT/SIGTERM, flushed partial output
-    /// (interval stats, audit report, journal) and stopped early.
+    /// (interval stats, audit report, a drained sweep's report) and
+    /// stopped early.
     kExitInterrupted = 5,
 
     /// A benchmark comparison found at least one gated metric
@@ -62,7 +63,6 @@ enum class StatusCode
 {
     Generic,    ///< untyped failure (default)
     Resource,   ///< ENOSPC/EDQUOT/EAGAIN/ENOMEM: transient host limit
-    ShortWrite, ///< partial write the caller could not complete
     Corrupt,    ///< data present but failed integrity/parse checks
     NotFound,   ///< addressed object does not exist
 };
@@ -168,7 +168,6 @@ statusCodeName(StatusCode code)
     switch (code) {
       case StatusCode::Generic:    return "generic";
       case StatusCode::Resource:   return "resource";
-      case StatusCode::ShortWrite: return "short-write";
       case StatusCode::Corrupt:    return "corrupt";
       case StatusCode::NotFound:   return "not-found";
     }

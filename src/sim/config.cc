@@ -1,7 +1,7 @@
 #include "sim/config.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 #include "core/xbc_frontend.hh"
@@ -212,50 +212,20 @@ RunSpec::toArgv() const
     return argv;
 }
 
-Expected<RunSpec>
-RunSpec::fromArgv(const std::vector<std::string> &args)
+Status
+checkUnsignedFlags(
+    std::initializer_list<std::pair<const char *, uint64_t>> flags)
 {
-    RunSpec spec;
-    for (const std::string &arg : args) {
-        if (arg.rfind("--", 0) != 0 ||
-            arg.find('=') == std::string::npos) {
-            return Status::error("run spec flag '" + arg +
-                                 "' is not --name=value");
+    constexpr uint64_t kMax = std::numeric_limits<unsigned>::max();
+    for (const auto &[name, value] : flags) {
+        if (value > kMax) {
+            return Status::error(std::string(name) + " " +
+                                 std::to_string(value) +
+                                 " is out of range (at most " +
+                                 std::to_string(kMax) + ")");
         }
-        const std::string key = arg.substr(2, arg.find('=') - 2);
-        const std::string val = arg.substr(arg.find('=') + 1);
-        auto parseUint = [&](uint64_t *out) -> Status {
-            char *end = nullptr;
-            uint64_t v = std::strtoull(val.c_str(), &end, 10);
-            if (val.empty() || *end != '\0') {
-                return Status::error("run spec flag --" + key +
-                                     " expects an integer, got '" +
-                                     val + "'");
-            }
-            *out = v;
-            return Status::ok();
-        };
-        Status st = Status::ok();
-        if (key == "frontend") {
-            Expected<FrontendKind> kind = parseFrontendKind(val);
-            if (!kind.ok())
-                return kind.status();
-            spec.frontend = val;
-        } else if (key == "workload") {
-            spec.workload = val;
-        } else if (key == "insts") {
-            st = parseUint(&spec.insts);
-        } else if (key == "capacity") {
-            st = parseUint(&spec.capacity);
-        } else if (key == "ways") {
-            st = parseUint(&spec.ways);
-        } else {
-            return Status::error("unknown run spec flag --" + key);
-        }
-        if (!st.isOk())
-            return st;
     }
-    return spec;
+    return Status::ok();
 }
 
 Expected<SimConfig>
@@ -264,6 +234,11 @@ RunSpec::config() const
     Expected<FrontendKind> kind = parseFrontendKind(frontend);
     if (!kind.ok())
         return kind.status();
+    if (Status st = checkUnsignedFlags({{"capacity", capacity},
+                                        {"ways", ways}});
+        !st.isOk()) {
+        return st;
+    }
     SimConfig c;
     c.kind = kind.value();
     c.tc.capacityUops = (unsigned)capacity;

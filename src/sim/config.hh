@@ -7,8 +7,11 @@
 #ifndef XBS_SIM_CONFIG_HH
 #define XBS_SIM_CONFIG_HH
 
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bbtc/bbtc_frontend.hh"
@@ -70,11 +73,20 @@ Expected<FrontendKind> parseFrontendKind(const std::string &name);
 const char *frontendKindFlag(FrontendKind kind);
 
 /**
+ * The one range check for 64-bit flag values that set `unsigned`
+ * SimConfig fields: fails naming the first (name, value) pair above
+ * UINT32_MAX, which a cast would silently truncate mod 2^32.
+ * RunSpec::config() applies it to its geometry, so xbsim and every
+ * xbatch cell share it; xbsim applies it to its XBC-only flags too.
+ */
+Status checkUnsignedFlags(
+    std::initializer_list<std::pair<const char *, uint64_t>> flags);
+
+/**
  * One simulation run as the batch layer sees it: the handful of
  * xbsim flags that define a (workload, frontend, geometry) cell of a
- * sweep matrix. A RunSpec serializes to xbsim argv (toArgv) and back
- * (fromArgv) so the journal can record exactly what each child was
- * asked to do and a --resume can re-launch it bit-identically.
+ * sweep matrix. toArgv() spells it as xbsim flags, and config()
+ * builds what xbsim builds from them.
  */
 struct RunSpec
 {
@@ -88,22 +100,12 @@ struct RunSpec
     std::vector<std::string> toArgv() const;
 
     /** The configuration xbsim builds from these flags (its other
-     *  flags at their defaults); fails on an unknown frontend. */
+     *  flags at their defaults); fails on an unknown frontend or a
+     *  capacity or ways above UINT32_MAX. */
     Expected<SimConfig> config() const;
-
-    /** Inverse of toArgv (rejects unknown or malformed flags). */
-    static Expected<RunSpec> fromArgv(
-        const std::vector<std::string> &args);
 
     /** "xbc/gcc@32768" (plus "wN" when ways is explicit). */
     std::string label() const;
-
-    bool operator==(const RunSpec &o) const
-    {
-        return frontend == o.frontend && workload == o.workload &&
-               insts == o.insts && capacity == o.capacity &&
-               ways == o.ways;
-    }
 };
 
 } // namespace xbs

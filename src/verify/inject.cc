@@ -163,9 +163,9 @@ FaultInjector::apply(InjectKind kind, Frontend &fe)
         // Wedge here, mid-cycle: alive (signal handlers still set
         // their flags) but retiring nothing, so the drain flag a
         // SIGTERM raises is never seen and only the watchdog's
-        // SIGKILL, after --grace, ends the process. Sleep rather
-        // than spin so a CI negative check doesn't burn a core while
-        // it waits out the deadline.
+        // SIGKILL, after the grace period, ends the process. Sleep
+        // rather than spin so a CI negative check doesn't burn a
+        // core while it waits out the deadline.
         for (;;) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(50));

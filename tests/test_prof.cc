@@ -362,29 +362,28 @@ syntheticReport()
   "jobs": [
     {"id": 0, "workload": "gcc", "frontend": "ic", "capacity": 32768,
      "done": true, "class": "ok", "attempts": 1, "exit": 0,
-     "signal": 0, "replayed": false, "seconds": 1.0,
+     "signal": 0, "seconds": 1.0,
      "metrics": {"bandwidth": 4.0, "missRate": 0.01,
                  "overallIpc": 2.5, "cycles": 1000,
                  "totalUops": 4000},
      "rusage": {"maxRssKb": 10000, "userSec": 0.5, "sysSec": 0.1}},
     {"id": 1, "workload": "gcc", "frontend": "xbc",
      "capacity": 32768, "ways": 4, "done": true, "class": "ok",
-     "attempts": 1, "exit": 0, "signal": 0, "replayed": false,
-     "seconds": 1.2,
+     "attempts": 1, "exit": 0, "signal": 0, "seconds": 1.2,
      "metrics": {"bandwidth": 8.0, "missRate": 0.03,
                  "overallIpc": 3.5, "cycles": 500,
                  "totalUops": 4000},
      "rusage": {"maxRssKb": 20000, "userSec": 0.7, "sysSec": 0.1}},
     {"id": 2, "workload": "go", "frontend": "tc", "capacity": 32768,
      "done": true, "class": "ok", "attempts": 1, "exit": 0,
-     "signal": 0, "replayed": false, "seconds": 0.8,
+     "signal": 0, "seconds": 0.8,
      "metrics": {"bandwidth": 5.0, "missRate": 0.02,
                  "overallIpc": 3.0, "cycles": 800,
                  "totalUops": 4000},
      "rusage": {"maxRssKb": 15000, "userSec": 0.4, "sysSec": 0.2}},
     {"id": 3, "workload": "li", "frontend": "tc", "capacity": 32768,
      "done": true, "class": "crash", "attempts": 2, "exit": -1,
-     "signal": 11, "replayed": false, "seconds": 0.1}
+     "signal": 11, "seconds": 0.1}
   ]
 })";
 }

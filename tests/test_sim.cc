@@ -44,6 +44,36 @@ TEST(Config, KindNames)
     EXPECT_STREQ(frontendKindName(FrontendKind::Xbc), "XBC");
 }
 
+TEST(Config, UnsignedFieldsRejectValuesAboveUint32)
+{
+    // A cast would truncate these mod 2^32: a 32K TC, 2 ways.
+    RunSpec spec;
+    spec.frontend = "tc";
+    spec.capacity = 4295000064ull;
+    Expected<SimConfig> big = spec.config();
+    ASSERT_FALSE(big.ok());
+    EXPECT_NE(big.status().cause().find("capacity 4295000064"),
+              std::string::npos)
+        << big.status().toString();
+    spec.capacity = 32768;
+    spec.ways = 4294967298ull;
+    EXPECT_FALSE(spec.config().ok());
+
+    // UINT32_MAX itself still fits.
+    spec.ways = 4294967295ull;
+    ASSERT_TRUE(spec.config().ok());
+    EXPECT_EQ(spec.config().value().tc.ways, 4294967295u);
+
+    EXPECT_TRUE(checkUnsignedFlags({{"xbtb-entries", 8192},
+                                    {"fetch-xbs", 4294967295ull}})
+                    .isOk());
+    Status st = checkUnsignedFlags({{"xbtb-entries", 4096},
+                                    {"fetch-xbs", 4294967298ull}});
+    ASSERT_FALSE(st.isOk());
+    EXPECT_NE(st.cause().find("fetch-xbs 4294967298"), std::string::npos)
+        << st.toString();
+}
+
 TEST(Runner, RunOneProducesMetrics)
 {
     SuiteRunner runner(15000, {"compress"});

@@ -92,8 +92,10 @@ TEST(Args, UnknownFlagIsFatal)
 
 TEST(Args, BadIntegerIsFatal)
 {
-    // strtoull alone would read "" as 0 and "-1" as 2^64-1.
-    for (const char *bad : {"abc", "-1", " -1", ""}) {
+    // strtoull alone would read "" as 0, "-1" as 2^64-1 and clamp
+    // 2^64 to 2^64-1.
+    for (const char *bad :
+         {"abc", "-1", " -1", "", "18446744073709551616"}) {
         uint64_t v = 0;
         ArgParser p("prog", "test");
         p.addUint("n", &v, "n");
@@ -104,6 +106,25 @@ TEST(Args, BadIntegerIsFatal)
                     testing::ExitedWithCode(1), "expects an integer")
             << "'" << bad << "'";
     }
+}
+
+TEST(Args, IntegerRuleIsShared)
+{
+    // The rule of addUint flags, also applied to list items such as
+    // xbatch's --capacities.
+    uint64_t v = 0;
+    EXPECT_TRUE(parseUintArg("32768", &v));
+    EXPECT_EQ(v, 32768u);
+    EXPECT_TRUE(parseUintArg("0x10", &v));
+    EXPECT_EQ(v, 16u);
+    EXPECT_TRUE(parseUintArg("18446744073709551615", &v));
+    EXPECT_EQ(v, UINT64_MAX);
+    v = 7;
+    for (const char *bad :
+         {"-1", " -1", "", " ", "abc", "12k", "18446744073709551616"}) {
+        EXPECT_FALSE(parseUintArg(bad, &v)) << "'" << bad << "'";
+    }
+    EXPECT_EQ(v, 7u);  // untouched on failure
 }
 
 TEST(Args, BadNumberIsFatal)

@@ -2,30 +2,34 @@
  * @file
  * xbatch - fault-tolerant parallel sweep driver: runs the workload x
  * frontend (x capacity) matrix as isolated child processes under a
- * supervisor with a bounded worker pool, per-job timeouts, bounded
- * retries with exponential backoff, and a crash-safe journal that
- * makes an interrupted (or SIGKILLed) sweep resumable.
+ * supervisor with a bounded worker pool, per-job timeouts, and
+ * bounded retries with exponential backoff (one retry, 200 ms, a 2 s
+ * TERM-to-KILL grace: SchedulerOptions' defaults).
  *
  * The supervisor builds each workload's trace once and forks every
  * cell from it (batch/cells.hh): a cell simulates the resident trace,
- * shared copy-on-write, and prints what `xbsim --json` would.
+ * shared copy-on-write, and prints what `xbsim --json` would. The
+ * sweep directory holds report.json, written atomically at the end,
+ * plus intervals/ with --intervals. Nothing else is persisted: a
+ * sweep whose supervisor dies is rerun.
  *
  * Examples:
  *   xbatch --workloads=gcc,go,li --frontends=tc,xbc --jobs=4
  *   xbatch --capacities=16384,32768,65536 --out=sweep
- *   xbatch --resume=sweep
  *
- * Exit codes: 0 every job ok; 4 sweep completed but some jobs failed
- * (degraded success: the report still covers the whole matrix); 5 the
- * sweep itself was interrupted (SIGINT/SIGTERM; resume to continue).
+ * Exit codes: 0 every job ok; 1 bad flags (before any cell runs); 2
+ * report.json could not be written; 4 sweep completed but some jobs
+ * failed (degraded success: the report still covers the whole
+ * matrix); 5 the sweep itself was interrupted (SIGINT/SIGTERM; the
+ * report counts the unfinished jobs as notRun).
  */
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "batch/cells.hh"
 #include "batch/job.hh"
-#include "batch/journal.hh"
 #include "batch/report.hh"
 #include "batch/scheduler.hh"
 #include "common/args.hh"
@@ -47,13 +51,12 @@ parseCapacityList(const std::string &csv)
 {
     std::vector<uint64_t> out;
     for (const std::string &item : splitList(csv)) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(item.c_str(), &end, 0);
-        if (end == item.c_str() || *end != '\0' || v == 0) {
+        uint64_t v = 0;
+        if (!parseUintArg(item, &v) || v == 0) {
             return Status::error("bad capacity '" + item +
                                  "' in --capacities");
         }
-        out.push_back((uint64_t)v);
+        out.push_back(v);
     }
     return out;
 }
@@ -77,11 +80,7 @@ main(int argc, char **argv)
     uint64_t intervals = 0;
     uint64_t jobs = 2;
     double timeout = 300.0;
-    uint64_t retries = 1;
-    uint64_t backoff_ms = 200;
-    double grace = 2.0;
     std::string out_dir = "xbatch-out";
-    std::string resume_dir;
     std::string ignored_xbsim;
     bool print_table = true;
 
@@ -103,16 +102,8 @@ main(int argc, char **argv)
     args.addDouble("timeout", &timeout,
                    "per-job wall-clock timeout in seconds; a job past "
                    "it is killed and retried as a timeout");
-    args.addUint("retries", &retries,
-                 "extra attempts for transient failures");
-    args.addUint("backoff-ms", &backoff_ms,
-                 "base retry backoff in ms (doubles per attempt)");
-    args.addDouble("grace", &grace,
-                   "seconds between SIGTERM and SIGKILL");
     args.addString("out", &out_dir,
-                   "sweep directory (manifest, journal, report)");
-    args.addString("resume", &resume_dir,
-                   "resume an interrupted sweep from its directory");
+                   "sweep directory (report.json, intervals/)");
     args.addString("xbsim", &ignored_xbsim,
                    "ignored: cells are forked from xbatch, not exec'd");
     args.addBool("print", &print_table,
@@ -123,118 +114,68 @@ main(int argc, char **argv)
         return fail(Status::error("unexpected argument '" +
                                   args.positional()[0] + "'"));
     }
-    if (jobs == 0)
-        return fail(Status::error("--jobs must be >= 1"));
+    // A worker count is unsigned: 2^32 would truncate to 0 workers,
+    // a sweep that never launches.
+    if (jobs == 0 || jobs > std::numeric_limits<unsigned>::max())
+        return fail(Status::error("--jobs must be in 1..4294967295"));
     if (timeout <= 0.0)
         return fail(Status::error("--timeout must be > 0"));
 
-    const bool resuming = !resume_dir.empty();
-    const std::string dir = resuming ? resume_dir : out_dir;
-
-    SweepManifest manifest;
-    std::vector<JournalEvent> replayed;
-    if (resuming) {
-        // The manifest is the source of truth for the matrix and the
-        // supervision parameters, so a resumed sweep is the same
-        // sweep (CLI sweep flags are ignored on purpose).
-        Expected<SweepManifest> m = SweepJournal::readManifest(dir);
-        if (!m.ok())
-            return fail(m.status());
-        manifest = m.take();
-        Expected<std::vector<JournalEvent>> ev =
-            SweepJournal::replay(dir);
-        if (!ev.ok())
-            return fail(ev.status());
-        replayed = ev.take();
-    } else {
-        std::vector<std::string> workloads = splitList(workloads_csv);
-        if (workloads.empty())
-            workloads = catalogWorkloadNames();
-        for (const std::string &w : workloads) {
-            if (Expected<const CatalogEntry *> e = findWorkloadEx(w);
-                !e.ok()) {
-                return fail(e.status());
-            }
-        }
-        std::vector<std::string> frontends = splitList(frontends_csv);
-        if (frontends.empty())
-            return fail(Status::error("--frontends is empty"));
-        for (const std::string &f : frontends) {
-            if (Expected<FrontendKind> k = parseFrontendKind(f);
-                !k.ok()) {
-                return fail(k.status());
-            }
-        }
-        Expected<std::vector<uint64_t>> capacities =
-            parseCapacityList(capacities_csv);
-        if (!capacities.ok())
-            return fail(capacities.status());
-        if (capacities.value().empty())
-            return fail(Status::error("--capacities is empty"));
-
-        manifest.workers = (unsigned)jobs;
-        manifest.timeoutSec = timeout;
-        manifest.maxRetries = (unsigned)retries;
-        manifest.backoffMs = (unsigned)backoff_ms;
-        manifest.intervalCycles = intervals;
-        manifest.jobs = buildJobMatrix(workloads, frontends,
-                                       capacities.value(), insts);
-
-        if (Status st = ensureDir(dir); !st.isOk())
-            return fail(st);
-        if (Status st = SweepJournal::writeManifest(dir, manifest);
-            !st.isOk()) {
-            return fail(st);
+    std::vector<std::string> workloads = splitList(workloads_csv);
+    if (workloads.empty())
+        workloads = catalogWorkloadNames();
+    for (const std::string &w : workloads) {
+        if (Expected<const CatalogEntry *> e = findWorkloadEx(w);
+            !e.ok()) {
+            return fail(e.status());
         }
     }
-
-    // Interval capture: each cell streams its windows to its own
-    // file under <dir>/intervals (resume reuses the manifest's
-    // window so replayed and fresh jobs observe alike).
-    if (manifest.intervalCycles) {
-        if (Status st = ensureDir(dir + "/intervals"); !st.isOk())
-            return fail(st);
+    std::vector<std::string> frontends = splitList(frontends_csv);
+    if (frontends.empty())
+        return fail(Status::error("--frontends is empty"));
+    Expected<std::vector<uint64_t>> capacities =
+        parseCapacityList(capacities_csv);
+    if (!capacities.ok())
+        return fail(capacities.status());
+    if (capacities.value().empty())
+        return fail(Status::error("--capacities is empty"));
+    std::vector<JobSpec> matrix = buildJobMatrix(
+        workloads, frontends, capacities.value(), insts);
+    // Every cell must make a configuration (a known frontend, a
+    // geometry its fields hold) before the first fork.
+    for (const JobSpec &job : matrix) {
+        if (Expected<SimConfig> c = job.run.config(); !c.ok())
+            return fail(c.status());
     }
 
-    SweepJournal journal;
-    if (Status st = journal.open(dir); !st.isOk())
+    if (Status st = ensureDir(out_dir); !st.isOk())
         return fail(st);
+    // Interval capture: each cell streams its windows to its own
+    // file under <out>/intervals.
+    if (intervals) {
+        if (Status st = ensureDir(out_dir + "/intervals"); !st.isOk())
+            return fail(st);
+    }
 
     installStopHandlers(&g_stop);
 
     SchedulerOptions opts;
-    opts.workers = manifest.workers;
-    opts.timeoutSec = manifest.timeoutSec;
-    opts.maxRetries = manifest.maxRetries;
-    opts.backoffMs = manifest.backoffMs;
-    opts.graceSec = grace;
+    opts.workers = (unsigned)jobs;
+    opts.timeoutSec = timeout;
     opts.stopFlag = &g_stop;
     SweepTraces traces;
-    traces.attach(opts, manifest.intervalCycles, dir + "/intervals");
-    const std::size_t total = manifest.jobs.size();
-    opts.onFinal = [total](const JobRecord &rec) {
-        if (rec.replayed)
-            return;
+    traces.attach(opts, intervals, out_dir + "/intervals");
+    opts.onFinal = [](const JobRecord &rec) {
         std::fprintf(stderr, "xbatch: [%s] %s (%.1fs)\n",
                      jobClassName(rec.cls),
                      rec.spec.run.label().c_str(), rec.seconds);
-        (void)total;
     };
 
-    SweepScheduler sched(opts, manifest.jobs, &journal);
-    if (resuming) {
-        journal.seedSeq(sched.restore(replayed));
-        std::fprintf(stderr,
-                     "xbatch: resuming %s: %zu/%zu jobs already "
-                     "done\n",
-                     dir.c_str(), sched.doneCount(), total);
-    } else {
-        std::fprintf(stderr,
-                     "xbatch: %zu jobs, %u workers, %.0fs timeout "
-                     "-> %s\n",
-                     total, opts.workers, opts.timeoutSec,
-                     dir.c_str());
-    }
+    std::fprintf(stderr,
+                 "xbatch: %zu jobs, %u workers, %.0fs timeout -> %s\n",
+                 matrix.size(), opts.workers, opts.timeoutSec,
+                 out_dir.c_str());
+    SweepScheduler sched(opts, std::move(matrix));
 
     const auto t0 = std::chrono::steady_clock::now();
     sched.run();
@@ -249,15 +190,17 @@ main(int argc, char **argv)
     SweepReportInfo report_info;
     report_info.hasBuild = true;
     report_info.build = buildInfo();
-    report_info.intervalCycles = manifest.intervalCycles;
-    if (Status st = writeSweepReport(dir, sched.records(), summary,
-                                     report_info);
-        !st.isOk()) {
+    report_info.intervalCycles = intervals;
+    const Status written = writeSweepReport(out_dir, sched.records(),
+                                            summary, report_info);
+    if (!written.isOk()) {
         std::fprintf(stderr, "xbatch: cannot write report: %s\n",
-                     st.toString().c_str());
+                     written.toString().c_str());
     }
     if (print_table)
         printSweepSummary(std::cout, sched.records(), summary);
 
-    return sched.exitCode();
+    // report.json is all a sweep leaves behind: losing it fails the
+    // sweep, whatever its cells did.
+    return written.isOk() ? sched.exitCode() : kExitData;
 }

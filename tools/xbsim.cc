@@ -158,6 +158,11 @@ main(int argc, char **argv)
     Expected<SimConfig> spec_config = spec.config();
     if (!spec_config.ok())
         xbs_fatal("%s", spec_config.status().toString().c_str());
+    if (Status st = checkUnsignedFlags({{"xbtb-entries", xbtb_entries},
+                                        {"fetch-xbs", fetch_xbs}});
+        !st.isOk()) {
+        xbs_fatal("%s", st.toString().c_str());
+    }
     SimConfig config = spec_config.take();
     config.xbc.xbtbEntries = (unsigned)xbtb_entries;
     config.xbc.fetchXbsPerCycle = (unsigned)fetch_xbs;
